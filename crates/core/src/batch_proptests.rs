@@ -7,7 +7,10 @@
 //! detections, identical per-object liveness/registry state — and that
 //! batching never costs more simulated cycles on the allocation-heavy
 //! traces it is built for (bursts of same-class objects per pool, the
-//! shape the paper's server workloads exhibit).
+//! shape the paper's server workloads exhibit). After every operation both
+//! pool detectors must also pass [`dangle_pool::PoolSet::audit_frames`]:
+//! page recycling, in place or re-mapped, never lets two live pools share
+//! a physical frame.
 //!
 //! The boundary behaviour of the vectored syscalls themselves (empty,
 //! adjacent, overlapping batches) is pinned by `dangle-vmm`'s unit and
@@ -37,6 +40,15 @@ fn batched_pool() -> ShadowPool {
         PoolConfig::default(),
         BatchConfig { enabled: true, ..BatchConfig::default() },
     )
+}
+
+/// Panics unless both runs' pool page tables pass the aliasing audit.
+fn audit_frames(case: u64, sl: &ShadowPool, ml: &Machine, sb: &ShadowPool, mb: &Machine) {
+    for (run, sp, m) in [("legacy", sl, ml), ("batched", sb, mb)] {
+        if let Err(e) = sp.pools().audit_frames(m) {
+            panic!("case {case}, {run} run: {e}");
+        }
+    }
 }
 
 /// One tracked object: its address in the legacy run, in the batched run,
@@ -138,6 +150,7 @@ fn shadow_pool_batched_matches_legacy() {
                     objs[pi].clear();
                 }
             }
+            audit_frames(case, &sl, &ml, &sb, &mb);
         }
 
         // Final sweep: every tracked object of every live pool has the
@@ -271,6 +284,7 @@ fn epoch_mode_converges_to_legacy_protection_map() {
                 let al = sl.alloc(&mut ml, pl, 16).unwrap();
                 let ab = sb.alloc(&mut mb, pb, 16).unwrap();
                 objs.push(Obj { legacy: al, batched: ab, freed: false });
+                audit_frames(case, &sl, &ml, &sb, &mb);
             }
             // Free a random half of everything still live.
             for o in objs.iter_mut() {
@@ -278,6 +292,7 @@ fn epoch_mode_converges_to_legacy_protection_map() {
                     sl.free(&mut ml, pl, o.legacy).unwrap();
                     sb.free(&mut mb, pb, o.batched).unwrap();
                     o.freed = true;
+                    audit_frames(case, &sl, &ml, &sb, &mb);
                 }
             }
         }

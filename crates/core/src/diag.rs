@@ -182,6 +182,9 @@ impl DanglingReport {
 /// the heap detector records persist forever (shadow pages are never
 /// reused); for the pool detector records are dropped when their pool is
 /// destroyed (the APA contract says no pointer can fault there any more).
+/// A record no page entry reaches any more is unreachable, so its slot is
+/// reused by the next insert: the registry's size follows the tracked
+/// pages, not the allocations ever made.
 #[derive(Debug, Default)]
 pub struct ObjectRegistry {
     records: Vec<ObjectRecord>,
@@ -193,6 +196,13 @@ pub struct ObjectRegistry {
     /// Full call stacks at free time, parallel to `records` (empty while
     /// the object is live).
     free_stacks: Vec<Vec<String>>,
+    /// Page entries in `by_page` pointing at each record, parallel to
+    /// `records`; a slot whose count drops to zero joins `free_slots`.
+    page_refs: Vec<u32>,
+    free_slots: Vec<usize>,
+    /// The slot of the most recent insert, which `note_alloc_stack` and
+    /// `note_sampled` annotate.
+    last: usize,
 }
 
 impl ObjectRegistry {
@@ -205,18 +215,9 @@ impl ObjectRegistry {
     /// address) and spans `size` bytes; `span` lists the shadow pages,
     /// starting with the page containing the detector's hidden word.
     pub fn insert(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId, span: &[PageNum]) {
-        let idx = self.records.len();
-        self.records.push(ObjectRecord {
-            base,
-            size,
-            alloc_site,
-            state: ObjectState::Live,
-            sampled: false,
-        });
-        self.alloc_stacks.push(Vec::new());
-        self.free_stacks.push(Vec::new());
+        let idx = self.new_slot(base, size, alloc_site);
         for &p in span {
-            self.by_page.insert(p, idx);
+            self.map_page(p, idx);
         }
     }
 
@@ -231,18 +232,55 @@ impl ObjectRegistry {
         start: PageNum,
         span: usize,
     ) {
-        let idx = self.records.len();
-        self.records.push(ObjectRecord {
-            base,
-            size,
-            alloc_site,
-            state: ObjectState::Live,
-            sampled: false,
-        });
-        self.alloc_stacks.push(Vec::new());
-        self.free_stacks.push(Vec::new());
+        let idx = self.new_slot(base, size, alloc_site);
         for i in 0..span as u64 {
-            self.by_page.insert(start.add(i), idx);
+            self.map_page(start.add(i), idx);
+        }
+    }
+
+    /// A fresh live record with empty stacks and no page entries yet: a
+    /// reused slot when one is free, a new one otherwise.
+    fn new_slot(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId) -> usize {
+        let record =
+            ObjectRecord { base, size, alloc_site, state: ObjectState::Live, sampled: false };
+        let idx = match self.free_slots.pop() {
+            Some(idx) => {
+                self.records[idx] = record;
+                idx
+            }
+            None => {
+                self.records.push(record);
+                self.alloc_stacks.push(Vec::new());
+                self.free_stacks.push(Vec::new());
+                self.page_refs.push(0);
+                self.records.len() - 1
+            }
+        };
+        self.last = idx;
+        idx
+    }
+
+    fn map_page(&mut self, page: PageNum, idx: usize) {
+        self.page_refs[idx] += 1;
+        if let Some(old) = self.by_page.insert(page, idx) {
+            self.unref(old);
+        }
+    }
+
+    fn unmap_page(&mut self, page: PageNum) {
+        if let Some(old) = self.by_page.remove(&page) {
+            self.unref(old);
+        }
+    }
+
+    /// Drops one page entry of record `idx`; once none is left the record
+    /// is unreachable, so its stacks go and its slot is free for reuse.
+    fn unref(&mut self, idx: usize) {
+        self.page_refs[idx] -= 1;
+        if self.page_refs[idx] == 0 {
+            self.alloc_stacks[idx].clear();
+            self.free_stacks[idx].clear();
+            self.free_slots.push(idx);
         }
     }
 
@@ -250,7 +288,7 @@ impl ObjectRegistry {
     /// recently inserted object. Detector alloc paths call this right
     /// after `insert`/`insert_range` when a shadow call stack is live.
     pub fn note_alloc_stack(&mut self, stack: &[String]) {
-        if let Some(slot) = self.alloc_stacks.last_mut() {
+        if let Some(slot) = self.alloc_stacks.get_mut(self.last) {
             slot.clear();
             slot.extend_from_slice(stack);
         }
@@ -261,7 +299,7 @@ impl ObjectRegistry {
     /// this right after `insert`/`insert_range` when the sampling policy's
     /// draw — not a deterministic rule — chose protection.
     pub fn note_sampled(&mut self, sampled: bool) {
-        if let Some(rec) = self.records.last_mut() {
+        if let Some(rec) = self.records.get_mut(self.last) {
             rec.sampled = sampled;
         }
     }
@@ -300,8 +338,8 @@ impl ObjectRegistry {
 
     /// Drops the records registered for `pages` (pool destroy).
     pub fn forget_pages(&mut self, pages: &[PageNum]) {
-        for p in pages {
-            self.by_page.remove(p);
+        for &p in pages {
+            self.unmap_page(p);
         }
     }
 
@@ -309,7 +347,7 @@ impl ObjectRegistry {
     /// `start` — the recycling/GC paths drop whole spans at once.
     pub fn forget_range(&mut self, start: PageNum, span: usize) {
         for i in 0..span as u64 {
-            self.by_page.remove(&start.add(i));
+            self.unmap_page(start.add(i));
         }
     }
 
@@ -460,6 +498,53 @@ mod tests {
         let (alloc2, free2) = r.stacks(PageNum(8).base()).unwrap();
         assert!(alloc2.is_empty());
         assert!(free2.is_empty());
+    }
+
+    #[test]
+    fn unreachable_slots_are_reused_without_their_old_contents() {
+        let mut r = ObjectRegistry::new();
+        let old = PageNum(30).base().add(8);
+        r.insert_range(old, 5000, SiteId(1), PageNum(30), 2);
+        r.note_alloc_stack(&["main".to_string(), "old_alloc".to_string()]);
+        r.note_sampled(true);
+        r.mark_freed_traced(old, SiteId(2), &["main".to_string(), "old_free".to_string()]);
+        r.forget_range(PageNum(30), 1);
+        // One page entry still reaches the old record: its slot stays taken.
+        let keep = PageNum(50).base().add(8);
+        r.insert_range(keep, 8, SiteId(5), PageNum(50), 1);
+        assert_eq!(r.records.len(), 2);
+        r.forget_pages(&[PageNum(31)]);
+
+        let new = PageNum(40).base().add(8);
+        r.insert_range(new, 24, SiteId(3), PageNum(40), 1);
+        assert_eq!(r.records.len(), 2, "the unreachable slot was reused");
+        let rec = *r.lookup(new).unwrap();
+        assert_eq!(
+            rec,
+            ObjectRecord {
+                base: new,
+                size: 24,
+                alloc_site: SiteId(3),
+                state: ObjectState::Live,
+                sampled: false
+            }
+        );
+        assert_eq!(r.stacks(new).unwrap(), (&[][..], &[][..]));
+        // Annotations go to the newest record, not to the table's last slot.
+        r.note_sampled(true);
+        r.note_alloc_stack(&["main".to_string()]);
+        assert!(r.lookup(new).unwrap().sampled);
+        assert!(!r.lookup(keep).unwrap().sampled);
+        assert_eq!(r.stacks(new).unwrap().0, ["main"]);
+        assert!(r.stacks(keep).unwrap().0.is_empty());
+
+        // Re-registering a page frees the slot of the record it reached.
+        r.insert_range(PageNum(50).base(), 16, SiteId(6), PageNum(50), 1);
+        assert_eq!(r.lookup(keep).unwrap().alloc_site, SiteId(6));
+        assert_eq!(r.records.len(), 3);
+        r.insert_range(PageNum(60).base(), 8, SiteId(7), PageNum(60), 1);
+        assert_eq!(r.records.len(), 3, "keep's old slot was taken again");
+        assert_eq!(r.tracked_pages(), 3);
     }
 
     #[test]

@@ -956,6 +956,76 @@ mod tests {
         assert!(m.load_u8(p.add(9_000)).is_err(), "tail page protected too");
     }
 
+    #[test]
+    fn unchecked_pool_churn_maps_one_page() {
+        // Lint-elided pools hold no shadow aliases, so every recycled page
+        // is private and read-write and comes back in place.
+        let (mut m, mut sp) = setup();
+        for round in 0..100u64 {
+            let pp = sp.create(16);
+            let p = sp.alloc_unchecked(&mut m, pp, 16).unwrap();
+            m.store_u64(p, round).unwrap();
+            sp.destroy(&mut m, pp).unwrap();
+        }
+        assert_eq!(m.stats().mmap_calls, 1);
+        assert_eq!(m.virt_pages_consumed(), 1);
+        assert_eq!(m.telemetry().counter("pool.pages_recycled"), 99);
+    }
+
+    #[test]
+    fn checked_pool_pages_still_get_fresh_frames() {
+        let (mut m, mut sp) = setup();
+        let p1 = sp.create(16);
+        let a = sp.alloc(&mut m, p1, 16).unwrap();
+        let canon = sp.pools().pool_pages(p1).unwrap()[0];
+        let frame = m.frame_of(canon.base());
+        sp.free(&mut m, p1, a).unwrap();
+        sp.destroy(&mut m, p1).unwrap();
+
+        // The canonical page comes back first, but its released shadow
+        // page still maps its frame: it must be re-mapped.
+        let p2 = sp.create(16);
+        let mmaps = m.stats().mmap_calls;
+        let b = sp.alloc_unchecked(&mut m, p2, 16).unwrap();
+        assert_eq!(b.page(), canon);
+        assert_ne!(m.frame_of(b), frame, "an aliased frame is never reused in place");
+        assert_eq!(m.stats().mmap_calls, mmaps + 1);
+        // A dangling use in the later pool still traps.
+        let c = sp.alloc(&mut m, p2, 16).unwrap();
+        m.store_u64(c, 9).unwrap();
+        sp.free(&mut m, p2, c).unwrap();
+        let trap = m.load_u64(c).unwrap_err();
+        assert_eq!(sp.explain(&trap).unwrap().kind, DanglingKind::Read);
+        sp.pools().audit_frames(&m).unwrap();
+    }
+
+    #[test]
+    fn reused_registry_slot_reports_only_the_new_object() {
+        let (mut m, mut sp) = setup();
+        let old_alloc = sp.sites_mut().intern("old:malloc");
+        let old_free = sp.sites_mut().intern("old:free");
+        let p1 = sp.create(16);
+        m.telemetry_mut().push_call("old_handler");
+        let a = sp.alloc_at(&mut m, p1, 4000, old_alloc).unwrap();
+        sp.free_at(&mut m, p1, a, old_free).unwrap();
+        m.telemetry_mut().pop_call();
+        sp.destroy(&mut m, p1).unwrap();
+
+        let new_alloc = sp.sites_mut().intern("new:malloc");
+        let p2 = sp.create(16);
+        let b = sp.alloc_at(&mut m, p2, 24, new_alloc).unwrap();
+        sp.free(&mut m, p2, b).unwrap();
+        let trap = m.load_u64(b).unwrap_err();
+        let report = sp.trap_report(&m, &trap, "use").unwrap();
+        assert_eq!(report.object_base, b.raw());
+        assert_eq!(report.object_size, 24);
+        assert_eq!(report.alloc_site, "new:malloc");
+        assert_eq!(report.free_site.as_deref(), Some("<unknown>"));
+        assert!(report.alloc_stack.is_empty(), "{:?}", report.alloc_stack);
+        assert!(report.free_stack.is_empty(), "{:?}", report.free_stack);
+        assert!(!report.sampled);
+    }
+
     fn sampled(cfg: crate::SamplingConfig) -> (Machine, ShadowPool) {
         let sp = ShadowPool::with_sampling(PoolConfig::default(), BatchConfig::default(), cfg);
         (Machine::free_running(), sp)

@@ -14,12 +14,19 @@
 //! * `poolfree` does **not** return memory to the system — pages stay with
 //!   their pool until the pool dies.
 //!
-//! Recycling a virtual page re-maps it to a *fresh* physical frame
-//! ([`dangle_vmm::Machine::mmap_fixed`]). This severs any stale physical
-//! aliasing left over from the page's previous life — without it, two live
-//! objects could silently share a frame. The safety of handing the *virtual*
-//! page out again rests entirely on the Automatic Pool Allocation contract:
-//! no pointer into the pool survives `pooldestroy` (that is Insight 2 of the
+//! A recycled page must come back accessible and must not share its
+//! physical frame with any other page — otherwise two live objects could
+//! silently share a frame. A recycled run whose pages are all mapped
+//! read-write onto frames no other page maps
+//! ([`dangle_vmm::Machine::is_private_rw`]) already is both, so it is handed
+//! out **in place**, with no syscall and its old contents: pool memory is
+//! never promised to be zeroed. Every other run — a freed object's
+//! `PROT_NONE` shadow page, or a canonical page whose shadow aliases were
+//! released with it — is re-mapped to *fresh* frames
+//! ([`dangle_vmm::Machine::mmap_fixed`]), which severs the stale aliasing
+//! and lifts the protection. The safety of handing the *virtual* page out
+//! again rests entirely on the Automatic Pool Allocation contract: no
+//! pointer into the pool survives `pooldestroy` (that is Insight 2 of the
 //! paper, and `dangle-apa`'s escape analysis is what establishes it).
 //!
 //! The runtime also maintains the *dynamic pool points-to graph* the paper's
@@ -31,6 +38,7 @@ use dangle_heap::header::{self, HEADER_SIZE, SIZE_CLASSES};
 use dangle_heap::{AllocError, AllocStats};
 use dangle_telemetry::EventKind;
 use dangle_vmm::{Machine, PageNum, Trap, VirtAddr, PAGE_SIZE};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -129,7 +137,6 @@ struct Pool {
     /// points-to graph, §3.4).
     points_to: Vec<PoolId>,
     stats: AllocStats,
-    destroyed: bool,
 }
 
 /// The pool runtime: all pools of one program plus the shared page free
@@ -152,7 +159,11 @@ struct Pool {
 /// ```
 #[derive(Debug, Default)]
 pub struct PoolSet {
-    pools: Vec<Pool>,
+    /// Every pool ever created, indexed by id. A destroyed pool leaves a
+    /// `None` tombstone, so ids are never reused and a long-running server
+    /// keeps one pointer per dead pool, not its class table and page lists.
+    pools: Vec<Option<Box<Pool>>>,
+    destroyed: u64,
     /// Shared free list of virtual-page *runs*: `(base, len)`, kept
     /// **sorted by base** and fully coalesced (no two entries adjacent).
     /// Runs let multi-page canonical blocks and multi-page shadow spans
@@ -183,7 +194,7 @@ impl PoolSet {
     /// compiler inferred for the pool's points-to node (0 if unknown).
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
         let id = PoolId(self.pools.len() as u32);
-        self.pools.push(Pool {
+        self.pools.push(Some(Box::new(Pool {
             elem_hint,
             classes: Default::default(),
             pages: Vec::new(),
@@ -191,21 +202,32 @@ impl PoolSet {
             large_free: Vec::new(),
             points_to: Vec::new(),
             stats: AllocStats::default(),
-            destroyed: false,
-        });
+        })));
         id
     }
 
     fn pool(&self, id: PoolId) -> Result<&Pool, PoolError> {
-        self.pools.get(id.0 as usize).ok_or(PoolError::Unknown(id))
+        match self.pools.get(id.0 as usize) {
+            Some(Some(p)) => Ok(p),
+            Some(None) => Err(PoolError::Destroyed(id)),
+            None => Err(PoolError::Unknown(id)),
+        }
     }
 
     fn pool_live(&mut self, id: PoolId) -> Result<&mut Pool, PoolError> {
-        let p = self.pools.get_mut(id.0 as usize).ok_or(PoolError::Unknown(id))?;
-        if p.destroyed {
-            return Err(PoolError::Destroyed(id));
+        match self.pools.get_mut(id.0 as usize) {
+            Some(Some(p)) => Ok(p),
+            Some(None) => Err(PoolError::Destroyed(id)),
+            None => Err(PoolError::Unknown(id)),
         }
-        Ok(p)
+    }
+
+    /// Every live pool with its id, in id order.
+    fn live(&self) -> impl Iterator<Item = (PoolId, &Pool)> {
+        self.pools
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_deref().map(|p| (PoolId(i as u32), p)))
     }
 
     /// Pops `n` *contiguous* page numbers off the shared free list without
@@ -288,11 +310,18 @@ impl PoolSet {
     }
 
     /// Obtains `n` contiguous virtual pages: recycled from the shared free
-    /// list when allowed and available (re-mapped to fresh frames), fresh
-    /// `mmap` otherwise.
+    /// list when allowed and available, fresh `mmap` otherwise. A recycled
+    /// run is handed out in place when it is private and read-write, and
+    /// re-mapped to fresh frames otherwise (see the [module docs](self));
+    /// a run whose re-map fails goes back on the list.
     fn acquire_run(&mut self, machine: &mut Machine, n: usize) -> Result<VirtAddr, PoolError> {
         if let Some(base) = self.take_free_run(n) {
-            machine.mmap_fixed(base.base(), n)?;
+            if !machine.is_private_rw(base.base(), n) {
+                if let Err(trap) = machine.mmap_fixed(base.base(), n) {
+                    self.release_run(base, n as u32);
+                    return Err(trap.into());
+                }
+            }
             machine.note_event(base.base(), EventKind::FreeListHit { pages: n as u32 });
             let t = machine.telemetry_mut();
             if t.enabled() {
@@ -463,7 +492,8 @@ impl PoolSet {
 
     /// `pooldestroy`: releases **all** the pool's pages — canonical and
     /// registered shadow pages alike — to the shared free list (when reuse
-    /// is enabled). The pool id becomes a tombstone.
+    /// is enabled). The pool id becomes a tombstone: every later operation
+    /// on it fails with [`PoolError::Destroyed`].
     ///
     /// Safety of the subsequent reuse rests on the APA contract that no
     /// pointer into this pool is live; see the [module docs](self).
@@ -472,14 +502,12 @@ impl PoolSet {
     /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
         machine.tick(LOGIC_COST);
-        let reuse = self.config.reuse_pages;
-        let p = self.pool_live(pool)?;
-        p.destroyed = true;
-        let mut pages = std::mem::take(&mut p.pages);
-        pages.append(&mut std::mem::take(&mut p.extra_pages));
-        p.classes = Default::default();
-        p.large_free.clear();
-        let released = if reuse { self.release_pages(pages) } else { 0 };
+        self.pool_live(pool)?;
+        let p = self.pools[pool.0 as usize].take().expect("checked live above");
+        self.destroyed += 1;
+        let mut pages = p.pages;
+        pages.extend_from_slice(&p.extra_pages);
+        let released = self.release_pages(pages);
         machine.note_event(VirtAddr::NULL, EventKind::PoolDestroy);
         machine.telemetry_mut().counter_add("pool.pages_released", released);
         // Per-pool wastage series: how many pages each pool held at death.
@@ -584,7 +612,8 @@ impl PoolSet {
     /// The pools `pool` is known to point into.
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// [`PoolError::Unknown`] for a bad id, [`PoolError::Destroyed`] for a
+    /// destroyed pool (it holds no objects, so no pointers either).
     pub fn pool_edges(&self, pool: PoolId) -> Result<&[PoolId], PoolError> {
         Ok(&self.pool(pool)?.points_to)
     }
@@ -594,13 +623,16 @@ impl PoolSet {
     /// # Errors
     /// [`PoolError::Unknown`] for a bad id.
     pub fn is_destroyed(&self, pool: PoolId) -> Result<bool, PoolError> {
-        Ok(self.pool(pool)?.destroyed)
+        match self.pools.get(pool.0 as usize) {
+            Some(p) => Ok(p.is_none()),
+            None => Err(PoolError::Unknown(pool)),
+        }
     }
 
     /// Allocation counters of one pool.
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn pool_stats(&self, pool: PoolId) -> Result<AllocStats, PoolError> {
         Ok(self.pool(pool)?.stats)
     }
@@ -608,7 +640,7 @@ impl PoolSet {
     /// The element-size hint `pool` was created with.
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn elem_hint(&self, pool: PoolId) -> Result<usize, PoolError> {
         Ok(self.pool(pool)?.elem_hint)
     }
@@ -620,16 +652,13 @@ impl PoolSet {
 
     /// Ids of all live (not destroyed) pools.
     pub fn live_pools(&self) -> Vec<PoolId> {
-        (0..self.pools.len() as u32)
-            .map(PoolId)
-            .filter(|&id| !self.pools[id.0 as usize].destroyed)
-            .collect()
+        self.live().map(|(id, _)| id).collect()
     }
 
     /// The canonical pages currently owned by `pool`.
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn pool_pages(&self, pool: PoolId) -> Result<&[PageNum], PoolError> {
         Ok(&self.pool(pool)?.pages)
     }
@@ -641,7 +670,41 @@ impl PoolSet {
 
     /// Pools destroyed so far.
     pub fn pools_destroyed(&self) -> u64 {
-        self.pools.iter().filter(|p| p.destroyed).count() as u64
+        self.destroyed
+    }
+
+    /// Checks the aliasing invariant page recycling must keep: no two
+    /// pages owned by live pools share a physical frame, except that a
+    /// registered extra (shadow) page may share the frame of a canonical
+    /// or extra page of its *own* pool. Unmapped pages are skipped. Free
+    /// of simulated cost; meant for tests.
+    ///
+    /// # Errors
+    /// A description of the first violation found.
+    pub fn audit_frames(&self, machine: &Machine) -> Result<(), String> {
+        let mut owner: HashMap<u32, PoolId> = HashMap::new();
+        for (id, p) in self.live() {
+            for &pg in &p.pages {
+                let Some(frame) = machine.frame_of(pg.base()) else { continue };
+                if let Some(other) = owner.insert(frame, id) {
+                    return Err(format!(
+                        "canonical {pg:?} of {id} shares frame {frame} with a page of {other}"
+                    ));
+                }
+            }
+        }
+        for (id, p) in self.live() {
+            for &pg in &p.extra_pages {
+                let Some(frame) = machine.frame_of(pg.base()) else { continue };
+                let other = *owner.entry(frame).or_insert(id);
+                if other != id {
+                    return Err(format!(
+                        "extra {pg:?} of {id} shares frame {frame} with a page of {other}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The configuration this set was created with.
@@ -653,6 +716,7 @@ impl PoolSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dangle_vmm::{CostModel, MachineConfig, Protection};
 
     fn setup() -> (Machine, PoolSet) {
         (Machine::free_running(), PoolSet::new())
@@ -674,9 +738,20 @@ mod tests {
     fn operations_on_destroyed_pool_fail() {
         let (mut m, mut ps) = setup();
         let pp = ps.create(8);
+        let a = ps.alloc(&mut m, pp, 8).unwrap();
         ps.destroy(&mut m, pp).unwrap();
         assert!(matches!(ps.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.free(&mut m, pp, a), Err(PoolError::Destroyed(_))));
         assert!(matches!(ps.destroy(&mut m, pp), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.register_extra_page(pp, a.page()), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.pool_stats(pp), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.pool_edges(pp), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.pool_pages(pp), Err(PoolError::Destroyed(_))));
+        assert!(ps.is_destroyed(pp).unwrap());
+        // The tombstone is one pointer wide, and its id is never reused.
+        assert_eq!(std::mem::size_of_val(&ps.pools[0]), std::mem::size_of::<usize>());
+        assert_eq!(ps.create(8), PoolId(1));
+        assert_eq!((ps.pools_created(), ps.pools_destroyed()), (2, 1));
     }
 
     #[test]
@@ -736,8 +811,74 @@ mod tests {
         let b = ps.alloc(&mut m, p2, 16).unwrap();
         assert_eq!(b.page(), a_page, "virtual page recycled from the free list");
         assert_eq!(m.telemetry().counter("pool.pages_recycled"), 1);
-        // Recycled page reads as zero (fresh frame).
+        // Nothing ever wrote a's payload, and b is the same block.
         assert_eq!(m.load_u64(b).unwrap(), 0);
+    }
+
+    #[test]
+    fn private_read_write_page_is_recycled_in_place() {
+        let (mut m, mut ps) = setup();
+        let p1 = ps.create(16);
+        let a = ps.alloc(&mut m, p1, 16).unwrap();
+        m.store_u64(a, 0x5eed).unwrap();
+        let frame = m.frame_of(a);
+        ps.destroy(&mut m, p1).unwrap();
+
+        let mmaps = m.stats().mmap_calls;
+        let p2 = ps.create(16);
+        let b = ps.alloc(&mut m, p2, 16).unwrap();
+        assert_eq!(b.page(), a.page(), "virtual page recycled from the free list");
+        assert_eq!(m.frame_of(b), frame, "in place: same frame");
+        assert_eq!(m.stats().mmap_calls, mmaps, "in place: no mmap");
+        assert_eq!(m.telemetry().counter("event.free_list_hit"), 1);
+        assert_eq!(m.telemetry().counter("pool.pages_recycled"), 1);
+        // Pool memory is not zeroed: the old payload is still there.
+        assert_eq!(m.load_u64(b).unwrap(), 0x5eed);
+    }
+
+    #[test]
+    fn protected_page_is_remapped_read_write() {
+        let (mut m, mut ps) = setup();
+        let p1 = ps.create(16);
+        let a = ps.alloc(&mut m, p1, 16).unwrap();
+        m.mprotect(a, 1, Protection::None).unwrap();
+        ps.destroy(&mut m, p1).unwrap();
+
+        let mmaps = m.stats().mmap_calls;
+        let p2 = ps.create(16);
+        let b = ps.alloc(&mut m, p2, 16).unwrap();
+        assert_eq!(b.page(), a.page());
+        assert_eq!(m.stats().mmap_calls, mmaps + 1, "PROT_NONE is re-mapped");
+        assert_eq!(m.protection(b), Some(Protection::ReadWrite));
+        m.store_u64(b, 1).unwrap();
+        assert_eq!(m.telemetry().counter("pool.pages_recycled"), 1);
+    }
+
+    #[test]
+    fn failed_remap_returns_the_run_to_the_free_list() {
+        let mut m = Machine::with_config(MachineConfig {
+            cost: CostModel::free(),
+            phys_frames: 2,
+            ..MachineConfig::default()
+        });
+        let mut ps = PoolSet::new();
+        let p1 = ps.create(16);
+        let a = ps.alloc(&mut m, p1, 16).unwrap();
+        let shadow = m.mremap_alias(a, 1).unwrap();
+        ps.register_extra_page(p1, shadow.page()).unwrap();
+        let keep = ps.create(16);
+        ps.alloc(&mut m, keep, 16).unwrap(); // the second and last frame
+        ps.destroy(&mut m, p1).unwrap();
+        assert_eq!(ps.free_page_count(), 2);
+
+        // Both free pages alias one frame, so a recycled page needs a
+        // fresh frame, and there is none.
+        let p2 = ps.create(16);
+        assert_eq!(
+            ps.alloc(&mut m, p2, 16),
+            Err(PoolError::Alloc(AllocError::Trap(Trap::OutOfPhysicalMemory)))
+        );
+        assert_eq!(ps.free_page_count(), 2, "the run went back on the list");
     }
 
     #[test]
@@ -1024,6 +1165,7 @@ mod tests {
 #[cfg(test)]
 mod randomized {
     use super::*;
+    use dangle_vmm::Protection;
 
     use dangle_testkit::SeededRng as TestRng;
 
@@ -1049,11 +1191,17 @@ mod randomized {
 
     /// Random pool traffic: live objects across *all* pools never overlap
     /// and always carry their data; destroyed pools reject operations; page
-    /// recycling never corrupts a live object.
+    /// recycling never corrupts a live object. Some objects get a
+    /// registered shadow alias, protected or not, as the detector would
+    /// give them, so both the in-place and the re-map recycling paths run;
+    /// after every operation no two pages of live pools share a frame
+    /// except through such a shadow page ([`PoolSet::audit_frames`]).
     #[test]
     fn pool_integrity() {
         for case in 0..48u64 {
             let mut rng = TestRng::new(0x9001_0001 + case * 0x9e37_79b9);
+            // A second stream, so the operation sequence stays the same.
+            let mut shadow_rng = TestRng::new(0x5ad0_0001 + case);
             let nops = 1 + rng.below(99) as usize;
             let mut m = Machine::free_running();
             let mut ps = PoolSet::new();
@@ -1091,6 +1239,13 @@ mod randomized {
                             m.store_u8(p.add(i as u64), seed.wrapping_add(i as u8)).unwrap();
                         }
                         live[pi].push((p, size, seed));
+                        if shadow_rng.below(3) == 0 {
+                            let shadow = m.mremap_alias(p, 1).unwrap();
+                            ps.register_extra_page(pools[pi], shadow.page()).unwrap();
+                            if shadow_rng.below(2) == 0 {
+                                m.mprotect(shadow, 1, Protection::None).unwrap();
+                            }
+                        }
                     }
                     Op::Free { pool, idx } => {
                         if pools.is_empty() {
@@ -1123,6 +1278,9 @@ mod randomized {
                         destroyed[pi] = true;
                         live[pi].clear();
                     }
+                }
+                if let Err(e) = ps.audit_frames(&m) {
+                    panic!("case {case}: {e}");
                 }
             }
             // Final integrity sweep.

@@ -646,10 +646,12 @@ impl Machine {
     /// frames) is replaced, and the old frames are released when their last
     /// reference disappears.
     ///
-    /// This is the operation the pool runtime uses to *recycle* virtual
-    /// pages from the shared free list: recycling must sever the old
-    /// physical aliasing, otherwise two live objects could silently share a
-    /// frame.
+    /// This is the operation the pool runtime uses to *recycle* a run of
+    /// virtual pages from the shared free list when the run is protected
+    /// or physically aliased: recycling must sever the old aliasing,
+    /// otherwise two live objects could silently share a frame. A run that
+    /// [`Machine::is_private_rw`] accepts already is what this call would
+    /// make of it, apart from the zeroing, and is handed out in place.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] if `addr` is not page-aligned or the
@@ -1087,6 +1089,20 @@ impl Machine {
     /// Exposed so tests and the pool runtime can verify aliasing.
     pub fn frame_of(&self, addr: VirtAddr) -> Option<u32> {
         self.page_table.get(addr.page().raw()).map(|p| p.frame)
+    }
+
+    /// Whether every page of the `pages`-page run starting at the page
+    /// containing `addr` is mapped [`Protection::ReadWrite`] onto a frame
+    /// that no other virtual page maps. Such a run is already what
+    /// [`Machine::mmap_fixed`] would make of it, apart from zeroing: it is
+    /// accessible, and nothing else can read or write its frames.
+    pub fn is_private_rw(&self, addr: VirtAddr, pages: usize) -> bool {
+        let base = addr.page().raw();
+        (0..pages as u64).all(|i| {
+            self.page_table.get(base + i).is_some_and(|pte| {
+                pte.prot == Protection::ReadWrite && self.slab.refcounts[pte.frame as usize] == 1
+            })
+        })
     }
 
     /// Reads memory without charges, checks or statistics — a debugger-style
@@ -1645,6 +1661,26 @@ mod tests {
         assert_eq!(m.load_u64(alias).unwrap(), 0);
         // Original data still intact through the canonical page.
         assert_eq!(m.load_u64(a).unwrap(), 77);
+    }
+
+    #[test]
+    fn is_private_rw_needs_read_write_and_an_unshared_frame() {
+        let mut m = Machine::new();
+        let a = m.mmap(2).unwrap();
+        assert!(m.is_private_rw(a, 2));
+        let alias = m.mremap_alias(a.add(PAGE_SIZE as u64), 1).unwrap();
+        assert!(m.is_private_rw(a, 1), "the first page is still unshared");
+        assert!(!m.is_private_rw(a, 2), "the second page's frame is aliased");
+        assert!(!m.is_private_rw(alias, 1));
+        m.munmap(alias, 1).unwrap();
+        assert!(m.is_private_rw(a, 2), "dropping the alias unshares the frame");
+        assert!(!m.is_private_rw(alias, 1), "unmapped");
+        m.mprotect(a, 1, Protection::Read).unwrap();
+        assert!(!m.is_private_rw(a, 1), "read-only is not read-write");
+        // The query is free: no cycles, no syscalls, no TLB traffic.
+        let before = (m.clock(), m.stats().total_syscalls(), m.tlb_totals());
+        assert!(!m.is_private_rw(a, 2));
+        assert_eq!((m.clock(), m.stats().total_syscalls(), m.tlb_totals()), before);
     }
 
     #[test]
