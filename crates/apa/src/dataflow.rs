@@ -566,9 +566,9 @@ pub fn lint_intra(prog: &Program, analysis: &Analysis) -> LintReport {
 ///    claims are disabled: mid-fixpoint must-information can still shrink,
 ///    so claiming on it could produce a false definite. `Unknown`
 ///    demotions are monotone may-facts and safe to record. An SCC that
-///    exceeds [`MAX_SCC_ITERS`] is *widened*: its summaries are dropped,
-///    its members re-analyzed with havoc parameters, and its callers
-///    demote every transitively-contained free site.
+///    exceeds its iteration budget is *widened*: its summaries are
+///    dropped, its members re-analyzed with havoc parameters, and its
+///    callers demote every transitively-contained free site.
 /// 2. **Phase B** — re-analyze every function in program order with the
 ///    converged summaries and claims enabled.
 pub fn lint_with_mode(prog: &Program, analysis: &Analysis, mode: LintMode) -> LintReport {

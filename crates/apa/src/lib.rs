@@ -7,7 +7,7 @@
 //! the paper's running example and for randomized semantics-preservation
 //! testing:
 //!
-//! * [`lex`]/[`parse`]/[`ast`] — the MiniC frontend (structs, globals,
+//! * [`lex`]/[`parse`](mod@parse)/[`ast`] — the MiniC frontend (structs, globals,
 //!   functions, `malloc`/`free`, `p->f`, control flow);
 //! * [`analysis`] — unification-based points-to analysis plus the escape
 //!   analysis (reachability from arguments, globals and return values, as
@@ -17,7 +17,7 @@
 //!   `malloc`/`free` → `poolalloc`/`poolfree` rewriting;
 //! * [`pretty`] — source renderer (the transformed running example prints
 //!   exactly the shape of the paper's Figure 2);
-//! * [`validate`] — static well-formedness checking of transformed
+//! * [`validate`](mod@validate) — static well-formedness checking of transformed
 //!   programs (pool scoping, argument threading, destroy-on-every-path);
 //! * [`dataflow`] — **dangle-lint**: the flow-sensitive free-site safety
 //!   analysis that reports definite use-after-free/double-free at compile

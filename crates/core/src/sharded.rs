@@ -19,9 +19,11 @@
 //!   ([`EpochFreeList`]): `pooldestroy` retires a shard's surplus free
 //!   pages with the current epoch, each core announces quiescent points,
 //!   and a run becomes adoptable only after *two* epoch transitions — the
-//!   classic epoch-based-reclamation grace period that guarantees no core
-//!   still holds a stale translation for those pages by the time another
-//!   shard re-`mmap`s them.
+//!   classic epoch-based-reclamation grace period. The grace period
+//!   flushes no TLB itself. On a multi-core machine a page `pooldestroy`
+//!   released was either unmapped there, in one shootdown round, or is
+//!   private read-write with a translation that never changes, so no core
+//!   holds a stale translation for it when another shard re-maps it.
 //!
 //! With a single shard the composition is **byte-identical** to a plain
 //! [`ShadowPool`]: handles coincide with shard-local pool ids, the epoch
@@ -536,6 +538,43 @@ mod tests {
             "shard 1 adopted pages freed by shard 0"
         );
         assert!(sp.epoch_list().pending_pages() < retired, "epoch list drained");
+    }
+
+    #[test]
+    fn destroyed_pages_are_reused_on_another_core_without_ipis() {
+        let mut m = machine(4);
+        let mut sp = ShardedShadowPool::new(4);
+        let old = sp.create(&m, 16); // shard 0
+        let x = sp.alloc(&mut m, old, 16).unwrap();
+        m.store_u64(x, 1).unwrap();
+        m.switch_core(3);
+        assert_eq!(m.load_u64(x).unwrap(), 1, "core 3 caches x's shadow page");
+        m.switch_core(0);
+        sp.destroy(&mut m, old).unwrap();
+        let new = sp.create(&m, 16); // shard 0 again, holding old's pages
+
+        // Core 1 reuses the destroyed pool's pages: both were unmapped at
+        // destroy, so re-mapping them replaces nothing and sends no IPI.
+        m.switch_core(1);
+        let ipis = m.stats().shootdown_ipis;
+        let y = sp.alloc(&mut m, new, 16).unwrap();
+        assert_eq!(y.page(), x.page(), "the shadow page was recycled");
+        assert_eq!(m.stats().shootdown_ipis, ipis, "reuse sent no IPI");
+        m.store_u64(y, 2).unwrap();
+
+        // No core kept a translation across the destroy and the re-map.
+        m.switch_core(3);
+        let misses = m.tlb().misses();
+        assert_eq!(m.load_u64(y).unwrap(), 2, "core 3 sees the new object");
+        assert_eq!(m.tlb().misses(), misses + 1, "first access after the re-map misses");
+
+        // A dangling read of an object freed on core 1 traps on core 3.
+        m.switch_core(1);
+        sp.free(&mut m, new, y).unwrap();
+        m.switch_core(3);
+        let trap = m.load_u64(y).unwrap_err();
+        assert!(matches!(trap, Trap::Protection { .. }), "{trap:?}");
+        assert!(sp.explain(&trap).is_some(), "the trap is attributed to y");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The MiniC register-bytecode ISA.
 //!
-//! [`compile`](crate::compile) lowers a (possibly pool-transformed) MiniC
+//! [`compile`](fn@crate::compile) lowers a (possibly pool-transformed) MiniC
 //! [`Program`](dangle_apa::ast::Program) into one flat [`Vec<Insn>`] per
 //! function. Every name the AST interpreter resolves per access —
 //! variables, globals, pool descriptors, struct fields, callees — is

@@ -15,11 +15,11 @@
 //!
 //! Two execution engines share that contract: the tree-walking AST
 //! interpreter ([`run`], [`Engine::Ast`]) and the register-bytecode
-//! compiler + VM ([`compile`] → [`run_compiled`], [`Engine::Bytecode`]),
-//! which resolves every name to a numeric slot ahead of time for ~10x the
-//! host throughput. The engines are differentially tested to produce
-//! identical output, steps, simulated clock, detections and trap reports;
-//! [`run_with`] selects one.
+//! compiler + VM ([`compile`](fn@compile) → [`run_compiled`],
+//! [`Engine::Bytecode`]), which resolves every name to a numeric slot ahead
+//! of time for ~10x the host throughput. The engines are differentially
+//! tested to produce identical output, steps, simulated clock, detections
+//! and trap reports; [`run_with`] selects one.
 //!
 //! ```rust
 //! use dangle_apa::{parse, pool_allocate, FIGURE_1};
@@ -61,6 +61,16 @@ pub struct RunOutcome {
     pub steps_used: u64,
 }
 
+/// The most MiniC call frames, `main` included, that may be live at once.
+/// A call that would go deeper fails with [`RunError::CallDepthExceeded`].
+/// Both engines recurse on the host stack once per MiniC call, so without a
+/// limit unbounded recursion overflows the host stack and aborts the
+/// process. On x86-64, a one-line recursive function reaches this depth in
+/// under 1 MiB of host stack in a release build, well inside the default
+/// 8 MiB main-thread stack, and in 8 to 16 MiB in a debug build, so a
+/// debug run that may hit the limit needs a larger thread stack.
+pub const MAX_CALL_DEPTH: u32 = 1_000;
+
 /// Errors terminating a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -86,6 +96,10 @@ pub enum RunError {
     NoMain,
     /// The fuel limit was exhausted.
     OutOfFuel,
+    /// A call would have made more than [`MAX_CALL_DEPTH`] frames live.
+    /// Both engines stop at the same point of the call, after its
+    /// arguments are evaluated and before the callee's frame is pushed.
+    CallDepthExceeded,
     /// The bytecode engine rejected the program before execution (static
     /// name errors the AST engine would only hit at run time).
     Compile(CompileError),
@@ -104,6 +118,10 @@ impl fmt::Display for RunError {
             RunError::NotAPointer => write!(f, "expression is not a struct pointer"),
             RunError::NoMain => write!(f, "program has no `main` function"),
             RunError::OutOfFuel => write!(f, "fuel exhausted (possible infinite loop)"),
+            RunError::CallDepthExceeded => write!(
+                f,
+                "call depth exceeds {MAX_CALL_DEPTH} frames (possible unbounded recursion)"
+            ),
             RunError::Compile(e) => write!(f, "{e}"),
         }
     }
@@ -194,6 +212,8 @@ struct Interp<'p, 'm, 'b> {
     output: Vec<i64>,
     fuel: u64,
     steps: u64,
+    /// Live MiniC frames, `main` included.
+    depth: u32,
 }
 
 fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&'p str, &'p StructDef>) -> Sty<'p> {
@@ -276,6 +296,7 @@ pub fn run(
         output: Vec::new(),
         fuel,
         steps: 0,
+        depth: 1,
     };
     let mut frame = Frame::default();
     // Shadow call stack: on an abnormal exit (trap, runtime error) the `?`
@@ -468,13 +489,18 @@ impl<'p> Interp<'p, '_, '_> {
                     callee_frame.pools.insert(self.intern(formal), h);
                 }
                 let ret_ty = self.sty_of(func.ret.as_ref());
+                if self.depth >= MAX_CALL_DEPTH {
+                    return Err(RunError::CallDepthExceeded);
+                }
                 // As in `run`, an error path keeps the callee frame on the
                 // shadow stack so the trap report sees the full chain.
+                self.depth += 1;
                 self.machine.telemetry_mut().push_call(callee);
                 self.machine.span_enter(callee, Category::App);
                 let flow = self.exec_block(&func.body, &mut callee_frame)?;
                 self.machine.span_exit();
                 self.machine.telemetry_mut().pop_call();
+                self.depth -= 1;
                 match flow {
                     Flow::Returned(v) => Ok((v, ret_ty)),
                     Flow::Normal => Ok((0, ret_ty)),

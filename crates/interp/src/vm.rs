@@ -16,7 +16,7 @@
 
 use crate::backend::{Backend, BackendError, PoolHandle};
 use crate::bytecode::{BcProgram, Insn, POOL_NONE, SLOT_NONE};
-use crate::{RunError, RunOutcome};
+use crate::{RunError, RunOutcome, MAX_CALL_DEPTH};
 use dangle_apa::ast::BinOp;
 use dangle_telemetry::Category;
 use dangle_vmm::{Machine, VirtAddr};
@@ -32,6 +32,8 @@ struct Vm<'p, 'm, 'b> {
     pool_stack: Vec<PoolHandle>,
     output: Vec<i64>,
     fuel: u64,
+    /// Live MiniC frames, `main` included.
+    depth: u32,
 }
 
 /// Checks the static invariants the dispatch loop's unchecked accesses
@@ -201,8 +203,9 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
 /// detections, trap provenance) is identical to the AST engine's.
 ///
 /// # Panics
-/// If the program fails bytecode verification. [`crate::compile`] output
-/// always verifies; only a hand-assembled [`BcProgram`] can trip this.
+/// If the program fails bytecode verification.
+/// [`compile`](fn@crate::compile) output always verifies; only a
+/// hand-assembled [`BcProgram`] can trip this.
 pub fn run_compiled(
     prog: &BcProgram,
     machine: &mut Machine,
@@ -224,6 +227,7 @@ pub fn run_compiled(
         pool_stack: Vec::new(),
         output: Vec::new(),
         fuel,
+        depth: 1,
     };
     let f = &prog.funcs[main as usize];
     vm.stack.resize(f.nslots as usize, 0);
@@ -495,6 +499,11 @@ impl Vm<'_, '_, '_> {
                 }
                 Insn::Call { cost, dst, site } => {
                     self.charge(cost)?;
+                    // The AST engine's check point: arguments evaluated,
+                    // callee frame not yet pushed.
+                    if self.depth >= MAX_CALL_DEPTH {
+                        return Err(RunError::CallDepthExceeded);
+                    }
                     let cs = &func.calls[site as usize];
                     let callee = &prog.funcs[cs.func as usize];
                     let nbase = self.stack.len();
@@ -509,11 +518,13 @@ impl Vm<'_, '_, '_> {
                     }
                     // An error path keeps the callee on the shadow stack,
                     // exactly like the AST engine.
+                    self.depth += 1;
                     self.machine.telemetry_mut().push_call(&callee.name);
                     self.machine.span_enter(&callee.name, Category::App);
                     let v = self.exec(cs.func, nbase, npbase)?;
                     self.machine.span_exit();
                     self.machine.telemetry_mut().pop_call();
+                    self.depth -= 1;
                     self.stack.truncate(nbase);
                     self.pool_stack.truncate(npbase);
                     self.set(base + dst as usize, v);

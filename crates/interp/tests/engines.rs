@@ -17,7 +17,7 @@ use dangle_apa::{corpus, parse, pool_allocate, FIGURE_1};
 use dangle_interp::backend::{
     Backend, NativeBackend, ShadowBackend, ShadowPoolBackend,
 };
-use dangle_interp::{compile, run, run_compiled, RunError, RunOutcome};
+use dangle_interp::{compile, run, run_compiled, RunError, RunOutcome, MAX_CALL_DEPTH};
 use dangle_testkit::minic::random_program;
 use dangle_vmm::Machine;
 
@@ -277,6 +277,65 @@ fn compile_error_surfaces_through_engine_selector() {
     )
     .unwrap_err();
     assert_eq!(err, RunError::UndefinedVariable("nope".into()));
+}
+
+// ---- call depth ------------------------------------------------------------
+
+/// Runs `f` on a thread with a 128 MiB stack. A debug build spends 8 to
+/// 16 KiB of host stack per MiniC call, so the default 2 MiB test thread
+/// overflows long before [`MAX_CALL_DEPTH`].
+fn on_big_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new().stack_size(128 << 20).spawn(f).unwrap().join().unwrap();
+}
+
+#[test]
+fn unbounded_recursion_is_an_error_at_the_same_step_in_both_engines() {
+    on_big_stack(|| {
+        let prog = parse(
+            "fn f(n: int) -> int { var m: int = n + 1; print(m); return f(m); }
+             fn main() { print(f(0)); }",
+        )
+        .unwrap();
+        let (ast, clock) = run_engine(false, &prog, &mut NativeBackend::new(), FUEL);
+        let (bc, bc_clock) = run_engine(true, &prog, &mut NativeBackend::new(), FUEL);
+        assert_eq!(ast, Err(RunError::CallDepthExceeded));
+        assert_eq!(bc, ast);
+        assert_eq!(bc_clock, clock);
+        // The program touches no memory, so on a free-running machine the
+        // clock counts steps. Both engines reach the check with exactly
+        // that much fuel, and run out one step before it with one less.
+        // `f(m)` takes no instruction to evaluate its argument, so the
+        // bytecode charges the call's burns on the `Call` itself: a check
+        // placed before that charge would stop at a smaller clock.
+        let boundary = [(clock, RunError::CallDepthExceeded), (clock - 1, RunError::OutOfFuel)];
+        for (fuel, want) in boundary {
+            for bytecode in [false, true] {
+                let (r, at) = run_engine(bytecode, &prog, &mut NativeBackend::new(), fuel);
+                assert_eq!((r, at), (Err(want.clone()), fuel), "bytecode: {bytecode}");
+            }
+        }
+    });
+}
+
+#[test]
+fn recursion_up_to_the_depth_limit_runs_in_both_engines() {
+    on_big_stack(|| {
+        // `main` plus f(k), f(k - 1), ..., f(0): k + 2 live frames.
+        let deepest = MAX_CALL_DEPTH - 2;
+        for (k, want) in
+            [(deepest, Ok(vec![deepest as i64])), (deepest + 1, Err(RunError::CallDepthExceeded))]
+        {
+            let prog = parse(&format!(
+                "fn f(n: int) -> int {{ if (n == 0) {{ return 0; }} return 1 + f(n - 1); }}
+                 fn main() {{ print(f({k})); }}"
+            ))
+            .unwrap();
+            for bytecode in [false, true] {
+                let (r, _) = run_engine(bytecode, &prog, &mut NativeBackend::new(), FUEL);
+                assert_eq!(r.map(|o| o.output), want, "k = {k}, bytecode: {bytecode}");
+            }
+        }
+    });
 }
 
 // ---- pinned disassembly ----------------------------------------------------

@@ -29,6 +29,17 @@
 //! pointer into the pool survives `pooldestroy` (that is Insight 2 of the
 //! paper, and `dangle-apa`'s escape analysis is what establishes it).
 //!
+//! On a machine with more than one core, `pooldestroy` also **unmaps**
+//! every released page that is not private read-write: one `munmap` for a
+//! single run, one `munmap_batch` for several. Removing the pool's
+//! translations costs one TLB-shootdown round, and a later re-map of an
+//! unmapped page replaces nothing, so it sends no IPI
+//! ([`dangle_vmm::Machine::mmap_fixed`] charges a round only when it
+//! replaces a translation). Without this, every recycled page would pay a
+//! round of its own when re-mapped. The frames go back to the machine at
+//! destroy instead of at reuse. A single-core machine pays no shootdowns,
+//! so it keeps released pages mapped until they are reused.
+//!
 //! The runtime also maintains the *dynamic pool points-to graph* the paper's
 //! §3.4 mentions ([`PoolSet::note_pool_edge`]): which pools hold pointers
 //! into which other pools. `dangle-core`'s conservative pool GC uses it to
@@ -286,27 +297,38 @@ impl PoolSet {
 
     /// Releases a set of pages: sorts, coalesces consecutive pages into
     /// runs, and pushes the runs onto the shared free list. Returns the
-    /// number of distinct pages released.
-    fn release_pages(&mut self, mut pages: Vec<PageNum>) -> u64 {
+    /// number of distinct pages released and, on a machine with more than
+    /// one core, the coalesced runs of released pages that are not
+    /// private read-write, which the caller unmaps (see the
+    /// [module docs](self)).
+    fn release_pages(
+        &mut self,
+        machine: &Machine,
+        mut pages: Vec<PageNum>,
+    ) -> (u64, Vec<(VirtAddr, usize)>) {
+        let mut unmap = Vec::new();
         if !self.config.reuse_pages || pages.is_empty() {
-            return 0;
+            return (0, unmap);
         }
         pages.sort_unstable();
         pages.dedup();
-        let released = pages.len() as u64;
-        let mut run_base = pages[0];
-        let mut run_len = 1u32;
-        for &pg in &pages[1..] {
-            if pg == run_base.add(run_len as u64) {
-                run_len += 1;
-            } else {
+        let multi_core = machine.core_count() > 1;
+        let (mut run_base, mut run_len) = (pages[0], 0u32);
+        for &pg in &pages {
+            if pg != run_base.add(run_len as u64) {
                 self.release_run(run_base, run_len);
-                run_base = pg;
-                run_len = 1;
+                (run_base, run_len) = (pg, 0);
+            }
+            run_len += 1;
+            if multi_core && !machine.is_private_rw(pg.base(), 1) {
+                match unmap.last_mut() {
+                    Some((base, len)) if base.page().add(*len as u64) == pg => *len += 1,
+                    _ => unmap.push((pg.base(), 1)),
+                }
             }
         }
         self.release_run(run_base, run_len);
-        released
+        (pages.len() as u64, unmap)
     }
 
     /// Obtains `n` contiguous virtual pages: recycled from the shared free
@@ -493,7 +515,11 @@ impl PoolSet {
     /// `pooldestroy`: releases **all** the pool's pages — canonical and
     /// registered shadow pages alike — to the shared free list (when reuse
     /// is enabled). The pool id becomes a tombstone: every later operation
-    /// on it fails with [`PoolError::Destroyed`].
+    /// on it fails with [`PoolError::Destroyed`]. On a machine with more
+    /// than one core, every released page that is not private read-write
+    /// is unmapped here, in one `munmap` for a single run or one
+    /// `munmap_batch` for several, so the pool's translations cost one
+    /// shootdown round and their later re-maps cost none.
     ///
     /// Safety of the subsequent reuse rests on the APA contract that no
     /// pointer into this pool is live; see the [module docs](self).
@@ -507,7 +533,12 @@ impl PoolSet {
         self.destroyed += 1;
         let mut pages = p.pages;
         pages.extend_from_slice(&p.extra_pages);
-        let released = self.release_pages(pages);
+        let (released, unmap) = self.release_pages(machine, pages);
+        match unmap[..] {
+            [] => {}
+            [(base, len)] => machine.munmap(base, len)?,
+            _ => machine.munmap_batch(&unmap)?,
+        }
         machine.note_event(VirtAddr::NULL, EventKind::PoolDestroy);
         machine.telemetry_mut().counter_add("pool.pages_released", released);
         // Per-pool wastage series: how many pages each pool held at death.
@@ -882,6 +913,31 @@ mod tests {
     }
 
     #[test]
+    fn multi_core_destroy_unmaps_shared_pages_in_one_round() {
+        let mut m = Machine::with_config(MachineConfig { cores: 4, ..MachineConfig::default() });
+        let mut ps = PoolSet::new();
+        let p1 = ps.create(16);
+        let a = ps.alloc(&mut m, p1, 16).unwrap();
+        let shadow = m.mremap_alias(a, 1).unwrap();
+        ps.register_extra_page(p1, shadow.page()).unwrap();
+        let private = ps.alloc(&mut m, p1, 1024).unwrap(); // a page of its own
+        let (ipis, munmaps) = (m.stats().shootdown_ipis, m.stats().munmap_calls);
+        ps.destroy(&mut m, p1).unwrap();
+        assert_eq!(m.stats().munmap_calls, munmaps + 1, "one syscall for the pool");
+        assert_eq!(m.stats().shootdown_ipis, ipis + 3, "one round for the pool");
+        assert!(!m.is_mapped(a) && !m.is_mapped(shadow), "aliased pages are unmapped");
+        assert!(m.is_private_rw(private, 1), "a private page stays mapped");
+
+        // Re-mapping the unmapped pages replaces nothing: no IPI.
+        let p2 = ps.create(16);
+        let b = ps.alloc(&mut m, p2, 16).unwrap();
+        let c = ps.alloc(&mut m, p2, 1024).unwrap();
+        assert_eq!(ps.free_page_count(), 1);
+        assert!(m.is_mapped(b) && m.is_mapped(c));
+        assert_eq!(m.stats().shootdown_ipis, ipis + 3);
+    }
+
+    #[test]
     fn recycling_severs_physical_aliasing() {
         let (mut m, mut ps) = setup();
         let p1 = ps.create(16);
@@ -1165,7 +1221,7 @@ mod tests {
 #[cfg(test)]
 mod randomized {
     use super::*;
-    use dangle_vmm::Protection;
+    use dangle_vmm::{CostModel, MachineConfig, Protection};
 
     use dangle_testkit::SeededRng as TestRng;
 
@@ -1196,14 +1252,22 @@ mod randomized {
     /// give them, so both the in-place and the re-map recycling paths run;
     /// after every operation no two pages of live pools share a frame
     /// except through such a shadow page ([`PoolSet::audit_frames`]).
+    /// Every case runs on a 1-core and a 4-core machine with the same
+    /// operations. After a destroy, each released page is unmapped or
+    /// private read-write on 4 cores, and still mapped on 1 core.
     #[test]
     fn pool_integrity() {
-        for case in 0..48u64 {
+        for (cores, case) in [1, 4].into_iter().flat_map(|c| (0..48u64).map(move |i| (c, i))) {
             let mut rng = TestRng::new(0x9001_0001 + case * 0x9e37_79b9);
             // A second stream, so the operation sequence stays the same.
             let mut shadow_rng = TestRng::new(0x5ad0_0001 + case);
             let nops = 1 + rng.below(99) as usize;
-            let mut m = Machine::free_running();
+            let mut m = Machine::with_config(MachineConfig {
+                cost: CostModel::free(),
+                cores,
+                ..MachineConfig::default()
+            });
+            let case = format!("{cores} cores, case {case}");
             let mut ps = PoolSet::new();
             let mut pools: Vec<PoolId> = Vec::new();
             // live[pool] = Vec<(addr, size, seed)>
@@ -1232,7 +1296,7 @@ mod randomized {
                             for &(q, qs, _) in objs {
                                 let disjoint = p.raw() + size as u64 <= q.raw()
                                     || q.raw() + qs as u64 <= p.raw();
-                                assert!(disjoint, "case {case}: overlap across pools");
+                                assert!(disjoint, "{case}: overlap across pools");
                             }
                         }
                         for i in 0..size.min(32) {
@@ -1261,7 +1325,7 @@ mod randomized {
                             assert_eq!(
                                 m.load_u8(p.add(i as u64)).unwrap(),
                                 s.wrapping_add(i as u8),
-                                "case {case}: data intact until free"
+                                "{case}: data intact until free"
                             );
                         }
                         ps.free(&mut m, pools[pi], p).unwrap();
@@ -1274,13 +1338,24 @@ mod randomized {
                         if destroyed[pi] {
                             continue;
                         }
+                        let p = ps.pools[pools[pi].0 as usize].as_deref().unwrap();
+                        let released: Vec<PageNum> =
+                            p.pages.iter().chain(&p.extra_pages).copied().collect();
                         ps.destroy(&mut m, pools[pi]).unwrap();
                         destroyed[pi] = true;
                         live[pi].clear();
+                        for pg in released {
+                            let kept = m.is_private_rw(pg.base(), 1);
+                            if cores == 1 {
+                                assert!(m.is_mapped(pg.base()), "{case}: {pg:?} unmapped");
+                            } else {
+                                assert!(kept || !m.is_mapped(pg.base()), "{case}: {pg:?} kept");
+                            }
+                        }
                     }
                 }
                 if let Err(e) = ps.audit_frames(&m) {
-                    panic!("case {case}: {e}");
+                    panic!("{case}: {e}");
                 }
             }
             // Final integrity sweep.
@@ -1293,17 +1368,17 @@ mod randomized {
                         assert_eq!(
                             m.load_u8(p.add(i as u64)).unwrap(),
                             s.wrapping_add(i as u8),
-                            "case {case}"
+                            "{case}"
                         );
                     }
                 }
             }
             // Telemetry bookkeeping stays coherent with the derived counts.
-            assert_eq!(ps.pools_created(), pools.len() as u64, "case {case}");
+            assert_eq!(ps.pools_created(), pools.len() as u64, "{case}");
             assert_eq!(
                 ps.pools_destroyed(),
                 destroyed.iter().filter(|d| **d).count() as u64,
-                "case {case}"
+                "{case}"
             );
         }
     }

@@ -91,7 +91,7 @@ pub struct MachineConfig {
     /// Telemetry sink configuration (event ring + metrics registry). Use
     /// [`dangle_telemetry::TelemetryConfig::disabled`] for a no-op sink.
     pub telemetry: TelemetryConfig,
-    /// Which page-table implementation backs [`Machine::translate`]. A
+    /// Which page-table implementation backs address translation. A
     /// pure host-performance knob — simulated costs, traps and stats are
     /// identical across variants (enforced by differential tests).
     pub page_table: PageTableImpl,
@@ -346,6 +346,11 @@ impl Machine {
     /// charge per remote core, and every remote core's clock absorbs the
     /// interrupt-service cost. A strict no-op on a single-core machine,
     /// which keeps `cores = 1` byte-identical to the historical model.
+    ///
+    /// A round is owed only when a syscall replaced or removed a
+    /// translation: no core can have cached one for a VPN that was
+    /// unmapped. `mmap_fixed`, `alias_fixed`, `munmap` and their batch
+    /// forms therefore call this only when some page was mapped before.
     fn charge_shootdown(&mut self) {
         let n = self.cores.len();
         if n <= 1 {
@@ -563,17 +568,51 @@ impl Machine {
         }
     }
 
-    fn map_vpn(&mut self, vpn: u64, frame: u32, prot: Protection) {
+    /// Maps `vpn` to `frame`, returning whether it replaced an existing
+    /// translation (the case that owes a shootdown round).
+    fn map_vpn(&mut self, vpn: u64, frame: u32, prot: Protection) -> bool {
         self.ltc_invalidate();
         let prev = self.page_table.insert(vpn, Entry { frame, prot });
         if let Some(old) = prev {
             self.decref_frame(old.frame);
             self.tlb_invalidate_all(vpn);
+            true
         } else {
             self.stats.virt_pages_mapped += 1;
             self.stats.virt_pages_mapped_peak =
                 self.stats.virt_pages_mapped_peak.max(self.stats.virt_pages_mapped);
+            false
         }
+    }
+
+    /// `MAP_FIXED` of one page: maps `vpn` read-write to `frame` over
+    /// whatever was there and evicts it from every core's TLB, returning
+    /// whether a translation was replaced. `map_vpn` evicts only a
+    /// replaced VPN; one that was unmapped may still sit in the TLB of a
+    /// core that probed it and trapped.
+    fn map_fixed(&mut self, vpn: u64, frame: u32) -> bool {
+        let replaced = self.map_vpn(vpn, frame, Protection::ReadWrite);
+        if !replaced {
+            self.tlb_invalidate_all(vpn);
+        }
+        replaced
+    }
+
+    /// Re-maps `vpn` to a fresh zeroed frame, setting `*replaced` when a
+    /// translation went away.
+    fn remap_fresh(&mut self, vpn: u64, replaced: &mut bool) -> Result<(), Trap> {
+        let frame = self.alloc_frame()?;
+        *replaced |= self.map_fixed(vpn, frame);
+        Ok(())
+    }
+
+    /// Unmaps `vpn` if mapped, returning whether a translation was removed.
+    fn unmap_vpn(&mut self, vpn: u64) -> bool {
+        let Some(pte) = self.page_table.remove(vpn) else { return false };
+        self.decref_frame(pte.frame);
+        self.tlb_invalidate_all(vpn);
+        self.stats.virt_pages_mapped -= 1;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -653,10 +692,16 @@ impl Machine {
     /// [`Machine::is_private_rw`] accepts already is what this call would
     /// make of it, apart from the zeroing, and is handed out in place.
     ///
+    /// Every page is evicted from every core's TLB and last-translation
+    /// cache. The TLB-shootdown round (see [`MachineConfig::cores`]) is
+    /// charged only when some page had a translation to replace: re-mapping
+    /// pages that are all unmapped sends no IPI. A call that replaces pages
+    /// and then runs out of frames still charges the round.
+    ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] if `addr` is not page-aligned or the
     /// range was never allocated; [`Trap::OutOfPhysicalMemory`] on frame
-    /// exhaustion.
+    /// exhaustion, with the pages before the failing one already re-mapped.
     pub fn mmap_fixed(&mut self, addr: VirtAddr, pages: usize) -> Result<(), Trap> {
         if addr.offset() != 0 || pages == 0 {
             return Err(Trap::BadSyscallArgument { addr });
@@ -667,12 +712,12 @@ impl Machine {
         }
         self.stats.mmap_calls += 1;
         self.charge_syscall(self.config.cost.syscall_mmap, pages);
-        for i in 0..pages as u64 {
-            let frame = self.alloc_frame()?;
-            self.map_vpn(base + i, frame, Protection::ReadWrite);
-            self.tlb_invalidate_all(base + i);
+        let mut replaced = false;
+        let mapped = (0..pages as u64).try_for_each(|i| self.remap_fresh(base + i, &mut replaced));
+        if replaced {
+            self.charge_shootdown();
         }
-        self.charge_shootdown();
+        mapped?;
         self.note_event(addr, EventKind::Mmap { pages: pages as u32 });
         Ok(())
     }
@@ -722,6 +767,10 @@ impl Machine {
     /// recycled as new shadow views (giving up the detection guarantee for
     /// pointers older than the threshold).
     ///
+    /// As for [`Machine::mmap_fixed`], every page is evicted from every
+    /// core's TLB and last-translation cache, and the shootdown round is
+    /// charged only when some destination page was mapped before.
+    ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] if `dst` is unaligned or outside the
     /// allocated VA range, or if any source page is unmapped.
@@ -752,12 +801,14 @@ impl Machine {
                 }
             }
         }
+        let mut replaced = false;
         for (i, frame) in frames.into_iter().enumerate() {
             self.incref_frame(frame);
-            self.map_vpn(dst_base + i as u64, frame, Protection::ReadWrite);
-            self.tlb_invalidate_all(dst_base + i as u64);
+            replaced |= self.map_fixed(dst_base + i as u64, frame);
         }
-        self.charge_shootdown();
+        if replaced {
+            self.charge_shootdown();
+        }
         self.note_event(dst, EventKind::Mmap { pages: pages as u32 });
         Ok(())
     }
@@ -794,19 +845,22 @@ impl Machine {
     /// `munmap`: removes the mapping of `pages` pages starting at the page
     /// containing `addr`. Unmapped pages in the range are skipped (as on
     /// Linux). Frames are released when their last mapping disappears.
+    ///
+    /// One shootdown round covers the whole range, and it is charged only
+    /// when at least one page was mapped: unmapping pages that are already
+    /// unmapped sends no IPI.
     pub fn munmap(&mut self, addr: VirtAddr, pages: usize) -> Result<(), Trap> {
         self.stats.munmap_calls += 1;
         self.charge_syscall(self.config.cost.syscall_munmap, pages);
         let base = addr.page().raw();
         self.ltc_invalidate();
+        let mut removed = false;
         for i in 0..pages as u64 {
-            if let Some(pte) = self.page_table.remove(base + i) {
-                self.decref_frame(pte.frame);
-                self.tlb_invalidate_all(base + i);
-                self.stats.virt_pages_mapped -= 1;
-            }
+            removed |= self.unmap_vpn(base + i);
         }
-        self.charge_shootdown();
+        if removed {
+            self.charge_shootdown();
+        }
         self.note_event(addr, EventKind::Munmap { pages: pages as u32 });
         Ok(())
     }
@@ -873,7 +927,8 @@ impl Machine {
     }
 
     /// Vectored [`Machine::mmap_fixed`]: re-maps every `(addr, pages)` range
-    /// to fresh zeroed frames in one kernel crossing.
+    /// to fresh zeroed frames in one kernel crossing, charging one
+    /// shootdown round when any page had a translation to replace.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] under the per-range rules of
@@ -898,21 +953,22 @@ impl Machine {
         self.stats.mmap_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_mmap, ranges.len(), total);
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                let frame = self.alloc_frame()?;
-                self.map_vpn(base + i, frame, Protection::ReadWrite);
-                self.tlb_invalidate_all(base + i);
-            }
+        let mut replaced = false;
+        let mapped = spans.iter().try_for_each(|&(base, pages)| {
+            (0..pages as u64).try_for_each(|i| self.remap_fresh(base + i, &mut replaced))
+        });
+        if replaced {
+            self.charge_shootdown();
         }
-        self.charge_shootdown();
+        mapped?;
         self.note_event(ranges[0].0, EventKind::Mmap { pages: total as u32 });
         Ok(())
     }
 
     /// Vectored [`Machine::munmap`]: removes every `(addr, pages)` range in
     /// one kernel crossing. As for plain `munmap`, already-unmapped pages
-    /// within a range are skipped.
+    /// within a range are skipped, and the one shootdown round is charged
+    /// only when some page was mapped.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] on empty or overlapping ranges.
@@ -927,16 +983,15 @@ impl Machine {
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_munmap, ranges.len(), total);
         self.ltc_invalidate();
+        let mut removed = false;
         for &(base, pages) in &spans {
             for i in 0..pages as u64 {
-                if let Some(pte) = self.page_table.remove(base + i) {
-                    self.decref_frame(pte.frame);
-                    self.tlb_invalidate_all(base + i);
-                    self.stats.virt_pages_mapped -= 1;
-                }
+                removed |= self.unmap_vpn(base + i);
             }
         }
-        self.charge_shootdown();
+        if removed {
+            self.charge_shootdown();
+        }
         self.note_event(ranges[0].0, EventKind::Munmap { pages: total as u32 });
         Ok(())
     }
@@ -1004,6 +1059,7 @@ impl Machine {
     /// entry as an alias of the frames backing its source, in one kernel
     /// crossing. Destination ranges must be disjoint; sources may repeat
     /// (re-pointing a recycled run of shadow pages at one canonical page).
+    /// One shootdown round is charged when any destination page was mapped.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] under the per-entry rules of
@@ -1046,6 +1102,7 @@ impl Machine {
         // source range (re-mapping never unmaps, so the validation above
         // stays true), and the later entry must alias the *current*
         // frames, not a stale snapshot.
+        let mut replaced = false;
         for &(src, dst, pages) in entries {
             let src_base = src.page().raw();
             let dst_base = dst.page().raw();
@@ -1053,11 +1110,12 @@ impl Machine {
                 let frame =
                     self.page_table.get(src_base + i).expect("validated above").frame;
                 self.incref_frame(frame);
-                self.map_vpn(dst_base + i, frame, Protection::ReadWrite);
-                self.tlb_invalidate_all(dst_base + i);
+                replaced |= self.map_fixed(dst_base + i, frame);
             }
         }
-        self.charge_shootdown();
+        if replaced {
+            self.charge_shootdown();
+        }
         self.note_event(entries[0].1, EventKind::Mmap { pages: total as u32 });
         Ok(())
     }
@@ -1529,6 +1587,131 @@ mod tests {
         assert_eq!(m.stats().shootdown_ipis, 3);
         let report = m.core_report(1);
         assert_eq!(report.syscall_cycles, cost.ipi_recv);
+    }
+
+    /// A 4-core machine with the calibrated cost model (shootdowns cost).
+    fn m4() -> Machine {
+        Machine::with_config(MachineConfig { cores: 4, ..MachineConfig::default() })
+    }
+
+    /// The clocks of cores 1.., where IPI service time lands.
+    fn remote_clocks(m: &Machine) -> Vec<u64> {
+        (1..m.core_count()).map(|c| m.core_clock(c)).collect()
+    }
+
+    #[test]
+    fn remapping_unmapped_pages_sends_no_ipi_but_evicts_every_core() {
+        let mut m = m4();
+        let canon = m.mmap(1).unwrap();
+        m.store_u64(canon, 0xc0de).unwrap();
+        let region = m.mmap(4).unwrap();
+        let page = |i: u64| region.add(i * PAGE_SIZE as u64);
+        m.munmap(region, 4).unwrap();
+        // Core 3 probes the unmapped pages: each trap leaves the VPN in its
+        // TLB, which the re-maps below must evict.
+        m.switch_core(3);
+        for i in 0..4 {
+            assert!(matches!(m.load_u64(page(i)), Err(Trap::Unmapped { .. })));
+        }
+        m.switch_core(0);
+        let ipis = m.stats().shootdown_ipis;
+        let remote = remote_clocks(&m);
+        m.mmap_fixed(page(0), 1).unwrap();
+        m.mmap_fixed_batch(&[(page(1), 1)]).unwrap();
+        m.alias_fixed(canon, page(2), 1).unwrap();
+        m.alias_fixed_batch(&[(canon, page(3), 1)]).unwrap();
+        assert_eq!(m.stats().shootdown_ipis, ipis, "nothing was mapped, so no round");
+        assert_eq!(remote_clocks(&m), remote, "no remote core paid an IPI");
+        m.switch_core(3);
+        for (i, want) in [(0, 0), (1, 0), (2, 0xc0de), (3, 0xc0de)] {
+            let misses = m.tlb().misses();
+            assert_eq!(m.load_u64(page(i)).unwrap(), want, "page {i}");
+            assert_eq!(m.tlb().misses(), misses + 1, "page {i}: core 3's TLB entry was evicted");
+        }
+    }
+
+    /// Runs `call` on a 4-core machine's core 0 and checks that it cost
+    /// `syscall` cycles plus exactly one shootdown round.
+    fn assert_one_round(
+        m: &mut Machine,
+        what: &str,
+        syscall: u64,
+        call: impl FnOnce(&mut Machine),
+    ) {
+        let cost = m.config().cost;
+        let (ipis, clock, remote) = (m.stats().shootdown_ipis, m.clock(), remote_clocks(m));
+        call(m);
+        assert_eq!(m.stats().shootdown_ipis, ipis + 3, "{what}");
+        assert_eq!(m.clock() - clock, syscall + 3 * cost.ipi_send, "{what}");
+        for (core, (after, before)) in remote_clocks(m).iter().zip(&remote).enumerate() {
+            assert_eq!(after - before, cost.ipi_recv, "{what}, core {}", core + 1);
+        }
+    }
+
+    #[test]
+    fn remapping_mapped_pages_charges_one_round_each() {
+        let mut m = m4();
+        let cost = m.config().cost;
+        let canon = m.mmap(1).unwrap();
+        let region = m.mmap(4).unwrap();
+        let page = |i: u64| region.add(i * PAGE_SIZE as u64);
+        let mmap = cost.syscall_mmap + cost.syscall_per_page;
+        let batch = cost.syscall_per_range;
+        assert_one_round(&mut m, "mmap_fixed", mmap + cost.page_zero, |m| {
+            m.mmap_fixed(page(0), 1).unwrap()
+        });
+        assert_one_round(&mut m, "mmap_fixed_batch", mmap + batch + cost.page_zero, |m| {
+            m.mmap_fixed_batch(&[(page(1), 1)]).unwrap()
+        });
+        assert_one_round(&mut m, "alias_fixed", mmap, |m| {
+            m.alias_fixed(canon, page(2), 1).unwrap()
+        });
+        assert_one_round(&mut m, "alias_fixed_batch", mmap + batch, |m| {
+            m.alias_fixed_batch(&[(canon, page(3), 1)]).unwrap()
+        });
+    }
+
+    #[test]
+    fn unmapping_unmapped_pages_sends_no_ipi() {
+        let mut m = m4();
+        let a = m.mmap(2).unwrap();
+        m.munmap(a, 2).unwrap();
+        assert_eq!(m.stats().shootdown_ipis, 3, "the first munmap removes two pages");
+        let remote = remote_clocks(&m);
+        m.munmap(a, 2).unwrap();
+        m.munmap_batch(&[(a, 1), (a.add(PAGE_SIZE as u64), 1)]).unwrap();
+        assert_eq!(m.stats().shootdown_ipis, 3, "nothing left to remove");
+        assert_eq!(remote_clocks(&m), remote);
+        assert_eq!(m.stats().munmap_calls, 3, "the syscalls still happen");
+        // One mapped page anywhere in the batch is enough for a round.
+        let b = m.mmap(1).unwrap();
+        m.munmap_batch(&[(a, 2), (b, 1)]).unwrap();
+        assert_eq!(m.stats().shootdown_ipis, 6);
+    }
+
+    #[test]
+    fn mmap_fixed_that_replaces_then_runs_out_of_frames_charges_the_round() {
+        let mut m = Machine::with_config(MachineConfig {
+            cores: 4,
+            phys_frames: 3,
+            ..MachineConfig::default()
+        });
+        let a = m.mmap(2).unwrap();
+        // Aliases keep both old frames alive once `a` lets go of them.
+        m.mremap_alias(a, 2).unwrap();
+        let spare = m.mmap(1).unwrap();
+        m.munmap(spare, 1).unwrap(); // one frame free
+        let second = a.add(PAGE_SIZE as u64);
+        let frames = (m.frame_of(a), m.frame_of(second));
+        let ipis = m.stats().shootdown_ipis;
+        let remote = remote_clocks(&m);
+        assert_eq!(m.mmap_fixed(a, 2), Err(Trap::OutOfPhysicalMemory));
+        assert_ne!(m.frame_of(a), frames.0, "page 0 got the free frame");
+        assert_eq!(m.frame_of(second), frames.1, "page 1 kept its frame");
+        assert_eq!(m.stats().shootdown_ipis, ipis + 3, "page 0 was replaced before the failure");
+        for (after, before) in remote_clocks(&m).iter().zip(&remote) {
+            assert_eq!(after - before, m.config().cost.ipi_recv);
+        }
     }
 
     #[test]

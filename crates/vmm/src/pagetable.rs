@@ -1,7 +1,7 @@
 //! Page-table storage for the simulated MMU.
 //!
-//! Two interchangeable implementations sit behind the [`PageTable`]
-//! dispatch type:
+//! Two interchangeable implementations sit behind the crate-private
+//! `PageTable` dispatch type:
 //!
 //! * [`PageTableImpl::Radix`] (the default) — a three-level radix tree of
 //!   plain arrays indexed by VPN bit-fields, so the common translation is
