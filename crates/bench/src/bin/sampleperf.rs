@@ -34,7 +34,7 @@
 
 use dangle_apa::{corpus, parse, pool_allocate, pool_allocate_with_lint_mode, LintMode};
 use dangle_bench::{render_table, Artifact};
-use dangle_core::SamplingConfig;
+use dangle_core::{DetectorConfig, SamplingConfig};
 use dangle_interp::backend::ShadowPoolBackend;
 use dangle_interp::{is_detection, run_with, Engine};
 use dangle_telemetry::Json;
@@ -84,10 +84,9 @@ fn run_once(
         None => pool_allocate(&prog).0,
     };
     let mut m = Machine::new();
-    let mut b = match sampling {
-        Some(cfg) => ShadowPoolBackend::with_sampling(cfg),
-        None => ShadowPoolBackend::new(),
-    };
+    let sampling = sampling.unwrap_or_default();
+    let mut b =
+        ShadowPoolBackend::with_config(DetectorConfig { sampling, ..DetectorConfig::default() });
     let (output, detected, trap) = match run_with(engine, &transformed, &mut m, &mut b, FUEL) {
         Ok(o) => (o.output, false, None),
         Err(e) if is_detection(&e) => (Vec::new(), true, Some(e.to_string())),

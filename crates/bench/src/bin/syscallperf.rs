@@ -28,7 +28,7 @@
 //! artifact is `BENCH_syscallperf.json`.
 
 use dangle_bench::{measure_backend, render_table, Artifact, Measurement};
-use dangle_core::BatchConfig;
+use dangle_core::{BatchConfig, DetectorConfig};
 use dangle_interp::backend::{Backend, BackendError, ShadowPoolBackend};
 use dangle_telemetry::Json;
 use dangle_vmm::{Machine, MachineConfig};
@@ -46,17 +46,12 @@ enum Mode {
 
 impl Mode {
     fn backend(self) -> ShadowPoolBackend {
-        match self {
-            Mode::Off => ShadowPoolBackend::new(),
-            Mode::Eager => {
-                ShadowPoolBackend::with_batching(BatchConfig { enabled: true, ..Default::default() })
-            }
-            Mode::Epoch8 => ShadowPoolBackend::with_batching(BatchConfig {
-                enabled: true,
-                protect_epoch: Some(8),
-                ..Default::default()
-            }),
-        }
+        let batch = match self {
+            Mode::Off => BatchConfig::default(),
+            Mode::Eager => BatchConfig { enabled: true, protect_epoch: None },
+            Mode::Epoch8 => BatchConfig { enabled: true, protect_epoch: Some(8) },
+        };
+        ShadowPoolBackend::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
     }
 }
 

@@ -16,10 +16,10 @@
 //! adjacent, overlapping batches) is pinned by `dangle-vmm`'s unit and
 //! differential tests.
 
-use crate::shadow::{BatchConfig, ShadowConfig, ShadowHeap};
-use crate::ShadowPool;
+use crate::protect::BatchConfig;
+use crate::shadow::{ShadowConfig, ShadowHeap};
+use crate::{DetectorConfig, ShadowPool};
 use dangle_heap::{Allocator, SysHeap};
-use dangle_pool::PoolConfig;
 use dangle_vmm::{CostModel, Machine, MachineConfig, VirtAddr};
 
 use dangle_testkit::SeededRng as TestRng;
@@ -36,10 +36,11 @@ fn machine() -> Machine {
 }
 
 fn batched_pool() -> ShadowPool {
-    ShadowPool::with_batch(
-        PoolConfig::default(),
-        BatchConfig { enabled: true, ..BatchConfig::default() },
-    )
+    batched_pool_with(BatchConfig { enabled: true, ..BatchConfig::default() })
+}
+
+fn batched_pool_with(batch: BatchConfig) -> ShadowPool {
+    ShadowPool::for_shard(&DetectorConfig { batch, ..DetectorConfig::default() }, 0)
 }
 
 /// Panics unless both runs' pool page tables pass the aliasing audit.
@@ -271,10 +272,7 @@ fn epoch_mode_converges_to_legacy_protection_map() {
         let mut ml = machine();
         let mut sl = ShadowPool::new();
         let mut mb = machine();
-        let mut sb = ShadowPool::with_batch(
-            PoolConfig::default(),
-            BatchConfig { enabled: true, protect_epoch: Some(8), ..BatchConfig::default() },
-        );
+        let mut sb = batched_pool_with(BatchConfig { enabled: true, protect_epoch: Some(8) });
         let pl = sl.create(16);
         let pb = sb.create(16);
 

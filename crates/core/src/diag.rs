@@ -4,7 +4,7 @@
 //! The real system catches SIGSEGV and maps the faulting address back to an
 //! object. The simulator does the same: the detector keeps a registry from
 //! shadow pages to object records (allocation site, free site, extent), and
-//! [`explain`](crate::ShadowHeap::explain) converts a [`Trap`] into a
+//! [`explain`](crate::Protector::explain) converts a [`Trap`] into a
 //! [`DanglingReport`].
 
 use dangle_telemetry::TrapReport;
@@ -354,14 +354,6 @@ impl ObjectRegistry {
     /// Number of page entries currently tracked.
     pub fn tracked_pages(&self) -> usize {
         self.by_page.len()
-    }
-
-    /// Iterates over records that are still reachable from some page entry.
-    pub fn live_records(&self) -> impl Iterator<Item = &ObjectRecord> {
-        let mut seen: Vec<usize> = self.by_page.values().copied().collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.into_iter().map(|i| &self.records[i]).collect::<Vec<_>>().into_iter()
     }
 
     /// Builds a [`DanglingReport`] for `trap` if it falls in a tracked

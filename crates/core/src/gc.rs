@@ -13,20 +13,29 @@
 //!    heap is scanned.
 //!
 //! The algorithm here: compute the set of pools transitively reachable from
-//! the requested seed pools via the points-to graph, conservatively scan the
-//! payload words of every *live* object in those pools (plus caller-provided
+//! the requested seed pools via the points-to graph, conservatively scan
+//! every word of every canonical page of those pools (plus caller-provided
 //! roots) for anything that looks like a pointer into a freed object's
 //! shadow span, and reclaim every span no such word references.
+//!
+//! Scanning canonical pages rather than a list of live objects is what
+//! makes the scan see *every* object: shadow pages alias the canonical
+//! frames, so the canonical pages hold the bytes of checked objects,
+//! lint-elided (`alloc_unchecked`) objects and sampling-skipped objects
+//! alike. The price is extra conservatism: stale words left in free
+//! blocks and headers are scanned too, so they can keep a span alive that
+//! an exact collector would reclaim. That only delays reclamation; it
+//! never reclaims a referenced span.
 
 use crate::pool_shadow::{FreedSpan, ShadowPool};
 use dangle_pool::PoolId;
-use dangle_vmm::{Machine, PageNum, VirtAddr};
+use dangle_vmm::{Machine, PageNum, VirtAddr, PAGE_SIZE};
 use std::collections::HashSet;
 
 /// What one collection accomplished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Pools whose objects were scanned.
+    /// Pools whose canonical pages were scanned.
     pub pools_scanned: usize,
     /// 8-byte words examined.
     pub words_scanned: u64,
@@ -89,8 +98,8 @@ pub fn collect(
         return report;
     }
 
-    // 3. Conservative scan: roots plus every word of every live object in
-    //    the scanned pools.
+    // 3. Conservative scan: roots plus every word of every canonical page
+    //    of the scanned pools.
     let mut referenced: HashSet<PageNum> = HashSet::new();
     let note = |word: u64, referenced: &mut HashSet<PageNum>| {
         let page = VirtAddr(word).page();
@@ -102,20 +111,20 @@ pub fn collect(
         report.words_scanned += 1;
         note(r, &mut referenced);
     }
+    const WORDS_PER_PAGE: u64 = (PAGE_SIZE / 8) as u64;
     let access_cost = machine.config().cost.mem_access;
     for &p in &pools {
-        for (base, size) in detector.live_objects(p) {
-            let words = size / 8;
-            for w in 0..words as u64 {
-                // Live objects are readable; peek + explicit charge keeps
-                // the scan out of the workload's load/store counters while
-                // still costing cycles.
-                if let Some(word) = machine.peek_u64(base.add(w * 8)) {
+        for &page in detector.pools().pool_pages(p).unwrap_or_default() {
+            for w in 0..WORDS_PER_PAGE {
+                // Canonical pages are never protected; peek + explicit
+                // charge keeps the scan out of the workload's load/store
+                // counters while still costing cycles.
+                if let Some(word) = machine.peek_u64(page.base().add(w * 8)) {
                     note(word, &mut referenced);
                 }
-                report.words_scanned += 1;
             }
-            machine.tick(access_cost * words as u64);
+            report.words_scanned += WORDS_PER_PAGE;
+            machine.tick(access_cost * WORDS_PER_PAGE);
         }
     }
 
@@ -177,6 +186,29 @@ mod tests {
         assert_eq!(report.spans_reclaimed, 0);
         assert_eq!(report.spans_retained, 1);
         // The dangling pointer in b must still trap.
+        let stale = m.load_u64(b).unwrap();
+        assert!(m.load_u64(VirtAddr(stale)).is_err());
+    }
+
+    #[test]
+    fn retains_spans_referenced_by_unchecked_objects() {
+        let mut m = Machine::free_running();
+        let mut sp = ShadowPool::new();
+        let pp = sp.create(16);
+        let a = sp.alloc(&mut m, pp, 16).unwrap();
+        let b = sp.alloc_unchecked(&mut m, pp, 16).unwrap();
+        m.store_u64(b, a.raw()).unwrap(); // the lint-elided b holds a pointer to a
+        sp.free(&mut m, pp, a).unwrap();
+
+        let report = collect(&mut m, &mut sp, &[], &[]);
+        assert!(report.words_scanned > 0, "{report:?}");
+        assert_eq!(report.spans_reclaimed, 0, "{report:?}");
+        assert_eq!(report.spans_retained, 1);
+        // The next allocation gets a different shadow page, so the stale
+        // pointer held by b still traps instead of reading the new object.
+        let c = sp.alloc(&mut m, pp, 16).unwrap();
+        m.store_u64(c, 7).unwrap();
+        assert_ne!(c.page(), a.page());
         let stale = m.load_u64(b).unwrap();
         assert!(m.load_u64(VirtAddr(stale)).is_err());
     }

@@ -17,8 +17,16 @@
 //!   shadow page of the pool returns to a shared free list, so virtual
 //!   address consumption is bounded by the *live* pools.
 //!
+//! Both are one [`protect::Protector`] — shadow alias, hidden word,
+//! `PROT_NONE` on free, sampling and batching — over two kinds of
+//! canonical memory; [`ShardedShadowPool`] routes pools across per-core
+//! `ShadowPool` shards.
+//!
 //! Supporting modules:
 //!
+//! * [`protect`] — the protection core both detectors share: site table,
+//!   object registry, sampling decision, batch state and the hidden-word
+//!   protocol on alloc and free.
 //! * [`diag`] — site-tagged object registry; turns MMU traps into
 //!   `"dangling write at 0x… allocated at `g:malloc`, freed at
 //!   `free_all_but_head`"` reports.
@@ -35,6 +43,7 @@ pub mod diag;
 pub mod exhaustion;
 pub mod gc;
 pub mod pool_shadow;
+pub mod protect;
 pub mod sampling;
 pub mod shadow;
 pub mod sharded;
@@ -45,9 +54,10 @@ pub mod os;
 pub use diag::{DanglingKind, DanglingReport, ObjectRecord, ObjectState, SiteId, SiteTable};
 pub use gc::GcReport;
 pub use pool_shadow::{FreedSpan, ShadowPool};
-pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy, SiteSafety};
-pub use shadow::{BatchConfig, ShadowConfig, ShadowHeap, SHADOW_WORD};
-pub use sharded::{EpochFreeList, ShardedShadowPool};
+pub use protect::{BatchConfig, Protector, SHADOW_WORD};
+pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy};
+pub use shadow::{ShadowConfig, ShadowHeap};
+pub use sharded::{DetectorConfig, EpochFreeList, ShardedShadowPool};
 
 #[cfg(test)]
 mod batch_proptests;

@@ -14,18 +14,17 @@
 //!
 //! This turns the basic scheme's unbounded virtual-address growth into
 //! growth proportional to the *live* pools only, which the paper's §4.3
-//! measurements show is tiny for real servers.
+//! measurements show is tiny for real servers. The mechanism itself lives
+//! in [`crate::protect`]; this module supplies the pools' canonical memory
+//! and the destroy and GC bookkeeping.
 
-use crate::diag::{DanglingReport, ObjectRegistry, SiteId, SiteTable};
-use crate::sampling::{self, SampleDecision, SamplingConfig, SamplingPolicy, SiteSafety};
-use crate::shadow::{merge_run, runs_overlap, BatchConfig, Extent, TRAP_CONTEXT_EVENTS};
-use dangle_heap::{header, AllocError, AllocStats};
-use dangle_telemetry::{Category, EventKind, TrapReport};
-use dangle_pool::{PoolConfig, PoolError, PoolId, PoolSet};
-use dangle_vmm::{Machine, PageNum, Protection, Trap, VirtAddr, PAGE_MASK};
+use crate::diag::SiteId;
+use crate::protect::{runs_overlap, CanonicalMemory, Protector};
+use crate::sharded::DetectorConfig;
+use dangle_pool::{PoolError, PoolId, PoolSet};
+use dangle_telemetry::{Category, CounterHandle, EventKind};
+use dangle_vmm::{Machine, PageNum, VirtAddr};
 use std::collections::HashMap;
-
-use crate::shadow::SHADOW_WORD;
 
 /// One freed object's shadow span, kept per pool for the §3.4 GC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,8 +35,96 @@ pub struct FreedSpan {
     pub span: usize,
 }
 
+/// The canonical memory of a [`ShadowPool`]: the pool runtime, whose
+/// shared free list also recycles shadow runs, plus the freed spans the
+/// §3.4 GC may reclaim.
+#[derive(Debug)]
+pub struct PoolMemory {
+    pools: PoolSet,
+    /// Freed-object shadow spans per pool (candidates for the §3.4 GC).
+    freed: HashMap<PoolId, Vec<FreedSpan>>,
+    /// Cached telemetry handles for the per-alloc counters, resolved on
+    /// first use so the hot path skips the by-name registry lookup.
+    recycled_counter: Option<CounterHandle>,
+    fresh_counter: Option<CounterHandle>,
+}
+
+impl CanonicalMemory for PoolMemory {
+    type Scope = PoolId;
+    type Error = PoolError;
+    const ALLOC_SPAN: &'static str = "pool.alloc";
+    const FREE_SPAN: &'static str = "pool.free";
+    const FLUSH_SPAN: &'static str = "pool.flush";
+    const SHADOW_PAGES_COUNTER: Option<&'static str> = None;
+
+    fn alloc(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        size: usize,
+    ) -> Result<VirtAddr, PoolError> {
+        self.pools.alloc(machine, pool, size)
+    }
+
+    fn free(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        addr: VirtAddr,
+    ) -> Result<(), PoolError> {
+        self.pools.free(machine, pool, addr)
+    }
+
+    fn size_of(&self, machine: &mut Machine, addr: VirtAddr) -> Result<usize, PoolError> {
+        self.pools.size_of(machine, addr)
+    }
+
+    /// Shadow runs come from the shared free list, multi-page runs too.
+    fn take_run(&mut self, pages: usize) -> Option<PageNum> {
+        self.pools.take_free_run(pages)
+    }
+
+    fn take_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)> {
+        self.pools.take_free_run_capped(max)
+    }
+
+    /// Notes a `FreeListHit`/`FreeListMiss` ring event and bumps the cached
+    /// `pool.pages_recycled`/`pool.pages_fresh` counter.
+    fn note_shadow_run(
+        &mut self,
+        machine: &mut Machine,
+        base: PageNum,
+        pages: usize,
+        recycled: bool,
+    ) {
+        let event = if recycled {
+            EventKind::FreeListHit { pages: pages as u32 }
+        } else {
+            EventKind::FreeListMiss { pages: pages as u32 }
+        };
+        machine.note_event(base.base(), event);
+        let t = machine.telemetry_mut();
+        if !t.enabled() {
+            return;
+        }
+        let slot = if recycled { &mut self.recycled_counter } else { &mut self.fresh_counter };
+        let name = if recycled { "pool.pages_recycled" } else { "pool.pages_fresh" };
+        let h = *slot.get_or_insert_with(|| t.metrics_mut().counter_handle(name));
+        t.metrics_mut().add(h, pages as u64);
+    }
+
+    fn register(&mut self, pool: PoolId, base: PageNum, pages: usize) -> Result<(), PoolError> {
+        self.pools.register_extra_run(pool, base, pages)
+    }
+
+    fn note_freed(&mut self, pool: PoolId, base: PageNum, pages: usize) {
+        self.freed.entry(pool).or_default().push(FreedSpan { base, span: pages });
+    }
+}
+
 /// The pool-based shadow-page detector (the paper's production
-/// configuration). See the [module docs](self).
+/// configuration): a [`Protector`] over [`PoolMemory`]. See the
+/// [module docs](self).
 ///
 /// ```rust
 /// use dangle_core::ShadowPool;
@@ -55,92 +142,36 @@ pub struct FreedSpan {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
-pub struct ShadowPool {
-    pools: PoolSet,
-    registry: ObjectRegistry,
-    sites: SiteTable,
-    stats: AllocStats,
-    /// Shadow pages registered per pool (for registry cleanup at destroy).
-    shadow_pages: HashMap<PoolId, Vec<PageNum>>,
-    /// Freed-object shadow spans per pool (candidates for the §3.4 GC).
-    freed: HashMap<PoolId, Vec<FreedSpan>>,
-    /// Live objects per pool: user address -> size. Scanned by the GC.
-    live: HashMap<PoolId, HashMap<VirtAddr, usize>>,
-    last_report: Option<DanglingReport>,
-    /// Cached telemetry handles for the per-alloc counters, resolved on
-    /// first use so the hot path skips the by-name registry lookup.
-    recycled_counter: Option<dangle_telemetry::CounterHandle>,
-    fresh_counter: Option<dangle_telemetry::CounterHandle>,
-    /// Vectored-syscall batching configuration (off by default).
-    batch: BatchConfig,
-    /// Bump extents of pre-aliased shadow pages, keyed by pool and size
-    /// class (batched mode). Pools carve canonical memory per size class,
-    /// so interleaved allocations of different classes advance different
-    /// canonical pages — one extent per (pool, class) keeps each stream
-    /// amortising instead of thrashing.
-    extents: HashMap<(PoolId, usize), Extent>,
-    /// Protection runs deferred by [`BatchConfig::protect_epoch`], sorted
-    /// and coalesced; global across pools since `mprotect` ranges are pure
-    /// VA. Empty between frees in the default eager mode.
-    pending_protect: Vec<(PageNum, usize)>,
-    /// Frees accumulated since the last protection flush.
-    pending_frees: usize,
-    /// Sampled-protection decision engine (inert unless constructed via
-    /// [`ShadowPool::with_sampling`]).
-    sampling: SamplingPolicy,
+pub type ShadowPool = Protector<PoolMemory>;
+
+impl Default for ShadowPool {
+    fn default() -> ShadowPool {
+        ShadowPool::new()
+    }
 }
 
 impl ShadowPool {
-    /// Creates a detector with a default pool configuration.
+    /// Creates a detector with the default configuration. Other
+    /// configurations are built by [`crate::ShardedShadowPool`].
     pub fn new() -> ShadowPool {
-        ShadowPool::default()
+        ShadowPool::for_shard(&DetectorConfig::default(), 0)
     }
 
-    /// Creates a detector with an explicit pool configuration.
-    pub fn with_config(config: PoolConfig) -> ShadowPool {
-        ShadowPool { pools: PoolSet::with_config(config), ..ShadowPool::default() }
-    }
-
-    /// Creates a detector with explicit pool and vectored-syscall batching
-    /// configurations (see [`BatchConfig`]).
-    pub fn with_batch(config: PoolConfig, batch: BatchConfig) -> ShadowPool {
-        ShadowPool { pools: PoolSet::with_config(config), batch, ..ShadowPool::default() }
-    }
-
-    /// Creates a detector with explicit pool, batching and sampled-
-    /// protection configurations (see [`SamplingConfig`]). With sampling
-    /// off this is exactly [`ShadowPool::with_batch`].
-    pub fn with_sampling(
-        config: PoolConfig,
-        batch: BatchConfig,
-        sampling: SamplingConfig,
-    ) -> ShadowPool {
-        ShadowPool {
-            pools: PoolSet::with_config(config),
-            batch,
-            sampling: SamplingPolicy::new(sampling),
-            ..ShadowPool::default()
-        }
-    }
-
-    /// The batching configuration this detector runs with.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.batch
-    }
-
-    /// The sampled-protection configuration this detector runs with.
-    pub fn sampling_config(&self) -> SamplingConfig {
-        self.sampling.config()
+    /// The detector shard `shard` of a [`crate::ShardedShadowPool`] built
+    /// from `config`.
+    pub(crate) fn for_shard(config: &DetectorConfig, shard: usize) -> ShadowPool {
+        let mem = PoolMemory {
+            pools: PoolSet::with_config(config.pool),
+            freed: HashMap::new(),
+            recycled_counter: None,
+            fresh_counter: None,
+        };
+        Protector::with_memory(mem, config.batch, config.sampling.for_shard(shard))
     }
 
     /// `poolinit`. See [`PoolSet::create`].
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
-        let id = self.pools.create(elem_hint);
-        self.shadow_pages.insert(id, Vec::new());
-        self.freed.insert(id, Vec::new());
-        self.live.insert(id, HashMap::new());
-        id
+        self.mem.pools.create(elem_hint)
     }
 
     /// `poolalloc` + shadow remap, tagged with an allocation site.
@@ -154,261 +185,7 @@ impl ShadowPool {
         size: usize,
         site: SiteId,
     ) -> Result<VirtAddr, PoolError> {
-        machine.span_enter("pool.alloc", Category::DetectorMetadata);
-        let r = self.alloc_at_inner(machine, pool, size, site);
-        machine.span_exit();
-        r
-    }
-
-    fn alloc_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-        site: SiteId,
-    ) -> Result<VirtAddr, PoolError> {
-        // Sampled protection (inert by default). Host-side decision — no
-        // simulated cycles — so N = 1 is byte-identical to the unsampled
-        // detector. Counters track *allocation decisions*; the free path
-        // routes silently.
-        let sampled = if self.sampling.enabled() {
-            let class = header::class_index(size).unwrap_or(usize::MAX);
-            match self.sampling.decide(site, SiteSafety::Unknown, class) {
-                SampleDecision::Protect { sampled } => {
-                    machine.telemetry_mut().counter_add(sampling::COUNTER_PROTECTED, 1);
-                    sampled
-                }
-                SampleDecision::Skip { budget_exhausted } => {
-                    let t = machine.telemetry_mut();
-                    t.counter_add(sampling::COUNTER_SKIPPED, 1);
-                    if budget_exhausted {
-                        t.counter_add(sampling::COUNTER_BUDGET_EXHAUSTED, 1);
-                    }
-                    return self.pools.alloc(machine, pool, size);
-                }
-            }
-        } else {
-            false
-        };
-        let total = size
-            .checked_add(SHADOW_WORD)
-            .ok_or(PoolError::Alloc(AllocError::TooLarge { size }))?;
-        let canon = self.pools.alloc(machine, pool, total)?;
-        let span = canon.span_pages(total);
-        let canon_page = canon.page();
-        // Shadow pages also recycle virtual addresses from the shared free
-        // list; multi-page spans take contiguous runs. Batched mode serves
-        // single-page objects from per-pool extents instead; extent pages
-        // are registered with the pool at build time.
-        let shadow_base = if self.batch.enabled && span == 1 {
-            let class = header::class_index(total).unwrap_or(usize::MAX);
-            self.extent_page(machine, pool, canon_page, class)?
-        } else {
-            let base = self.legacy_shadow_alias(machine, canon_page, span)?;
-            self.pools.register_extra_run(pool, base.page(), span)?;
-            base
-        };
-        let shadow_start = shadow_base.page();
-        self.shadow_pages
-            .entry(pool)
-            .or_default()
-            .extend((0..span as u64).map(|i| shadow_start.add(i)));
-        let shadow_hidden = shadow_base.add(canon.offset() as u64);
-        machine.store_u64(shadow_hidden, canon_page.base().raw())?;
-        let user = shadow_hidden.add(SHADOW_WORD as u64);
-        self.registry.insert_range(user, size, site, shadow_start, span);
-        if sampled {
-            self.registry.note_sampled(true);
-        }
-        if !machine.telemetry().call_stack().is_empty() {
-            let stack = machine.telemetry().call_stack().to_vec();
-            self.registry.note_alloc_stack(&stack);
-        }
-        self.live.entry(pool).or_default().insert(user, size);
-        self.stats.note_alloc(size);
-        Ok(user)
-    }
-
-    /// Bumps the cached `pool.pages_recycled` / `pool.pages_fresh`
-    /// telemetry counter.
-    fn note_shadow_pages(&mut self, machine: &mut Machine, recycled: bool, n: u64) {
-        let t = machine.telemetry_mut();
-        if !t.enabled() {
-            return;
-        }
-        let slot = if recycled { &mut self.recycled_counter } else { &mut self.fresh_counter };
-        let h = match *slot {
-            Some(h) => h,
-            None => {
-                let name = if recycled { "pool.pages_recycled" } else { "pool.pages_fresh" };
-                let h = t.metrics_mut().counter_handle(name);
-                *slot = Some(h);
-                h
-            }
-        };
-        t.metrics_mut().add(h, n);
-    }
-
-    /// The one-syscall-per-allocation shadow alias of the paper's §3.3:
-    /// a recycled run from the shared free list when available, a fresh
-    /// `mremap` alias otherwise.
-    fn legacy_shadow_alias(
-        &mut self,
-        machine: &mut Machine,
-        canon_page: PageNum,
-        span: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        match self.pools.take_free_run(span) {
-            Some(pg) => {
-                machine.alias_fixed(canon_page.base(), pg.base(), span)?;
-                machine.note_event(pg.base(), EventKind::FreeListHit { pages: span as u32 });
-                self.note_shadow_pages(machine, true, span as u64);
-                Ok(pg.base())
-            }
-            None => {
-                let base = machine.mremap_alias(canon_page.base(), span)?;
-                machine.note_event(base, EventKind::FreeListMiss { pages: span as u32 });
-                self.note_shadow_pages(machine, false, span as u64);
-                Ok(base)
-            }
-        }
-    }
-
-    /// Batched-mode shadow page for a single-page object of `pool` on
-    /// `canon`: consumes the pool's extent when it matches, re-points a
-    /// stale leftover run in one vectored call, builds a new extent once
-    /// demand on `canon` is proven, and otherwise falls back to a plain
-    /// single alias at exactly the legacy cost.
-    fn extent_page(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        canon: PageNum,
-        class: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        let cap = self.batch.extent_pages.max(2);
-        let key = (pool, class);
-        match self.extents.get(&key).copied() {
-            // Hit: a pre-aliased page, zero syscalls.
-            Some(mut ext) if ext.canon == canon && ext.left > 0 => {
-                let page = ext.next;
-                ext.next = ext.next.add(1);
-                ext.left -= 1;
-                if ext.left == 0 {
-                    ext.grow = (ext.grow * 2).min(cap);
-                }
-                self.extents.insert(key, ext);
-                machine.telemetry_mut().counter_add("shadow.extent_hits", 1);
-                Ok(page.base())
-            }
-            // Demand proven: a second allocation landed on `canon`.
-            Some(ext) if ext.canon == canon => {
-                let (base, got) =
-                    self.build_extent(machine, pool, canon, ext.grow.clamp(2, cap))?;
-                self.extents.insert(
-                    key,
-                    Extent { canon, next: base.add(1), left: got - 1, grow: ext.grow },
-                );
-                Ok(base.base())
-            }
-            // Stale leftover from another canonical page of this pool:
-            // re-point the whole run at `canon` for one vectored crossing.
-            // The pages are registered with the pool already.
-            Some(ext) if ext.left > 0 => {
-                if ext.left == 1 {
-                    machine.alias_fixed(canon.base(), ext.next.base(), 1)?;
-                } else {
-                    let entries: Vec<_> = (0..ext.left as u64)
-                        .map(|i| (canon.base(), ext.next.add(i).base(), 1usize))
-                        .collect();
-                    machine.alias_fixed_batch(&entries)?;
-                }
-                machine.telemetry_mut().counter_add("shadow.extent_repoints", 1);
-                self.extents.insert(
-                    key,
-                    Extent { canon, next: ext.next.add(1), left: ext.left - 1, grow: ext.grow },
-                );
-                Ok(ext.next.base())
-            }
-            // First touch of `canon`: plain alias at legacy cost, plus a
-            // zero-page demand marker.
-            other => {
-                let grow = other.map_or(2, |e| e.grow);
-                let base = self.legacy_shadow_alias(machine, canon, 1)?;
-                self.pools.register_extra_page(pool, base.page())?;
-                self.extents
-                    .insert(key, Extent { canon, next: PageNum(0), left: 0, grow });
-                Ok(base)
-            }
-        }
-    }
-
-    /// Builds a `want`-page extent for `pool` aliasing `canon`: a recycled
-    /// run from the shared free list is re-pointed with one vectored call,
-    /// otherwise fresh contiguous aliases come from one vectored `mremap`.
-    /// The run is registered with the pool here, so `pooldestroy` releases
-    /// leftover extent pages along with everything else.
-    fn build_extent(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        canon: PageNum,
-        want: usize,
-    ) -> Result<(PageNum, usize), PoolError> {
-        let (base, got) = if let Some((rbase, rlen)) = self.pools.take_free_run_capped(want) {
-            if rlen == 1 {
-                machine.alias_fixed(canon.base(), rbase.base(), 1)?;
-            } else {
-                let entries: Vec<_> = (0..rlen as u64)
-                    .map(|i| (canon.base(), rbase.add(i).base(), 1usize))
-                    .collect();
-                machine.alias_fixed_batch(&entries)?;
-            }
-            machine.note_event(rbase.base(), EventKind::FreeListHit { pages: rlen as u32 });
-            self.note_shadow_pages(machine, true, rlen as u64);
-            (rbase, rlen)
-        } else {
-            let ranges = vec![(canon.base(), 1usize); want];
-            let aliases = machine.mremap_alias_batch(&ranges)?;
-            machine.note_event(aliases[0], EventKind::FreeListMiss { pages: want as u32 });
-            self.note_shadow_pages(machine, false, want as u64);
-            (aliases[0].page(), want)
-        };
-        self.pools.register_extra_run(pool, base, got)?;
-        Ok((base, got))
-    }
-
-    /// Applies every pending deferred protection (see
-    /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a single
-    /// run — the same cost the legacy per-free call pays — or one vectored
-    /// `mprotect` for several. A no-op when nothing is pending; the
-    /// default eager mode calls this at the end of every
-    /// [`ShadowPool::free_at`], and `pooldestroy` always flushes first.
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        self.pending_frees = 0;
-        if self.pending_protect.is_empty() {
-            return Ok(());
-        }
-        machine.span_enter("pool.flush", Category::DetectorMetadata);
-        let r = self.flush_protects_inner(machine);
-        machine.span_exit();
-        r
-    }
-
-    fn flush_protects_inner(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        let runs = std::mem::take(&mut self.pending_protect);
-        if let [(base, span)] = runs[..] {
-            machine.mprotect(base.base(), span, Protection::None)?;
-        } else {
-            let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
-            machine.mprotect_batch(&ranges, Protection::None)?;
-        }
-        let t = machine.telemetry_mut();
-        t.counter_add("shadow.protect_runs", runs.len() as u64);
-        for &(_, s) in &runs {
-            t.observe("shadow.run_len", s as u64);
-        }
-        Ok(())
+        self.alloc_in(machine, pool, size, site)
     }
 
     /// `poolalloc` + shadow remap (untagged).
@@ -421,15 +198,15 @@ impl ShadowPool {
         pool: PoolId,
         size: usize,
     ) -> Result<VirtAddr, PoolError> {
-        self.alloc_at(machine, pool, size, SiteId::UNKNOWN)
+        self.alloc_in(machine, pool, size, SiteId::UNKNOWN)
     }
 
     /// `poolfree` + shadow protect, tagged with a free site.
     ///
     /// # Errors
     /// A double free surfaces as a trap on the hidden-word read (see
-    /// [`ShadowPool::last_report`]); a wild pointer as
-    /// [`AllocError::InvalidFree`].
+    /// [`Protector::last_report`]); a wild pointer as
+    /// [`dangle_heap::AllocError::InvalidFree`].
     pub fn free_at(
         &mut self,
         machine: &mut Machine,
@@ -437,70 +214,7 @@ impl ShadowPool {
         addr: VirtAddr,
         site: SiteId,
     ) -> Result<(), PoolError> {
-        machine.span_enter("pool.free", Category::DetectorMetadata);
-        let r = self.free_at_inner(machine, pool, addr, site);
-        machine.span_exit();
-        r
-    }
-
-    fn free_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-        site: SiteId,
-    ) -> Result<(), PoolError> {
-        if addr.raw() < SHADOW_WORD as u64 {
-            return Err(AllocError::InvalidFree { addr }.into());
-        }
-        // Sampled mode routes frees by provenance: protected objects live
-        // at registered shadow addresses, unsampled ones at canonical pool
-        // addresses the registry has never seen — a miss is the unchecked
-        // fast path (the pool's block-header check still catches double
-        // frees of unsampled objects as `InvalidFree`).
-        if self.sampling.enabled() && self.registry.lookup(addr).is_none() {
-            return self.pools.free(machine, pool, addr);
-        }
-        let hidden = addr.sub(SHADOW_WORD as u64);
-        // An epoch-deferred protection makes the hidden word of an
-        // already-freed object readable again; flushing first restores the
-        // §3.2 guarantee that the read below traps on a double free.
-        if runs_overlap(&self.pending_protect, hidden.page(), 1) {
-            self.flush_protects(machine).map_err(PoolError::from)?;
-        }
-        let canon_page = match machine.load_u64(hidden) {
-            Ok(w) => w,
-            Err(trap) => {
-                self.last_report = self.registry.explain(&trap, true);
-                return Err(trap.into());
-            }
-        };
-        if canon_page & PAGE_MASK != 0 || canon_page == 0 {
-            return Err(AllocError::InvalidFree { addr }.into());
-        }
-        let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
-        let total = self.pools.size_of(machine, canon_hidden)?;
-        let span = hidden.span_pages(total);
-        if self.batch.enabled {
-            merge_run(&mut self.pending_protect, hidden.page(), span);
-            self.pending_frees += 1;
-            if self.pending_frees >= self.batch.protect_epoch.unwrap_or(1) {
-                self.flush_protects(machine).map_err(PoolError::from)?;
-            }
-        } else {
-            machine.mprotect(hidden.page().base(), span, Protection::None)?;
-        }
-        machine.telemetry_mut().counter_add("core.pages_protected", span as u64);
-        self.pools.free(machine, pool, canon_hidden)?;
-        let stack = machine.telemetry().call_stack().to_vec();
-        self.registry.mark_freed_traced(addr, site, &stack);
-        self.freed
-            .entry(pool)
-            .or_default()
-            .push(FreedSpan { base: hidden.page(), span });
-        self.live.entry(pool).or_default().remove(&addr);
-        self.stats.note_free(total - SHADOW_WORD);
-        Ok(())
+        self.free_in(machine, pool, addr, site)
     }
 
     /// `poolfree` + shadow protect (untagged).
@@ -513,15 +227,12 @@ impl ShadowPool {
         pool: PoolId,
         addr: VirtAddr,
     ) -> Result<(), PoolError> {
-        self.free_at(machine, pool, addr, SiteId::UNKNOWN)
+        self.free_in(machine, pool, addr, SiteId::UNKNOWN)
     }
 
     /// `poolalloc` **without** shadow protection, for a site dangle-lint
     /// proved `ProvablySafe`: the object lives directly on the pool's
-    /// canonical pages — no shadow remap, no hidden word, no registry entry.
-    /// Must be paired with [`ShadowPool::free_unchecked`]; the lint pass
-    /// stamps whole alias classes, so checked and unchecked pointers never
-    /// reach the same site.
+    /// canonical pages. Must be paired with [`ShadowPool::free_unchecked`].
     ///
     /// # Errors
     /// As for [`PoolSet::alloc`].
@@ -531,8 +242,7 @@ impl ShadowPool {
         pool: PoolId,
         size: usize,
     ) -> Result<VirtAddr, PoolError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.pools.alloc(machine, pool, size)
+        self.alloc_unchecked_in(machine, pool, size)
     }
 
     /// `poolfree` for an allocation made by
@@ -547,8 +257,7 @@ impl ShadowPool {
         pool: PoolId,
         addr: VirtAddr,
     ) -> Result<(), PoolError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.pools.free(machine, pool, addr)
+        self.free_unchecked_in(machine, pool, addr)
     }
 
     /// `pooldestroy`: recycles every canonical and shadow page of the pool
@@ -565,65 +274,21 @@ impl ShadowPool {
     }
 
     fn destroy_inner(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        if self.batch.enabled {
-            // Deferred protections must land before the pages they cover
-            // can be released and re-mapped to live storage.
-            self.flush_protects(machine).map_err(PoolError::from)?;
-            // Leftover extent pages were registered at build time, so the
-            // release below already covers them.
-            self.extents.retain(|&(p, _), _| p != pool);
+        // Leftover extent pages were registered at build time, so the
+        // release below already covers them.
+        self.retire_scope(machine, pool)?;
+        // Every shadow run is registered with its pool.
+        if let Ok(shadow) = self.mem.pools.extra_pages(pool) {
+            self.registry.forget_pages(shadow);
         }
-        let shadow = self.shadow_pages.remove(&pool).unwrap_or_default();
-        self.pools.destroy(machine, pool)?;
-        self.registry.forget_pages(&shadow);
-        self.freed.remove(&pool);
-        self.live.remove(&pool);
+        self.mem.pools.destroy(machine, pool)?;
+        self.mem.freed.remove(&pool);
         Ok(())
-    }
-
-    /// Attributes a program-level MMU trap to the freed object it hit.
-    pub fn explain(&self, trap: &Trap) -> Option<DanglingReport> {
-        self.registry.explain(trap, false)
-    }
-
-    /// [`ShadowPool::explain`], but producing the structured JSON-ready
-    /// [`TrapReport`] with the machine's trailing event-ring context.
-    pub fn trap_report(
-        &self,
-        machine: &Machine,
-        trap: &Trap,
-        use_site: &str,
-    ) -> Option<TrapReport> {
-        let report = self.explain(trap)?;
-        Some(report.to_telemetry(&self.sites, machine, use_site, TRAP_CONTEXT_EVENTS, &self.registry))
-    }
-
-    /// The object record owning `addr`, if tracked (live or freed). Used
-    /// by the combined spatial checker: each object sits alone on its
-    /// shadow pages, so an address on a tracked page that falls outside
-    /// the object's extent is an out-of-bounds access.
-    pub fn object_at(&self, addr: VirtAddr) -> Option<&crate::diag::ObjectRecord> {
-        self.registry.lookup(addr)
-    }
-
-    /// The most recent detector-internal report (double free).
-    pub fn last_report(&self) -> Option<&DanglingReport> {
-        self.last_report.as_ref()
-    }
-
-    /// The site table, for interning allocation/free site labels.
-    pub fn sites_mut(&mut self) -> &mut SiteTable {
-        &mut self.sites
-    }
-
-    /// The site table.
-    pub fn sites(&self) -> &SiteTable {
-        &self.sites
     }
 
     /// The underlying pool runtime (read-only).
     pub fn pools(&self) -> &PoolSet {
-        &self.pools
+        &self.mem.pools
     }
 
     /// Takes up to `max` contiguous recycled pages off this detector's
@@ -631,7 +296,7 @@ impl ShadowPool {
     /// (see [`crate::sharded`]) can retire the surplus into a cross-shard
     /// epoch free list. `None` when the list is empty or reuse is off.
     pub fn export_free_run(&mut self, max: usize) -> Option<(PageNum, usize)> {
-        self.pools.take_free_run_capped(max)
+        self.mem.pools.take_free_run_capped(max)
     }
 
     /// Adds a run of recycled pages — exported from another shard and held
@@ -639,26 +304,18 @@ impl ShadowPool {
     /// The pages must have been handed out by the same [`Machine`] so a
     /// later `mmap_fixed` recycling them is legal.
     pub fn adopt_free_run(&mut self, base: PageNum, pages: usize) {
-        self.pools.donate_run(base, pages as u32);
+        self.mem.pools.donate_run(base, pages as u32);
     }
 
     /// Records a dynamic pool points-to edge (see
     /// [`PoolSet::note_pool_edge`]).
     pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {
-        self.pools.note_pool_edge(from, to);
-    }
-
-    /// Live objects of `pool` (user address and size), for the GC scan.
-    pub fn live_objects(&self, pool: PoolId) -> Vec<(VirtAddr, usize)> {
-        self.live
-            .get(&pool)
-            .map(|m| m.iter().map(|(&a, &s)| (a, s)).collect())
-            .unwrap_or_default()
+        self.mem.pools.note_pool_edge(from, to);
     }
 
     /// Freed shadow spans of `pool` — GC candidates.
     pub fn freed_spans(&self, pool: PoolId) -> Vec<FreedSpan> {
-        self.freed.get(&pool).cloned().unwrap_or_default()
+        self.mem.freed.get(&pool).cloned().unwrap_or_default()
     }
 
     /// Reclaims a freed shadow span of `pool` after the GC proved it
@@ -672,25 +329,16 @@ impl ShadowPool {
         if runs_overlap(&self.pending_protect, span.base, span.span) {
             return 0;
         }
-        let Some(list) = self.freed.get_mut(&pool) else { return 0 };
+        let Some(list) = self.mem.freed.get_mut(&pool) else { return 0 };
         let Some(pos) = list.iter().position(|&s| s == span) else { return 0 };
         list.remove(pos);
-        let end = span.base.add(span.span as u64);
         self.registry.forget_range(span.base, span.span);
-        if let Some(sp) = self.shadow_pages.get_mut(&pool) {
-            sp.retain(|&p| p < span.base || p >= end);
-        }
         for i in 0..span.span as u64 {
             let pg = span.base.add(i);
-            let _ = self.pools.take_extra_page(pool, pg);
-            self.pools.donate_page(pg);
+            let _ = self.mem.pools.take_extra_page(pool, pg);
+            self.mem.pools.donate_page(pg);
         }
         span.span
-    }
-
-    /// Aggregate allocation counters (user sizes).
-    pub fn stats(&self) -> AllocStats {
-        self.stats
     }
 }
 
@@ -698,6 +346,12 @@ impl ShadowPool {
 mod tests {
     use super::*;
     use crate::diag::DanglingKind;
+    use crate::protect::BatchConfig;
+    use dangle_heap::AllocError;
+
+    fn batched_with(batch: BatchConfig) -> ShadowPool {
+        ShadowPool::for_shard(&DetectorConfig { batch, ..DetectorConfig::default() }, 0)
+    }
 
     fn setup() -> (Machine, ShadowPool) {
         (Machine::free_running(), ShadowPool::new())
@@ -799,15 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn live_and_freed_bookkeeping() {
+    fn freed_span_bookkeeping() {
         let (mut m, mut sp) = setup();
         let pp = sp.create(16);
         let a = sp.alloc(&mut m, pp, 24).unwrap();
-        let b = sp.alloc(&mut m, pp, 24).unwrap();
-        assert_eq!(sp.live_objects(pp).len(), 2);
+        let _b = sp.alloc(&mut m, pp, 24).unwrap();
         sp.free(&mut m, pp, a).unwrap();
-        assert_eq!(sp.live_objects(pp), vec![(b, 24)]);
-        assert_eq!(sp.freed_spans(pp).len(), 1);
+        assert_eq!(sp.freed_spans(pp), vec![FreedSpan { base: a.page(), span: 1 }]);
     }
 
     #[test]
@@ -840,7 +492,7 @@ mod tests {
 
     fn batched() -> (Machine, ShadowPool) {
         let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
-        (Machine::free_running(), ShadowPool::with_batch(PoolConfig::default(), batch))
+        (Machine::free_running(), batched_with(batch))
     }
 
     #[test]
@@ -873,8 +525,7 @@ mod tests {
         let mut legacy = ShadowPool::new();
         let p_legacy = legacy.create(16);
         let mut m_batch = Machine::new();
-        let mut batch =
-            ShadowPool::with_batch(PoolConfig::default(), BatchConfig { enabled: true, ..BatchConfig::default() });
+        let mut batch = batched_with(BatchConfig { enabled: true, ..BatchConfig::default() });
         let p_batch = batch.create(16);
         for _ in 0..n {
             let a = legacy.alloc(&mut m_legacy, p_legacy, 16).unwrap();
@@ -924,10 +575,9 @@ mod tests {
 
     #[test]
     fn batched_epoch_defers_then_flushes() {
-        let batch =
-            BatchConfig { enabled: true, protect_epoch: Some(4), ..BatchConfig::default() };
+        let batch = BatchConfig { enabled: true, protect_epoch: Some(4) };
         let mut m = Machine::free_running();
-        let mut sp = ShadowPool::with_batch(PoolConfig::default(), batch);
+        let mut sp = batched_with(batch);
         let pp = sp.create(16);
         let ptrs: Vec<_> = (0..4).map(|_| sp.alloc(&mut m, pp, 16).unwrap()).collect();
         sp.free(&mut m, pp, ptrs[0]).unwrap();
@@ -1027,7 +677,8 @@ mod tests {
     }
 
     fn sampled(cfg: crate::SamplingConfig) -> (Machine, ShadowPool) {
-        let sp = ShadowPool::with_sampling(PoolConfig::default(), BatchConfig::default(), cfg);
+        let config = DetectorConfig { sampling: cfg, ..DetectorConfig::default() };
+        let sp = ShadowPool::for_shard(&config, 0);
         (Machine::free_running(), sp)
     }
 

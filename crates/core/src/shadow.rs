@@ -22,51 +22,18 @@
 //! to the unprotected program, while every use of a stale pointer faults in
 //! the MMU. Virtual pages are *never* reused, which is exactly why the pool
 //! variant ([`crate::ShadowPool`]) exists; the §3.4 threshold mitigation is
-//! available here as [`ShadowHeap::recycle_freed_pages`].
+//! available here as [`ShadowHeap::recycle_freed_pages`]. The mechanism itself
+//! lives in [`crate::protect`]; this module supplies the heap's canonical
+//! memory and the threshold recycling.
 
-use crate::diag::{DanglingReport, ObjectRegistry, SiteId, SiteTable};
-use crate::sampling::{self, SampleDecision, SamplingConfig, SamplingPolicy, SiteSafety};
-use dangle_heap::{header, AllocError, AllocStats, Allocator, SysHeap};
-use dangle_telemetry::{Category, TrapReport};
-use dangle_vmm::{Machine, PageNum, Protection, Trap, VirtAddr, PAGE_MASK};
-use std::collections::HashMap;
+use crate::diag::SiteId;
+use crate::protect::{merge_run, runs_overlap, BatchConfig, CanonicalMemory, Protector, SHADOW_WORD};
+use crate::sampling::SamplingConfig;
+use dangle_heap::{AllocError, AllocStats, Allocator, SysHeap};
+use dangle_telemetry::Category;
+use dangle_vmm::{Machine, PageNum, VirtAddr, PAGE_MASK};
 #[cfg(test)]
 use dangle_vmm::PAGE_SIZE;
-
-/// The hidden word prepended to every allocation (`sizeof(addr_t)`).
-pub const SHADOW_WORD: usize = 8;
-
-/// How many trailing ring events a [`TrapReport`] carries as context.
-pub const TRAP_CONTEXT_EVENTS: usize = 16;
-
-/// Configuration of the vectored-syscall (batched) protection path, shared
-/// by [`ShadowHeap`] and [`crate::ShadowPool`]. Off by default: the
-/// one-syscall-per-event path is the paper's §3.2 presentation and stays
-/// the reference that the differential tests compare against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Master switch for the batched path (extents + coalesced protects).
-    pub enabled: bool,
-    /// Upper bound on the pages a single shadow extent pre-aliases.
-    /// Extents grow demand-proven (2, 4, 8, ... up to this cap), so a
-    /// canonical page that only ever hosts one object never pays for an
-    /// extent at all.
-    pub extent_pages: usize,
-    /// `None` (the default): the protection of every free is flushed at
-    /// the end of that very `free` call, leaving the §3.2 detection window
-    /// unchanged. `Some(n)`: §3.4-style bounded window — protections are
-    /// coalesced across up to `n` frees and applied in one vectored
-    /// `mprotect`; a dangling use between a free and its flush goes
-    /// undetected (double frees are still caught — the detector flushes
-    /// before touching a hidden word on a pending page).
-    pub protect_epoch: Option<usize>,
-}
-
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        BatchConfig { enabled: false, extent_pages: 16, protect_epoch: None }
-    }
-}
 
 /// Configuration of a [`ShadowHeap`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -84,60 +51,90 @@ pub struct ShadowConfig {
     pub sampling: SamplingConfig,
 }
 
-/// A bump extent of shadow pages pre-aliased to one canonical page:
-/// objects packed into the same canonical page receive adjacent shadow
-/// pages at zero syscall cost. `left == 0` with a matching `canon` records
-/// *proven demand* without any pre-paid pages — the first allocation on a
-/// canonical page always goes through the plain single-alias path, and an
-/// extent is only built once a second allocation shows the page is being
-/// packed.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Extent {
-    /// Canonical page every page of this extent aliases.
-    pub canon: PageNum,
-    /// Next unconsumed shadow page.
-    pub next: PageNum,
-    /// Unconsumed pages remaining.
-    pub left: usize,
-    /// Size of the next extent built for `canon`: starts at 2 and doubles
-    /// each time an extent is fully consumed, capped at
-    /// [`BatchConfig::extent_pages`].
-    pub grow: usize,
+/// The canonical memory of a [`ShadowHeap`]: any [`Allocator`], plus the
+/// §3.4 recycled shadow runs.
+#[derive(Debug)]
+pub struct HeapMemory<A> {
+    inner: A,
+    recycle_threshold_pages: Option<u64>,
+    /// Shadow runs of freed objects, candidates for §3.4 recycling. Kept
+    /// sorted by base and coalesced incrementally at every free, so
+    /// recycling and batched re-mapping are O(runs), not O(frees).
+    freed_spans: Vec<(PageNum, usize)>,
+    /// Recycled shadow runs ready for reuse via `alias_fixed`, sorted and
+    /// coalesced like `freed_spans`.
+    recycled: Vec<(PageNum, usize)>,
 }
 
-/// Inserts the run `(base, len)` into `runs` — kept sorted by base and
-/// fully coalesced — merging with both neighbours when adjacent.
-pub(crate) fn merge_run(runs: &mut Vec<(PageNum, usize)>, base: PageNum, len: usize) {
-    if len == 0 {
-        return;
+impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
+    type Scope = ();
+    type Error = AllocError;
+    const ALLOC_SPAN: &'static str = "shadow.alloc";
+    const FREE_SPAN: &'static str = "shadow.free";
+    const FLUSH_SPAN: &'static str = "shadow.flush";
+    const SHADOW_PAGES_COUNTER: Option<&'static str> = Some("core.shadow_pages");
+
+    fn alloc(&mut self, machine: &mut Machine, _: (), size: usize) -> Result<VirtAddr, AllocError> {
+        self.inner.alloc(machine, size)
     }
-    let i = runs.partition_point(|&(b, _)| b < base);
-    let merges_prev = i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) == base;
-    let merges_next = i < runs.len() && base.add(len as u64) == runs[i].0;
-    match (merges_prev, merges_next) {
-        (true, true) => {
-            runs[i - 1].1 += len + runs[i].1;
-            runs.remove(i);
+
+    fn free(&mut self, machine: &mut Machine, _: (), addr: VirtAddr) -> Result<(), AllocError> {
+        self.inner.free(machine, addr)
+    }
+
+    fn size_of(&self, machine: &mut Machine, addr: VirtAddr) -> Result<usize, AllocError> {
+        self.inner.size_of(machine, addr)
+    }
+
+    /// Recycled runs serve single-page objects only; multi-page spans
+    /// always take a fresh `mremap` alias.
+    fn take_run(&mut self, pages: usize) -> Option<PageNum> {
+        if pages != 1 {
+            return None;
         }
-        (true, false) => runs[i - 1].1 += len,
-        (false, true) => {
-            runs[i].0 = base;
-            runs[i].1 += len;
+        self.take_run_capped(1).map(|(base, _)| base)
+    }
+
+    /// Takes up to `max` pages from the front of the top recycled run.
+    fn take_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)> {
+        let (base, len) = self.recycled.pop()?;
+        let take = len.min(max);
+        if take < len {
+            self.recycled.push((base.add(take as u64), len - take));
         }
-        (false, false) => runs.insert(i, (base, len)),
+        Some((base, take))
+    }
+
+    fn note_shadow_run(&mut self, machine: &mut Machine, _: PageNum, pages: usize, recycled: bool) {
+        if recycled {
+            machine.telemetry_mut().counter_add("core.shadow_pages_recycled", pages as u64);
+        }
+    }
+
+    fn note_freed(&mut self, _: (), base: PageNum, pages: usize) {
+        merge_run(&mut self.freed_spans, base, pages);
+    }
+
+    /// §3.4 threshold recycling: once virtual-page consumption crosses the
+    /// threshold and no recycled run is left, the freed shadow runs become
+    /// reusable.
+    fn before_alloc(core: &mut ShadowHeap<A>, machine: &mut Machine) -> Result<(), AllocError> {
+        let Some(threshold) = core.mem.recycle_threshold_pages else { return Ok(()) };
+        if machine.virt_pages_consumed() >= threshold && core.mem.recycled.is_empty() {
+            // Deferred protections must land before their pages can be
+            // recycled and re-aliased to live storage.
+            machine.span_enter("shadow.recycle", Category::PoolRecycling);
+            let flushed = core.flush_protects(machine);
+            core.recycle_freed_pages();
+            machine.span_exit();
+            flushed?;
+        }
+        Ok(())
     }
 }
 
-/// Whether `[base, base + len)` intersects any run of a sorted, disjoint
-/// run list. Disjointness makes checking the last run starting below the
-/// query's end sufficient.
-pub(crate) fn runs_overlap(runs: &[(PageNum, usize)], base: PageNum, len: usize) -> bool {
-    let end = base.add(len as u64);
-    let i = runs.partition_point(|&(b, _)| b < end);
-    i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) > base
-}
-
-/// The shadow-page dangling-pointer detector over an arbitrary allocator.
+/// The shadow-page dangling-pointer detector over an arbitrary allocator:
+/// a [`Protector`] over [`HeapMemory`].
 ///
 /// Implements [`Allocator`] itself, so it is a drop-in replacement: the
 /// paper's point is that this wrapping "can be directly applied on the
@@ -159,37 +156,7 @@ pub(crate) fn runs_overlap(runs: &[(PageNum, usize)], base: PageNum, len: usize)
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct ShadowHeap<A = SysHeap> {
-    inner: A,
-    config: ShadowConfig,
-    registry: ObjectRegistry,
-    sites: SiteTable,
-    stats: AllocStats,
-    /// Shadow runs of freed objects, candidates for §3.4 recycling. Kept
-    /// sorted by base and coalesced incrementally at every free, so
-    /// recycling and batched re-mapping are O(runs), not O(frees).
-    freed_spans: Vec<(PageNum, usize)>,
-    /// Recycled shadow runs ready for reuse via `alias_fixed`, sorted and
-    /// coalesced like `freed_spans`.
-    recycled: Vec<(PageNum, usize)>,
-    /// Bump extents of pre-aliased shadow pages, keyed by the underlying
-    /// allocator's size class (batched mode only). Size classes carve
-    /// canonical memory from distinct pages, so interleaved allocations of
-    /// different classes advance different canonical pages — one extent
-    /// per class keeps each stream amortising instead of thrashing.
-    extents: HashMap<usize, Extent>,
-    /// Protection runs deferred by [`BatchConfig::protect_epoch`], sorted
-    /// and coalesced (batched mode only; empty between frees in the
-    /// default eager mode).
-    pending_protect: Vec<(PageNum, usize)>,
-    /// Frees accumulated since the last protection flush.
-    pending_frees: usize,
-    /// Sampled-protection decision engine (inert unless
-    /// [`ShadowConfig::sampling`] enables it).
-    sampling: SamplingPolicy,
-    last_report: Option<DanglingReport>,
-}
+pub type ShadowHeap<A = SysHeap> = Protector<HeapMemory<A>>;
 
 impl<A: Allocator + Default> Default for ShadowHeap<A> {
     fn default() -> ShadowHeap<A> {
@@ -205,77 +172,13 @@ impl<A: Allocator> ShadowHeap<A> {
 
     /// Wraps `inner` with an explicit configuration.
     pub fn with_config(inner: A, config: ShadowConfig) -> ShadowHeap<A> {
-        ShadowHeap {
+        let mem = HeapMemory {
             inner,
-            config,
-            registry: ObjectRegistry::new(),
-            sites: SiteTable::new(),
-            stats: AllocStats::default(),
+            recycle_threshold_pages: config.recycle_threshold_pages,
             freed_spans: Vec::new(),
             recycled: Vec::new(),
-            extents: HashMap::new(),
-            pending_protect: Vec::new(),
-            pending_frees: 0,
-            sampling: SamplingPolicy::new(config.sampling),
-            last_report: None,
-        }
-    }
-
-    /// The sampled-protection configuration this detector runs with.
-    pub fn sampling_config(&self) -> SamplingConfig {
-        self.sampling.config()
-    }
-
-    /// The site table, for interning allocation/free site labels.
-    pub fn sites_mut(&mut self) -> &mut SiteTable {
-        &mut self.sites
-    }
-
-    /// The site table.
-    pub fn sites(&self) -> &SiteTable {
-        &self.sites
-    }
-
-    /// The most recent dangling-use report produced by a detector-internal
-    /// fault (i.e. a double free caught during [`ShadowHeap::free`]).
-    pub fn last_report(&self) -> Option<&DanglingReport> {
-        self.last_report.as_ref()
-    }
-
-    /// Attributes an MMU trap (from any load/store the program performed)
-    /// to the freed object it landed in, if the detector owns that page.
-    pub fn explain(&self, trap: &Trap) -> Option<DanglingReport> {
-        self.registry.explain(trap, false)
-    }
-
-    /// [`ShadowHeap::explain`], but producing the structured JSON-ready
-    /// [`TrapReport`] with the machine's trailing event-ring context.
-    pub fn trap_report(
-        &self,
-        machine: &Machine,
-        trap: &Trap,
-        use_site: &str,
-    ) -> Option<TrapReport> {
-        let report = self.explain(trap)?;
-        Some(report.to_telemetry(&self.sites, machine, use_site, TRAP_CONTEXT_EVENTS, &self.registry))
-    }
-
-    /// The object record owning `addr`, if tracked.
-    pub fn object_at(&self, addr: VirtAddr) -> Option<&crate::diag::ObjectRecord> {
-        self.registry.lookup(addr)
-    }
-
-    /// The canonical address of the live object at `addr` (debugger-style
-    /// peek; no charge, no trap).
-    pub fn canonical_of(&self, machine: &Machine, addr: VirtAddr) -> Option<VirtAddr> {
-        let hidden = addr.sub(SHADOW_WORD as u64);
-        let canon_page = machine.peek_u64(hidden)?;
-        if canon_page & PAGE_MASK != 0 {
-            return None;
-        }
-        Some(VirtAddr(canon_page
-            + hidden.offset() as u64
-            + SHADOW_WORD as u64))
+        };
+        Protector::with_memory(mem, config.batch, config.sampling)
     }
 
     /// Allocates `size` bytes, tagging the allocation with `site` for
@@ -289,88 +192,7 @@ impl<A: Allocator> ShadowHeap<A> {
         size: usize,
         site: SiteId,
     ) -> Result<VirtAddr, AllocError> {
-        machine.span_enter("shadow.alloc", Category::DetectorMetadata);
-        let r = self.alloc_at_inner(machine, size, site);
-        machine.span_exit();
-        r
-    }
-
-    fn alloc_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        site: SiteId,
-    ) -> Result<VirtAddr, AllocError> {
-        // Sampled protection (inert by default). The decision is host-side
-        // only — no simulated cycles — so with N = 1 the run is
-        // byte-identical to the unsampled detector. Counters track
-        // *allocation decisions*; the free path routes silently.
-        let sampled = if self.sampling.enabled() {
-            let class = header::class_index(size).unwrap_or(usize::MAX);
-            match self.sampling.decide(site, SiteSafety::Unknown, class) {
-                SampleDecision::Protect { sampled } => {
-                    machine.telemetry_mut().counter_add(sampling::COUNTER_PROTECTED, 1);
-                    sampled
-                }
-                SampleDecision::Skip { budget_exhausted } => {
-                    let t = machine.telemetry_mut();
-                    t.counter_add(sampling::COUNTER_SKIPPED, 1);
-                    if budget_exhausted {
-                        t.counter_add(sampling::COUNTER_BUDGET_EXHAUSTED, 1);
-                    }
-                    return self.inner.alloc(machine, size);
-                }
-            }
-        } else {
-            false
-        };
-        if let Some(threshold) = self.config.recycle_threshold_pages {
-            if machine.virt_pages_consumed() >= threshold && self.recycled.is_empty() {
-                // Deferred protections must land before their pages can be
-                // recycled and re-aliased to live storage.
-                machine.span_enter("shadow.recycle", Category::PoolRecycling);
-                let flushed = self.flush_protects(machine);
-                self.recycle_freed_pages();
-                machine.span_exit();
-                flushed?;
-            }
-        }
-        let total = size.checked_add(SHADOW_WORD).ok_or(AllocError::TooLarge { size })?;
-        let canon = self.inner.alloc(machine, total)?;
-        let span = canon.span_pages(total);
-        let canon_page = canon.page();
-        // Prefer a recycled shadow page (§3.4) for single-page objects.
-        let shadow_base = if span == 1 {
-            if self.config.batch.enabled {
-                let class = header::class_index(total).unwrap_or(usize::MAX);
-                self.extent_page(machine, canon_page, class)?
-            } else {
-                match self.pop_recycled_page() {
-                    Some(pg) => {
-                        machine.alias_fixed(canon_page.base(), pg.base(), 1)?;
-                        machine.telemetry_mut().counter_add("core.shadow_pages_recycled", 1);
-                        pg.base()
-                    }
-                    None => machine.mremap_alias(canon_page.base(), span)?,
-                }
-            }
-        } else {
-            machine.mremap_alias(canon_page.base(), span)?
-        };
-        machine.telemetry_mut().counter_add("core.shadow_pages", span as u64);
-        let shadow_hidden = shadow_base.add(canon.offset() as u64);
-        machine.store_u64(shadow_hidden, canon_page.base().raw())?;
-        let user = shadow_hidden.add(SHADOW_WORD as u64);
-        self.registry.insert_range(user, size, site, shadow_base.page(), span);
-        if sampled {
-            self.registry.note_sampled(true);
-        }
-        if !machine.telemetry().call_stack().is_empty() {
-            let stack = machine.telemetry().call_stack().to_vec();
-            self.registry.note_alloc_stack(&stack);
-        }
-        self.stats.note_alloc(size);
-        Ok(user)
+        self.alloc_in(machine, (), size, site)
     }
 
     /// Frees the allocation at `addr`, tagging the free with `site`.
@@ -378,7 +200,7 @@ impl<A: Allocator> ShadowHeap<A> {
     /// # Errors
     /// A double free surfaces as [`AllocError::Trap`] (the detector's own
     /// read of the hidden word faults on the protected page); the
-    /// corresponding report is retrievable via [`ShadowHeap::last_report`].
+    /// corresponding report is retrievable via [`Protector::last_report`].
     /// A wild pointer surfaces as [`AllocError::InvalidFree`].
     pub fn free_at(
         &mut self,
@@ -386,79 +208,13 @@ impl<A: Allocator> ShadowHeap<A> {
         addr: VirtAddr,
         site: SiteId,
     ) -> Result<(), AllocError> {
-        machine.span_enter("shadow.free", Category::DetectorMetadata);
-        let r = self.free_at_inner(machine, addr, site);
-        machine.span_exit();
-        r
-    }
-
-    fn free_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        site: SiteId,
-    ) -> Result<(), AllocError> {
-        if addr.raw() < SHADOW_WORD as u64 {
-            return Err(AllocError::InvalidFree { addr });
-        }
-        // Sampled mode routes frees by provenance: protected objects live
-        // at registered shadow addresses, unsampled ones at canonical
-        // addresses the registry has never seen — a miss is the unchecked
-        // fast path (the inner allocator's header check still catches
-        // double frees of unsampled objects as `InvalidFree`). The null
-        // guard above runs first so degenerate frees cost the same cycles
-        // as in the unsampled detector.
-        if self.sampling.enabled() && self.registry.lookup(addr).is_none() {
-            return self.inner.free(machine, addr);
-        }
-        let hidden = addr.sub(SHADOW_WORD as u64);
-        // An epoch-deferred protection makes the hidden word of an
-        // already-freed object readable again; flushing first restores the
-        // §3.2 guarantee that the read below traps on a double free.
-        if runs_overlap(&self.pending_protect, hidden.page(), 1) {
-            self.flush_protects(machine)?;
-        }
-        // §3.2: "this read operation will cause a run-time error if the
-        // object has already been freed".
-        let canon_page = match machine.load_u64(hidden) {
-            Ok(w) => w,
-            Err(trap) => {
-                self.last_report = self.registry.explain(&trap, true);
-                return Err(trap.into());
-            }
-        };
-        if canon_page & PAGE_MASK != 0 || canon_page == 0 {
-            return Err(AllocError::InvalidFree { addr });
-        }
-        let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
-        let total = self.inner.size_of(machine, canon_hidden)?;
-        let span = hidden.span_pages(total);
-        if self.config.batch.enabled {
-            merge_run(&mut self.pending_protect, hidden.page(), span);
-            self.pending_frees += 1;
-            if self.pending_frees >= self.config.batch.protect_epoch.unwrap_or(1) {
-                self.flush_protects(machine)?;
-            }
-        } else {
-            machine.mprotect(hidden.page().base(), span, Protection::None)?;
-        }
-        machine.telemetry_mut().counter_add("core.pages_protected", span as u64);
-        self.inner.free(machine, canon_hidden)?;
-        let stack = machine.telemetry().call_stack().to_vec();
-        self.registry.mark_freed_traced(addr, site, &stack);
-        merge_run(&mut self.freed_spans, hidden.page(), span);
-        self.stats.note_free(total - SHADOW_WORD);
-        Ok(())
+        self.free_in(machine, (), addr, site)
     }
 
     /// Allocates `size` bytes **without** shadow protection, for a site the
-    /// static free-site analysis (dangle-lint) proved `ProvablySafe`: no
-    /// shadow alias is created, no hidden word is written, and the object is
-    /// never entered into the registry. The returned address is the inner
-    /// allocator's canonical address and must be released through
-    /// [`ShadowHeap::free_unchecked`] (the lint pass stamps whole alias
-    /// classes, so checked and unchecked pointers never reach the same
-    /// free site).
+    /// static free-site analysis (dangle-lint) proved `ProvablySafe`. The
+    /// returned canonical address must be released through
+    /// [`ShadowHeap::free_unchecked`].
     ///
     /// # Errors
     /// As for [`Allocator::alloc`].
@@ -467,8 +223,7 @@ impl<A: Allocator> ShadowHeap<A> {
         machine: &mut Machine,
         size: usize,
     ) -> Result<VirtAddr, AllocError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.inner.alloc(machine, size)
+        self.alloc_unchecked_in(machine, (), size)
     }
 
     /// Frees an allocation made by [`ShadowHeap::alloc_unchecked`]: straight
@@ -481,191 +236,36 @@ impl<A: Allocator> ShadowHeap<A> {
         machine: &mut Machine,
         addr: VirtAddr,
     ) -> Result<(), AllocError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.inner.free(machine, addr)
+        self.free_unchecked_in(machine, (), addr)
     }
 
     /// §3.4 solution 1: hands the shadow runs of *freed* objects back for
     /// reuse, surrendering the detection guarantee for pointers into them.
     /// Runs whose protection is still pending (epoch mode) stay back until
     /// flushed. Returns the number of pages made reusable. The incremental
-    /// sorting of `freed_spans` makes this O(runs), not O(frees).
+    /// sorting of the freed runs makes this O(runs), not O(frees).
     pub fn recycle_freed_pages(&mut self) -> usize {
         let mut n = 0;
-        let spans = std::mem::take(&mut self.freed_spans);
-        for (base, span) in spans {
+        for (base, span) in std::mem::take(&mut self.mem.freed_spans) {
             if runs_overlap(&self.pending_protect, base, span) {
-                merge_run(&mut self.freed_spans, base, span);
+                merge_run(&mut self.mem.freed_spans, base, span);
                 continue;
             }
             self.registry.forget_range(base, span);
             n += span;
-            merge_run(&mut self.recycled, base, span);
+            merge_run(&mut self.mem.recycled, base, span);
         }
         n
     }
 
     /// Number of recycled shadow pages currently available for reuse.
     pub fn recycled_available(&self) -> usize {
-        self.recycled.iter().map(|&(_, len)| len).sum()
-    }
-
-    /// Takes one page off the recycled runs (from the top run's front).
-    fn pop_recycled_page(&mut self) -> Option<PageNum> {
-        let (base, len) = self.recycled.last_mut()?;
-        let pg = *base;
-        if *len == 1 {
-            self.recycled.pop();
-        } else {
-            *base = base.add(1);
-            *len -= 1;
-        }
-        Some(pg)
-    }
-
-    /// Batched-mode shadow page for a single-page object on `canon`:
-    /// consumes the size class's extent when it matches, re-points a stale
-    /// leftover run in one vectored call, builds a new extent once demand
-    /// on `canon` is proven, and otherwise falls back to a plain single
-    /// alias at exactly the legacy cost.
-    fn extent_page(
-        &mut self,
-        machine: &mut Machine,
-        canon: PageNum,
-        class: usize,
-    ) -> Result<VirtAddr, AllocError> {
-        let cap = self.config.batch.extent_pages.max(2);
-        match self.extents.get(&class).copied() {
-            // Hit: a pre-aliased page, zero syscalls.
-            Some(mut ext) if ext.canon == canon && ext.left > 0 => {
-                let page = ext.next;
-                ext.next = ext.next.add(1);
-                ext.left -= 1;
-                if ext.left == 0 {
-                    ext.grow = (ext.grow * 2).min(cap);
-                }
-                self.extents.insert(class, ext);
-                machine.telemetry_mut().counter_add("shadow.extent_hits", 1);
-                Ok(page.base())
-            }
-            // Demand proven: a second allocation landed on `canon`.
-            Some(ext) if ext.canon == canon => {
-                let (base, got) = self.build_extent(machine, canon, ext.grow.clamp(2, cap))?;
-                self.extents.insert(
-                    class,
-                    Extent { canon, next: base.add(1), left: got - 1, grow: ext.grow },
-                );
-                Ok(base.base())
-            }
-            // Stale leftover from another canonical page of this class:
-            // re-point the whole run at `canon` — the pages are already
-            // ours, so this recovers their VA for one vectored crossing.
-            Some(ext) if ext.left > 0 => {
-                if ext.left == 1 {
-                    machine.alias_fixed(canon.base(), ext.next.base(), 1)?;
-                } else {
-                    let entries: Vec<_> = (0..ext.left as u64)
-                        .map(|i| (canon.base(), ext.next.add(i).base(), 1usize))
-                        .collect();
-                    machine.alias_fixed_batch(&entries)?;
-                }
-                machine.telemetry_mut().counter_add("shadow.extent_repoints", 1);
-                self.extents.insert(
-                    class,
-                    Extent { canon, next: ext.next.add(1), left: ext.left - 1, grow: ext.grow },
-                );
-                Ok(ext.next.base())
-            }
-            // First touch of `canon`: plain alias at legacy cost, plus a
-            // zero-page demand marker.
-            other => {
-                let grow = other.map_or(2, |e| e.grow);
-                let base = match self.pop_recycled_page() {
-                    Some(pg) => {
-                        machine.alias_fixed(canon.base(), pg.base(), 1)?;
-                        machine
-                            .telemetry_mut()
-                            .counter_add("core.shadow_pages_recycled", 1);
-                        pg.base()
-                    }
-                    None => machine.mremap_alias(canon.base(), 1)?,
-                };
-                self.extents.insert(class, Extent { canon, next: PageNum(0), left: 0, grow });
-                Ok(base)
-            }
-        }
-    }
-
-    /// Builds a `want`-page extent aliasing `canon`: a recycled shadow run
-    /// is re-pointed with one vectored call, otherwise fresh contiguous
-    /// aliases come from one vectored `mremap`. Returns the first page and
-    /// the number of pages actually built.
-    fn build_extent(
-        &mut self,
-        machine: &mut Machine,
-        canon: PageNum,
-        want: usize,
-    ) -> Result<(PageNum, usize), AllocError> {
-        if let Some((rbase, rlen)) = self.recycled.pop() {
-            let take = rlen.min(want);
-            if take < rlen {
-                self.recycled.push((rbase.add(take as u64), rlen - take));
-            }
-            if take == 1 {
-                machine.alias_fixed(canon.base(), rbase.base(), 1)?;
-            } else {
-                let entries: Vec<_> = (0..take as u64)
-                    .map(|i| (canon.base(), rbase.add(i).base(), 1usize))
-                    .collect();
-                machine.alias_fixed_batch(&entries)?;
-            }
-            machine
-                .telemetry_mut()
-                .counter_add("core.shadow_pages_recycled", take as u64);
-            Ok((rbase, take))
-        } else {
-            let ranges = vec![(canon.base(), 1usize); want];
-            let aliases = machine.mremap_alias_batch(&ranges)?;
-            Ok((aliases[0].page(), want))
-        }
-    }
-
-    /// Applies every pending deferred protection (see
-    /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a single
-    /// run — the same cost the legacy per-free call pays — or one vectored
-    /// `mprotect` for several. A no-op when nothing is pending; the
-    /// default eager mode calls this at the end of every
-    /// [`ShadowHeap::free_at`].
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        self.pending_frees = 0;
-        if self.pending_protect.is_empty() {
-            return Ok(());
-        }
-        machine.span_enter("shadow.flush", Category::DetectorMetadata);
-        let r = self.flush_protects_inner(machine);
-        machine.span_exit();
-        r
-    }
-
-    fn flush_protects_inner(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        let runs = std::mem::take(&mut self.pending_protect);
-        if let [(base, span)] = runs[..] {
-            machine.mprotect(base.base(), span, Protection::None)?;
-        } else {
-            let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
-            machine.mprotect_batch(&ranges, Protection::None)?;
-        }
-        let t = machine.telemetry_mut();
-        t.counter_add("shadow.protect_runs", runs.len() as u64);
-        for &(_, s) in &runs {
-            t.observe("shadow.run_len", s as u64);
-        }
-        Ok(())
+        self.mem.recycled.iter().map(|&(_, len)| len).sum()
     }
 
     /// The wrapped allocator.
     pub fn inner(&self) -> &A {
-        &self.inner
+        &self.mem.inner
     }
 }
 
@@ -685,7 +285,7 @@ impl<A: Allocator> Allocator for ShadowHeap<A> {
             return Err(AllocError::InvalidFree { addr });
         }
         let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
-        Ok(self.inner.size_of(machine, canon_hidden)? - SHADOW_WORD)
+        Ok(self.mem.inner.size_of(machine, canon_hidden)? - SHADOW_WORD)
     }
 
     fn name(&self) -> &'static str {
@@ -693,7 +293,7 @@ impl<A: Allocator> Allocator for ShadowHeap<A> {
     }
 
     fn stats(&self) -> AllocStats {
-        self.stats
+        Protector::stats(self)
     }
 }
 
@@ -738,7 +338,7 @@ mod tests {
 
     #[test]
     fn trap_report_serializes_with_event_context() {
-        use dangle_telemetry::{EventKind, Json};
+        use dangle_telemetry::{EventKind, Json, TrapReport};
         let (mut m, mut h) = setup();
         let site_a = h.sites_mut().intern("parse_header:malloc");
         let site_f = h.sites_mut().intern("reset_session:free");
@@ -1012,11 +612,7 @@ mod tests {
     #[test]
     fn epoch_mode_defers_then_flushes_and_catches_double_free() {
         let cfg = ShadowConfig {
-            batch: BatchConfig {
-                enabled: true,
-                protect_epoch: Some(4),
-                ..BatchConfig::default()
-            },
+            batch: BatchConfig { enabled: true, protect_epoch: Some(4) },
             ..ShadowConfig::default()
         };
         let mut m = Machine::free_running();
@@ -1068,20 +664,6 @@ mod tests {
             m.virt_pages_consumed()
         );
         assert!(m.telemetry().counter("core.shadow_pages_recycled") > 0);
-    }
-
-    #[test]
-    fn freed_spans_stay_sorted_and_coalesced() {
-        let mut runs: Vec<(PageNum, usize)> = Vec::new();
-        merge_run(&mut runs, PageNum(10), 2);
-        merge_run(&mut runs, PageNum(20), 1);
-        merge_run(&mut runs, PageNum(12), 3); // merges below
-        merge_run(&mut runs, PageNum(15), 5); // bridges to 20
-        assert_eq!(runs, vec![(PageNum(10), 11)]);
-        assert!(runs_overlap(&runs, PageNum(20), 1));
-        assert!(!runs_overlap(&runs, PageNum(21), 4));
-        assert!(!runs_overlap(&runs, PageNum(5), 5));
-        assert!(runs_overlap(&runs, PageNum(5), 6));
     }
 
     #[test]

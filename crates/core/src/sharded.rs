@@ -25,15 +25,15 @@
 //!   private read-write with a translation that never changes, so no core
 //!   holds a stale translation for it when another shard re-maps it.
 //!
-//! With a single shard the composition is **byte-identical** to a plain
-//! [`ShadowPool`]: handles coincide with shard-local pool ids, the epoch
-//! machinery is never engaged, and every call is a direct delegation.
+//! With a single shard — the default — the composition is a plain
+//! [`ShadowPool`] behind a router: handles are the shard's own pool ids,
+//! the epoch machinery is never engaged, and every call is a direct
+//! delegation.
 
-use crate::diag::{DanglingReport, SiteId, SiteTable};
+use crate::diag::{DanglingReport, ObjectRecord, SiteId};
 use crate::pool_shadow::ShadowPool;
+use crate::protect::BatchConfig;
 use crate::sampling::SamplingConfig;
-use crate::shadow::BatchConfig;
-use dangle_heap::AllocStats;
 use dangle_pool::{PoolConfig, PoolError, PoolId};
 use dangle_telemetry::TrapReport;
 use dangle_vmm::{Machine, PageNum, Trap, VirtAddr};
@@ -138,6 +138,36 @@ impl EpochFreeList {
 /// surplus into the epoch list, and the level adoption refills towards.
 const SHARD_FREE_WATERMARK: usize = 32;
 
+/// Configuration of the pool-based detector: [`ShardedShadowPool`], and
+/// through it the interpreter's `ShadowPoolBackend`. The default is the
+/// paper's configuration on one shard: page reuse on, no batching, no
+/// sampling.
+#[derive(Clone, Copy, Debug)]
+pub struct DetectorConfig {
+    /// The pool runtime of every shard.
+    pub pool: PoolConfig,
+    /// Vectored-syscall batching in every shard (see [`BatchConfig`]).
+    pub batch: BatchConfig,
+    /// Sampled protection (see [`SamplingConfig`]). Every shard runs its
+    /// own policy — per-shard RNG and budgets, so the hot paths stay
+    /// contention-free; shard `i` draws from
+    /// [`SamplingConfig::for_shard`]`(i)`.
+    pub sampling: SamplingConfig,
+    /// Number of detector shards, at least one.
+    pub shards: usize,
+}
+
+impl Default for DetectorConfig {
+    fn default() -> DetectorConfig {
+        DetectorConfig {
+            pool: PoolConfig::default(),
+            batch: BatchConfig::default(),
+            sampling: SamplingConfig::default(),
+            shards: 1,
+        }
+    }
+}
+
 /// The sharded pool-based detector. See the [module docs](self).
 ///
 /// ```rust
@@ -159,65 +189,38 @@ const SHARD_FREE_WATERMARK: usize = 32;
 #[derive(Debug)]
 pub struct ShardedShadowPool {
     shards: Vec<ShadowPool>,
-    /// Public handle -> (owning shard, shard-local pool id). With one
-    /// shard the handle and the local id coincide by construction: both
-    /// count up from zero in creation order.
+    /// Public handle -> (owning shard, shard-local pool id), kept only with
+    /// more than one shard. With one shard a handle is the shard's own pool
+    /// id, so a long-running server holds no table entry per dead pool.
     handles: Vec<(usize, PoolId)>,
     epoch: EpochFreeList,
     /// Shard that served the most recent routed operation, so
-    /// [`ShardedShadowPool::last_report`] reads the right registry.
+    /// [`ShardedShadowPool::render_last_report`] reads the right registry.
     last_shard: usize,
+}
+
+impl Default for ShardedShadowPool {
+    fn default() -> ShardedShadowPool {
+        ShardedShadowPool::with_config(DetectorConfig::default())
+    }
 }
 
 impl ShardedShadowPool {
     /// A sharded detector with `shards` shards and default configuration.
     pub fn new(shards: usize) -> ShardedShadowPool {
-        ShardedShadowPool::with_batch(shards, PoolConfig::default(), BatchConfig::default())
+        ShardedShadowPool::with_config(DetectorConfig { shards, ..DetectorConfig::default() })
     }
 
-    /// A sharded detector with an explicit pool configuration.
-    pub fn with_config(shards: usize, config: PoolConfig) -> ShardedShadowPool {
-        ShardedShadowPool::with_batch(shards, config, BatchConfig::default())
-    }
-
-    /// A sharded detector with explicit pool and batching configurations
-    /// (every shard gets the same ones).
-    pub fn with_batch(shards: usize, config: PoolConfig, batch: BatchConfig) -> ShardedShadowPool {
-        assert!(shards >= 1, "a sharded detector needs at least one shard");
+    /// A sharded detector with an explicit configuration (every shard gets
+    /// the same one, sampling seeds aside).
+    pub fn with_config(config: DetectorConfig) -> ShardedShadowPool {
+        assert!(config.shards >= 1, "a sharded detector needs at least one shard");
         ShardedShadowPool {
-            shards: (0..shards).map(|_| ShadowPool::with_batch(config, batch)).collect(),
+            shards: (0..config.shards).map(|i| ShadowPool::for_shard(&config, i)).collect(),
             handles: Vec::new(),
-            epoch: EpochFreeList::new(shards),
+            epoch: EpochFreeList::new(config.shards),
             last_shard: 0,
         }
-    }
-
-    /// A sharded detector with sampled protection: every shard runs its own
-    /// [`crate::SamplingPolicy`] — per-shard RNG and budgets, so the hot
-    /// paths stay contention-free. Shard `i` draws from
-    /// [`SamplingConfig::for_shard`]`(i)`; shard 0 keeps the base seed, which
-    /// is what makes a 1-shard sampled detector byte-identical to a plain
-    /// [`ShadowPool::with_sampling`].
-    pub fn with_sampling(
-        shards: usize,
-        config: PoolConfig,
-        batch: BatchConfig,
-        sampling: SamplingConfig,
-    ) -> ShardedShadowPool {
-        assert!(shards >= 1, "a sharded detector needs at least one shard");
-        ShardedShadowPool {
-            shards: (0..shards)
-                .map(|i| ShadowPool::with_sampling(config, batch, sampling.for_shard(i)))
-                .collect(),
-            handles: Vec::new(),
-            epoch: EpochFreeList::new(shards),
-            last_shard: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// One shard's detector (read-only, for stats and tests).
@@ -231,6 +234,9 @@ impl ShardedShadowPool {
     }
 
     fn route(&self, handle: PoolId) -> Result<(usize, PoolId), PoolError> {
+        if self.shards.len() == 1 {
+            return Ok((0, handle));
+        }
         self.handles.get(handle.0 as usize).copied().ok_or(PoolError::Unknown(handle))
     }
 
@@ -241,14 +247,15 @@ impl ShardedShadowPool {
     /// announced and any runs past their grace period are adopted into the
     /// shard's free list (multi-shard only).
     pub fn create(&mut self, machine: &Machine, elem_hint: usize) -> PoolId {
+        if self.shards.len() == 1 {
+            return self.shards[0].create(elem_hint);
+        }
         let shard = machine.active_core() % self.shards.len();
-        if self.shards.len() > 1 {
-            self.epoch.quiesce(machine.active_core());
-            while self.shards[shard].pools().free_page_count() < SHARD_FREE_WATERMARK {
-                match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
-                    Some((base, pages)) => self.shards[shard].adopt_free_run(base, pages),
-                    None => break,
-                }
+        self.epoch.quiesce(machine.active_core());
+        while self.shards[shard].pools().free_page_count() < SHARD_FREE_WATERMARK {
+            match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
+                Some((base, pages)) => self.shards[shard].adopt_free_run(base, pages),
+                None => break,
             }
         }
         let local = self.shards[shard].create(elem_hint);
@@ -373,21 +380,16 @@ impl ShardedShadowPool {
         Ok(())
     }
 
-    /// Flushes deferred protection batches on every shard.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::flush_protects`].
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        for shard in &mut self.shards {
-            shard.flush_protects(machine)?;
-        }
-        Ok(())
-    }
-
     /// Explains a trap by asking each shard's registry; page-range
     /// ownership guarantees at most one shard knows the faulting page.
     pub fn explain(&self, trap: &Trap) -> Option<DanglingReport> {
         self.shards.iter().find_map(|s| s.explain(trap))
+    }
+
+    /// The object record owning `addr`, from whichever shard's registry
+    /// knows its page.
+    pub fn object_at(&self, addr: VirtAddr) -> Option<&ObjectRecord> {
+        self.shards.iter().find_map(|s| s.object_at(addr))
     }
 
     /// Explains a trap and renders it with the owning shard's site table.
@@ -408,37 +410,12 @@ impl ShardedShadowPool {
         self.shards.iter().find_map(|s| s.trap_report(machine, trap, use_site))
     }
 
-    /// The most recent report on the shard that served the last routed
-    /// operation (mirrors [`ShadowPool::last_report`] for the backend's
-    /// free-error path).
-    pub fn last_report(&self) -> Option<&DanglingReport> {
-        self.shards[self.last_shard].last_report()
-    }
-
-    /// [`ShardedShadowPool::last_report`] rendered with the owning shard's
-    /// site table.
+    /// The most recent detector-internal report (a double free) on the
+    /// shard that served the last routed operation, rendered with that
+    /// shard's site table — the backend's free-error path.
     pub fn render_last_report(&self) -> Option<String> {
         let shard = &self.shards[self.last_shard];
         shard.last_report().map(|r| r.render(shard.sites()))
-    }
-
-    /// The site table of the shard that served the last routed operation.
-    pub fn sites(&self) -> &SiteTable {
-        self.shards[self.last_shard].sites()
-    }
-
-    /// Allocation counters summed over every shard.
-    pub fn stats(&self) -> AllocStats {
-        let mut total = AllocStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.allocs += st.allocs;
-            total.frees += st.frees;
-            total.live_objects += st.live_objects;
-            total.live_bytes += st.live_bytes;
-            total.peak_live_bytes += st.peak_live_bytes;
-        }
-        total
     }
 }
 

@@ -11,8 +11,7 @@
 //! | [`NativeBackend`] | plain `malloc` | native / LLVM base |
 //! | [`PoolBackend`] | Automatic Pool Allocation only | PA |
 //! | [`PoolBackend::with_dummy_syscalls`] | PA + no-op kernel crossings | PA + dummy syscalls |
-//! | [`ShadowPoolBackend`] | **the paper's approach** | Our approach |
-//! | [`ShardedPoolBackend`] | the approach sharded per core | — (multi-core) |
+//! | [`ShadowPoolBackend`] | **the paper's approach** (sharded per core when configured) | Our approach |
 //! | [`ArenaBackend`] | per-core `malloc` arenas, no detector | — (multi-core native) |
 //! | [`ShadowBackend`] | Insight 1 only (no pools, no VA reuse) | — (debug mode) |
 //! | [`EFenceBackend`] | Electric Fence | §5.3 comparison |
@@ -20,9 +19,7 @@
 //! | [`CapabilityBackend`] | SafeC/Xu-style | §5.2 comparison |
 
 use dangle_baselines::{CapabilityChecker, CheckError, CheckedMemory, EFence, Memcheck};
-use dangle_core::{
-    BatchConfig, SamplingConfig, ShadowConfig, ShadowHeap, ShadowPool, ShardedShadowPool,
-};
+use dangle_core::{DetectorConfig, ShadowConfig, ShadowHeap, ShardedShadowPool};
 use dangle_heap::{AllocError, Allocator, ArenaHeap, SysHeap};
 use dangle_pool::{PoolError, PoolId, PoolSet};
 use dangle_telemetry::EventKind;
@@ -574,27 +571,10 @@ impl ShadowBackend {
         ShadowBackend::default()
     }
 
-    /// Creates the backend with vectored-syscall batching (shadow extents
-    /// and coalesced protects; see [`BatchConfig`]).
-    pub fn with_batching(batch: BatchConfig) -> ShadowBackend {
-        ShadowBackend {
-            heap: ShadowHeap::with_config(
-                SysHeap::new(),
-                ShadowConfig { batch, ..ShadowConfig::default() },
-            ),
-        }
-    }
-
-    /// Creates the backend with GWP-ASan-style sampled protection: 1-in-N
-    /// allocations get the full shadow alias, the rest take the unchecked
-    /// fast path (see [`SamplingConfig`]).
-    pub fn with_sampling(sampling: SamplingConfig) -> ShadowBackend {
-        ShadowBackend {
-            heap: ShadowHeap::with_config(
-                SysHeap::new(),
-                ShadowConfig { sampling, ..ShadowConfig::default() },
-            ),
-        }
+    /// Creates the backend with an explicit detector configuration
+    /// (batching, sampling, §3.4 threshold recycling).
+    pub fn with_config(config: ShadowConfig) -> ShadowBackend {
+        ShadowBackend { heap: ShadowHeap::with_config(SysHeap::new(), config) }
     }
 
     /// The detector (for diagnostics and stats).
@@ -704,216 +684,29 @@ impl Backend for ShadowBackend {
 
 /// The paper's production configuration: shadow pages within Automatic Pool
 /// Allocation pools, with full virtual-address recycling at `pooldestroy`.
+/// The detector is a [`ShardedShadowPool`]: one shard unless configured,
+/// and on more, pools owned by the shard of the creating core, traps
+/// explained by page-range ownership and destroyed pages crossing shards
+/// through an epoch-based free list (see [`dangle_core::sharded`]).
 #[derive(Debug, Default)]
 pub struct ShadowPoolBackend {
-    detector: ShadowPool,
-    global_pool: Option<PoolId>,
-}
-
-impl ShadowPoolBackend {
-    /// Creates the backend.
-    pub fn new() -> ShadowPoolBackend {
-        ShadowPoolBackend::default()
-    }
-
-    /// Creates the backend with an explicit pool configuration (e.g. the
-    /// shared page free list disabled, for ablations).
-    pub fn with_pool_config(config: dangle_pool::PoolConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend { detector: ShadowPool::with_config(config), global_pool: None }
-    }
-
-    /// Creates the backend with vectored-syscall batching (per-pool shadow
-    /// extents and coalesced protects; see [`BatchConfig`]).
-    pub fn with_batching(batch: BatchConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend {
-            detector: ShadowPool::with_batch(dangle_pool::PoolConfig::default(), batch),
-            global_pool: None,
-        }
-    }
-
-    /// Creates the backend with GWP-ASan-style sampled protection: 1-in-N
-    /// allocations get the full shadow alias, the rest take the unchecked
-    /// fast path (see [`SamplingConfig`]).
-    pub fn with_sampling(sampling: SamplingConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend {
-            detector: ShadowPool::with_sampling(
-                dangle_pool::PoolConfig::default(),
-                BatchConfig::default(),
-                sampling,
-            ),
-            global_pool: None,
-        }
-    }
-
-    /// The detector (for diagnostics and stats).
-    pub fn detector(&self) -> &ShadowPool {
-        &self.detector
-    }
-
-    fn pool_or_global(&mut self, pool: Option<PoolHandle>) -> PoolId {
-        match pool {
-            Some(h) => PoolId(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.detector.create(0));
-                }
-                self.global_pool.expect("just created")
-            }
-        }
-    }
-}
-
-impl Backend for ShadowPoolBackend {
-    fn name(&self) -> &'static str {
-        "shadow-pool"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.alloc(machine, p, size).map_err(from_pool)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.free(machine, p, addr).map_err(|e| match e {
-            PoolError::Alloc(AllocError::Trap(trap)) => BackendError::Trap {
-                trap,
-                report: self
-                    .detector
-                    .last_report()
-                    .map(|r| r.render(self.detector.sites())),
-            },
-            other => from_pool(other),
-        })
-    }
-
-    fn alloc_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.alloc_unchecked(machine, p, size).map_err(from_pool)
-    }
-
-    fn free_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.free_unchecked(machine, p, addr).map_err(from_pool)
-    }
-
-    fn pool_create(
-        &mut self,
-        machine: &mut Machine,
-        elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        machine.note_event(VirtAddr::NULL, EventKind::PoolCreate);
-        Ok(self.detector.create(elem_hint).0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        self.detector.destroy(machine, PoolId(pool)).map_err(from_pool)
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
-
-    fn explain(&self, trap: &Trap) -> Option<String> {
-        self.detector.explain(trap).map(|r| r.render(self.detector.sites()))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded shadow pool (the full approach, one detector shard per core).
-// ---------------------------------------------------------------------
-
-/// The paper's approach sharded across the machine's cores: pools are
-/// owned by the shard of the creating core, traps are explained by
-/// page-range ownership, and destroyed pages cross shards through an
-/// epoch-based free list (see [`dangle_core::sharded`]). With one shard
-/// on a one-core machine this is byte-identical to [`ShadowPoolBackend`].
-#[derive(Debug)]
-pub struct ShardedPoolBackend {
     detector: ShardedShadowPool,
     global_pool: Option<PoolId>,
 }
 
-impl ShardedPoolBackend {
-    /// Creates the backend with `shards` detector shards.
-    pub fn new(shards: usize) -> ShardedPoolBackend {
-        ShardedPoolBackend { detector: ShardedShadowPool::new(shards), global_pool: None }
+impl ShadowPoolBackend {
+    /// Creates the backend: one shard, the paper's configuration.
+    pub fn new() -> ShadowPoolBackend {
+        ShadowPoolBackend::default()
     }
 
-    /// Creates the backend with vectored-syscall batching in every shard.
-    pub fn with_batching(shards: usize, batch: BatchConfig) -> ShardedPoolBackend {
-        ShardedPoolBackend {
-            detector: ShardedShadowPool::with_batch(
-                shards,
-                dangle_pool::PoolConfig::default(),
-                batch,
-            ),
-            global_pool: None,
-        }
+    /// Creates the backend with an explicit detector configuration (pool
+    /// runtime, batching, sampling, shard count).
+    pub fn with_config(config: DetectorConfig) -> ShadowPoolBackend {
+        ShadowPoolBackend { detector: ShardedShadowPool::with_config(config), global_pool: None }
     }
 
-    /// Creates the backend with sampled protection in every shard (each
-    /// shard derives its own seed via [`SamplingConfig::for_shard`]).
-    pub fn with_sampling(shards: usize, sampling: SamplingConfig) -> ShardedPoolBackend {
-        ShardedPoolBackend {
-            detector: ShardedShadowPool::with_sampling(
-                shards,
-                dangle_pool::PoolConfig::default(),
-                BatchConfig::default(),
-                sampling,
-            ),
-            global_pool: None,
-        }
-    }
-
-    /// The sharded detector (for diagnostics and stats).
+    /// The detector (for diagnostics and stats).
     pub fn detector(&self) -> &ShardedShadowPool {
         &self.detector
     }
@@ -921,19 +714,29 @@ impl ShardedPoolBackend {
     fn pool_or_global(&mut self, machine: &Machine, pool: Option<PoolHandle>) -> PoolId {
         match pool {
             Some(h) => PoolId(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.detector.create(machine, 0));
-                }
-                self.global_pool.expect("just created")
-            }
+            None => *self.global_pool.get_or_insert_with(|| self.detector.create(machine, 0)),
         }
     }
 }
 
-impl Backend for ShardedPoolBackend {
+/// The paper's approach sharded across the machine's cores: the
+/// constructor of a [`ShadowPoolBackend`] with one detector shard per
+/// core.
+pub enum ShardedPoolBackend {}
+
+impl ShardedPoolBackend {
+    /// Creates a [`ShadowPoolBackend`] with `shards` detector shards.
+    // The type only names this constructor; the backend it builds is the
+    // one pool backend, so `new` deliberately does not return `Self`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(shards: usize) -> ShadowPoolBackend {
+        ShadowPoolBackend::with_config(DetectorConfig { shards, ..DetectorConfig::default() })
+    }
+}
+
+impl Backend for ShadowPoolBackend {
     fn name(&self) -> &'static str {
-        "sharded-pool"
+        "shadow-pool"
     }
 
     fn alloc(
@@ -1355,11 +1158,6 @@ impl CombinedBackend {
         self.spatial_detections
     }
 
-    /// The wrapped temporal detector.
-    pub fn detector(&self) -> &ShadowPool {
-        self.inner.detector()
-    }
-
     fn bounds_check(
         &mut self,
         machine: &mut Machine,
@@ -1540,10 +1338,12 @@ mod tests {
     #[test]
     fn batched_backends_detect_like_legacy() {
         let batch = dangle_core::BatchConfig { enabled: true, ..Default::default() };
-        exercise(&mut ShadowBackend::with_batching(batch), true);
-        exercise(&mut ShadowPoolBackend::with_batching(batch), true);
-        exercise_bulk(&mut ShadowBackend::with_batching(batch), true);
-        exercise_bulk(&mut ShadowPoolBackend::with_batching(batch), true);
+        let heap = ShadowConfig { batch, ..ShadowConfig::default() };
+        let pool = DetectorConfig { batch, ..DetectorConfig::default() };
+        exercise(&mut ShadowBackend::with_config(heap), true);
+        exercise(&mut ShadowPoolBackend::with_config(pool), true);
+        exercise_bulk(&mut ShadowBackend::with_config(heap), true);
+        exercise_bulk(&mut ShadowPoolBackend::with_config(pool), true);
     }
 
     #[test]

@@ -694,6 +694,14 @@ impl PoolSet {
         Ok(&self.pool(pool)?.pages)
     }
 
+    /// The extra (shadow) pages currently registered with `pool`.
+    ///
+    /// # Errors
+    /// Pool-id errors as for [`PoolSet::alloc`].
+    pub fn extra_pages(&self, pool: PoolId) -> Result<&[PageNum], PoolError> {
+        Ok(&self.pool(pool)?.extra_pages)
+    }
+
     /// Pools ever created (tombstones included — ids are never reused).
     pub fn pools_created(&self) -> u64 {
         self.pools.len() as u64

@@ -329,7 +329,7 @@ impl ConcurrentMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dangle_interp::backend::{ArenaBackend, ShadowPoolBackend, ShardedPoolBackend};
+    use dangle_interp::backend::{ArenaBackend, ShardedPoolBackend};
     use dangle_vmm::{CostModel, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
@@ -390,19 +390,5 @@ mod tests {
         assert_eq!(detected.detections.len(), 2);
         assert!(undetected.detections.is_empty(), "arena malloc never traps");
         assert_eq!(detected.checksum, undetected.checksum, "semantics unchanged");
-    }
-
-    #[test]
-    fn single_core_single_shard_matches_legacy_detector() {
-        let cfg = small_mix(2, 11);
-        let mut m1 = machine(1);
-        let mut legacy = ShadowPoolBackend::new();
-        let r1 = cfg.run(&mut m1, &mut legacy).unwrap();
-        let mut m2 = machine(1);
-        let mut sharded = ShardedPoolBackend::new(1);
-        let r2 = cfg.run(&mut m2, &mut sharded).unwrap();
-        assert_eq!(r1, r2, "reports identical");
-        assert_eq!(m1.clock(), m2.clock(), "cycle streams identical");
-        assert_eq!(m1.stats(), m2.stats(), "syscall streams identical");
     }
 }

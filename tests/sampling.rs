@@ -8,7 +8,8 @@
 //!    byte-identical to `ShadowPoolBackend::new()`: same result, same
 //!    simulated clock, same syscall counters, and — when the program
 //!    dangles — the same structured trap-report JSON. Checked on both
-//!    engines and on the one-shard sharded detector.
+//!    engines, and on the heap detector (`ShadowBackend`), which runs the
+//!    same sampling code, over a sparser sweep.
 //! 2. **N = ∞ is the all-unchecked fast path.** With `NEVER` nothing is
 //!    protected, so the run must match a wrapper that routes every
 //!    alloc/free through the lint-elision path (same output, clock, and
@@ -19,9 +20,9 @@
 //!    engines, and across core counts.
 
 use dangle_apa::{parse, pool_allocate};
-use dangle_core::SamplingConfig;
+use dangle_core::{DetectorConfig, SamplingConfig, ShadowConfig};
 use dangle_interp::backend::{
-    Backend, BackendError, PoolHandle, ShadowPoolBackend, ShardedPoolBackend,
+    Backend, BackendError, PoolHandle, ShadowBackend, ShadowPoolBackend,
 };
 use dangle_interp::{run_with, Engine, RunError, RunOutcome};
 use dangle_testkit::minic::random_program;
@@ -129,7 +130,8 @@ impl Backend for AllUnchecked {
 enum Variant {
     Unsampled,
     Sampled(SamplingConfig),
-    Sharded(usize, SamplingConfig),
+    HeapUnsampled,
+    HeapSampled(SamplingConfig),
     AllUnchecked,
 }
 
@@ -150,16 +152,26 @@ fn observe(
             });
             (res, report)
         }
-        Variant::Sampled(cfg) => {
-            let mut b = ShadowPoolBackend::with_sampling(cfg);
+        Variant::Sampled(sampling) => {
+            let config = DetectorConfig { sampling, ..DetectorConfig::default() };
+            let mut b = ShadowPoolBackend::with_config(config);
             let res = run_with(engine, prog, &mut machine, &mut b, FUEL);
             let report = trap_json(&res, |t| {
                 b.detector().trap_report(&machine, t, "minic").map(|r| r.to_json().to_string())
             });
             (res, report)
         }
-        Variant::Sharded(shards, cfg) => {
-            let mut b = ShardedPoolBackend::with_sampling(shards, cfg);
+        Variant::HeapUnsampled => {
+            let mut b = ShadowBackend::new();
+            let res = run_with(engine, prog, &mut machine, &mut b, FUEL);
+            let report = trap_json(&res, |t| {
+                b.detector().trap_report(&machine, t, "minic").map(|r| r.to_json().to_string())
+            });
+            (res, report)
+        }
+        Variant::HeapSampled(sampling) => {
+            let config = ShadowConfig { sampling, ..ShadowConfig::default() };
+            let mut b = ShadowBackend::with_config(config);
             let res = run_with(engine, prog, &mut machine, &mut b, FUEL);
             let report = trap_json(&res, |t| {
                 b.detector().trap_report(&machine, t, "minic").map(|r| r.to_json().to_string())
@@ -202,12 +214,16 @@ fn n1_is_byte_identical_to_the_unsampled_detector() {
         let reference = observe(&prog, Engine::Ast, Variant::Unsampled);
         let n1 = observe(&prog, Engine::Ast, Variant::Sampled(cfg));
         assert_eq!(reference, n1, "seed {seed}: N=1 diverged (ast)\n{src}");
-        // A sparser sweep on the bytecode engine keeps the suite fast while
-        // still pinning both execution paths.
+        // A sparser sweep on the bytecode engine and on the heap detector
+        // keeps the suite fast while still pinning both execution paths and
+        // both detectors.
         if seed % 5 == 0 {
             let bc_ref = observe(&prog, Engine::Bytecode, Variant::Unsampled);
             let bc_n1 = observe(&prog, Engine::Bytecode, Variant::Sampled(cfg));
             assert_eq!(bc_ref, bc_n1, "seed {seed}: N=1 diverged (bytecode)\n{src}");
+            let heap_ref = observe(&prog, Engine::Ast, Variant::HeapUnsampled);
+            let heap_n1 = observe(&prog, Engine::Ast, Variant::HeapSampled(cfg));
+            assert_eq!(heap_ref, heap_n1, "seed {seed}: N=1 diverged (heap)\n{src}");
         }
     }
 }
@@ -239,18 +255,6 @@ fn sampled_runs_are_seed_deterministic_across_engines() {
 }
 
 #[test]
-fn one_shard_sampling_matches_the_flat_detector() {
-    let cfg = SamplingConfig::one_in(8).with_seed(0x51a3_d001);
-    for seed in 0..100 {
-        let src = random_program(seed);
-        let (prog, _) = pool_allocate(&parse(&src).unwrap());
-        let flat = observe(&prog, Engine::Ast, Variant::Sampled(cfg));
-        let sharded = observe(&prog, Engine::Ast, Variant::Sharded(1, cfg));
-        assert_eq!(flat, sharded, "seed {seed}: one-shard sampling diverged\n{src}");
-    }
-}
-
-#[test]
 fn four_core_sampled_concurrent_mix_is_reproducible() {
     let cfg = ConcurrentMix {
         sessions: 18,
@@ -264,7 +268,8 @@ fn four_core_sampled_concurrent_mix_is_reproducible() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut m = Machine::with_config(MachineConfig { cores: 4, ..MachineConfig::default() });
-        let mut b = ShardedPoolBackend::with_sampling(4, sampling);
+        let config = DetectorConfig { sampling, shards: 4, ..DetectorConfig::default() };
+        let mut b = ShadowPoolBackend::with_config(config);
         let r = cfg.run(&mut m, &mut b).unwrap();
         runs.push((r, m.clock(), format!("{:?}", m.stats())));
     }
