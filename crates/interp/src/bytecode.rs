@@ -13,15 +13,31 @@
 //! The AST interpreter burns one fuel unit (and one machine cycle) per
 //! expression node and per statement. The compiler coalesces those burns:
 //! each instruction carries the `cost` of every AST burn that happens, in
-//! AST evaluation order, since the previous instruction. Because
-//! `Machine::tick` funnels into a single clock add, charging `cost` at
-//! once is cycle-exact as long as the cumulative charge before every
-//! backend operation (and at every span/call boundary) equals the AST
-//! engine's — which the compiler guarantees by flushing pending burns into
-//! the *next* emitted instruction and never letting them float past a
-//! jump-target label (an explicit [`Insn::Tick`] is emitted instead).
-//! The differential suite in `tests/engines.rs` holds both engines to
-//! identical clocks, steps, outputs, detections and trap reports.
+//! AST evaluation order, since the previous instruction, and never lets
+//! one float past a jump-target label (an explicit [`Insn::Tick`] is
+//! emitted instead) — so the fuel consumed before every backend
+//! operation, call boundary and exhaustion point equals the AST engine's.
+//!
+//! The VM charges `cost` against the fuel only. Fuel is its one
+//! per-instruction counter; the machine clock learns of the burns at a
+//! *flush*, which ticks it with the fuel consumed since the last flush.
+//! Nothing reads the clock between flushes, and the VM flushes
+//!
+//! * before every `Backend` call (`alloc`, `alloc_unchecked`, `free`,
+//!   `free_unchecked`, `load`, `store`, `pool_create`, `pool_destroy`);
+//! * before a `Call`'s `push_call`/`span_enter`, and again before its
+//!   `span_exit`/`pop_call`;
+//! * on every exit from [`run_compiled`](crate::run_compiled), `Ok` or
+//!   `Err`.
+//!
+//! Span attribution is additive, so each flush lands its burns in the
+//! span the AST engine ticked them in: the machine, the event ring, the
+//! flight recorder and every backend see the AST engine's clock exactly.
+//! A VM that pauses mid-run (the planned resumable VM yielding at
+//! `request_exit`) must flush before it yields. The differential suite in
+//! `tests/engines.rs` holds both engines to identical clocks at every
+//! backend call, ring events, folded spans, steps, outputs, detections
+//! and trap reports.
 
 use dangle_apa::ast::BinOp;
 use std::fmt;

@@ -103,6 +103,10 @@ pub enum RunError {
     /// The bytecode engine rejected the program before execution (static
     /// name errors the AST engine would only hit at run time).
     Compile(CompileError),
+    /// A [`BcProgram`] failed bytecode verification; nothing ran. Only a
+    /// hand-assembled or mutated program can fail: [`compile`](fn@compile)
+    /// output always verifies.
+    InvalidBytecode(String),
 }
 
 impl fmt::Display for RunError {
@@ -123,6 +127,7 @@ impl fmt::Display for RunError {
                 "call depth exceeds {MAX_CALL_DEPTH} frames (possible unbounded recursion)"
             ),
             RunError::Compile(e) => write!(f, "{e}"),
+            RunError::InvalidBytecode(e) => write!(f, "invalid bytecode: {e}"),
         }
     }
 }
@@ -299,17 +304,37 @@ pub fn run(
         depth: 1,
     };
     let mut frame = Frame::default();
-    // Shadow call stack: on an abnormal exit (trap, runtime error) the `?`
-    // below skips the pop, deliberately freezing the stack at the faulting
-    // frame so the detector can attach it to the trap report as use_stack.
-    interp.machine.telemetry_mut().push_call("main");
-    interp.machine.span_enter("main", Category::App);
-    match interp.exec_block(&main.body, &mut frame)? {
-        Flow::Normal | Flow::Returned(_) => {}
+    enter_main(interp.machine);
+    if let Err(e) = interp.exec_block(&main.body, &mut frame) {
+        abort_frames(interp.machine, interp.depth);
+        return Err(e);
     }
     interp.machine.span_exit();
     interp.machine.telemetry_mut().pop_call();
     Ok(RunOutcome { output: interp.output, steps_used: interp.steps })
+}
+
+/// Opens a run of either engine: drops the frames an earlier aborted run
+/// left on `machine`'s shadow call stack (see [`abort_frames`]), then
+/// pushes `main` and enters its span.
+fn enter_main(machine: &mut Machine) {
+    let t = machine.telemetry_mut();
+    t.drop_stale_calls();
+    t.push_call("main");
+    machine.span_enter("main", Category::App);
+}
+
+/// Ends a run of either engine that failed (trap, runtime error, fuel)
+/// with `depth` MiniC frames live, `main` included: an error path skips
+/// the pops, so the shadow call stack is frozen at the faulting frame.
+/// Closes the frames' spans, so later runs' spans do not nest under them,
+/// and leaves the frames on the stack for the detector's trap report
+/// (`use_stack`) until the next run on `machine` starts.
+fn abort_frames(machine: &mut Machine, depth: u32) {
+    for _ in 0..depth {
+        machine.span_exit();
+    }
+    machine.telemetry_mut().mark_stale_calls(depth as usize);
 }
 
 impl<'p> Interp<'p, '_, '_> {
@@ -492,8 +517,9 @@ impl<'p> Interp<'p, '_, '_> {
                 if self.depth >= MAX_CALL_DEPTH {
                     return Err(RunError::CallDepthExceeded);
                 }
-                // As in `run`, an error path keeps the callee frame on the
-                // shadow stack so the trap report sees the full chain.
+                // An error path keeps the callee frame on the shadow stack
+                // so the trap report sees the full chain (see
+                // [`abort_frames`]).
                 self.depth += 1;
                 self.machine.telemetry_mut().push_call(callee);
                 self.machine.span_enter(callee, Category::App);

@@ -7,12 +7,15 @@
 //! `main` and every call, with the `?` on the callee body deliberately
 //! skipping the pops so an abnormal exit freezes the stack at the
 //! faulting frame (trap-report provenance is byte-identical between
-//! engines).
+//! engines). The aborted run still closes its spans on the way out; its
+//! frames stay readable until the next run on the machine starts.
 //!
 //! Frames are contiguous windows of one shared value stack (and one pool
 //! stack); slot accesses are plain indexed loads, which is where the
 //! engine's host-throughput win over the `HashMap`-per-access tree
-//! walker comes from.
+//! walker comes from. Fuel is the only per-instruction counter: the
+//! machine clock is ticked at flush points, not per instruction (see the
+//! [`bytecode`](crate::bytecode) module's *Cost accounting*).
 
 use crate::backend::{Backend, BackendError, PoolHandle};
 use crate::bytecode::{BcProgram, Insn, POOL_NONE, SLOT_NONE};
@@ -32,21 +35,30 @@ struct Vm<'p, 'm, 'b> {
     pool_stack: Vec<PoolHandle>,
     output: Vec<i64>,
     fuel: u64,
+    /// `fuel` at the last [`Vm::flush`]: the steps burnt since then are
+    /// not yet on the machine clock.
+    flushed: u64,
     /// Live MiniC frames, `main` included.
     depth: u32,
 }
 
 /// Checks the static invariants the dispatch loop's unchecked accesses
-/// rely on: every slot operand is in `0..nslots` (or `SLOT_NONE` where a
-/// variant allows it), pool operands are in `0..npools` (or `POOL_NONE`),
-/// global indexes are in range, jump targets stay inside the function,
-/// call sites reference real functions with matching argument counts, and
-/// the code is non-empty with an unconditional terminator last — so
-/// straight-line execution can never run off the end. `compile` output
-/// satisfies this by construction; hand-built programs are rejected here.
+/// rely on: `main`, when present, names a real function; every slot
+/// operand is in `0..nslots` (or `SLOT_NONE` where a variant allows it),
+/// pool operands are in `0..npools` (or `POOL_NONE`), global indexes are
+/// in range, jump targets stay inside the function, call sites reference
+/// real functions with matching argument counts, and the code is
+/// non-empty with an unconditional terminator last — so straight-line
+/// execution can never run off the end. `compile` output satisfies this
+/// by construction; hand-built programs are rejected here.
 ///
 /// One O(code) pass per run, amortized over every executed instruction.
 fn verify(prog: &BcProgram) -> Result<(), String> {
+    if let Some(main) = prog.main {
+        if usize::from(main) >= prog.funcs.len() {
+            return Err(format!("main {main} out of {} functions", prog.funcs.len()));
+        }
+    }
     for f in &prog.funcs {
         let n = f.nslots;
         let len = f.code.len() as u32;
@@ -199,22 +211,19 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
 /// steps — the bytecode twin of [`crate::run`].
 ///
 /// # Errors
-/// See [`RunError`]; behaviour (output, steps, simulated clock,
-/// detections, trap provenance) is identical to the AST engine's.
-///
-/// # Panics
-/// If the program fails bytecode verification.
-/// [`compile`](fn@crate::compile) output always verifies; only a
-/// hand-assembled [`BcProgram`] can trip this.
+/// [`RunError::InvalidBytecode`] when the program fails bytecode
+/// verification, before any fuel is burnt or the machine is touched
+/// ([`compile`](fn@crate::compile) output always verifies; only a
+/// hand-assembled [`BcProgram`] can fail). Otherwise see [`RunError`];
+/// behaviour (output, steps, simulated clock, detections, trap
+/// provenance) is identical to the AST engine's.
 pub fn run_compiled(
     prog: &BcProgram,
     machine: &mut Machine,
     backend: &mut dyn Backend,
     fuel: u64,
 ) -> Result<RunOutcome, RunError> {
-    if let Err(e) = verify(prog) {
-        panic!("invalid bytecode (hand-assembled program or compiler bug): {e}");
-    }
+    verify(prog).map_err(RunError::InvalidBytecode)?;
     let Some(main) = prog.main else {
         return Err(RunError::NoMain);
     };
@@ -227,20 +236,23 @@ pub fn run_compiled(
         pool_stack: Vec::new(),
         output: Vec::new(),
         fuel,
+        flushed: fuel,
         depth: 1,
     };
     let f = &prog.funcs[main as usize];
     vm.stack.resize(f.nslots as usize, 0);
     vm.pool_stack.resize(f.npools as usize, 0);
-    // As in the AST engine, an abnormal exit skips the pops, freezing the
-    // shadow call stack at the faulting frame for the trap report.
-    vm.machine.telemetry_mut().push_call("main");
-    vm.machine.span_enter("main", Category::App);
-    vm.exec(main, 0, 0)?;
+    crate::enter_main(vm.machine);
+    let res = vm.exec(main, 0, 0);
+    vm.flush();
+    if let Err(e) = res {
+        crate::abort_frames(vm.machine, vm.depth);
+        return Err(e);
+    }
     vm.machine.span_exit();
     vm.machine.telemetry_mut().pop_call();
-    // Fuel, steps and clock move in lockstep, so the step count is just
-    // the fuel consumed — no per-instruction counter needed.
+    // Fuel is the only per-instruction counter, so the step count is just
+    // the fuel consumed.
     Ok(RunOutcome { output: vm.output, steps_used: fuel - vm.fuel })
 }
 
@@ -277,27 +289,37 @@ fn binop(op: BinOp, a: i64, b: i64) -> Result<i64, RunError> {
 }
 
 impl Vm<'_, '_, '_> {
-    /// Charges `cost` coalesced burns: fuel, step counter and machine
-    /// clock move together, and exhaustion mid-charge ticks exactly the
-    /// remaining fuel before failing — matching the AST engine's
-    /// one-burn-at-a-time exhaustion point and final clock.
+    /// Charges `cost` coalesced burns against the fuel only; exhaustion
+    /// mid-charge still burns the remaining fuel before failing, matching
+    /// the AST engine's one-burn-at-a-time exhaustion point. The burns
+    /// reach the machine clock at the next [`Vm::flush`].
     #[inline(always)]
     fn charge(&mut self, cost: u32) -> Result<(), RunError> {
         let cost = u64::from(cost);
-        if cost == 0 {
-            return Ok(());
-        }
         if self.fuel < cost {
-            let rem = self.fuel;
             self.fuel = 0;
-            if rem > 0 {
-                self.machine.tick(rem);
-            }
             return Err(RunError::OutOfFuel);
         }
         self.fuel -= cost;
-        self.machine.tick(cost);
         Ok(())
+    }
+
+    /// Ticks the machine with the fuel burnt since the last flush. Nothing
+    /// reads the clock between two flushes, so the VM flushes only where
+    /// the AST engine's per-burn clock is observable: before every
+    /// `Backend` call, before a call's `push_call`/`span_enter` and again
+    /// before its `span_exit`/`pop_call`, and on every exit from
+    /// [`run_compiled`]. Each flush lands the burns in the span the AST
+    /// engine ticked them in, so clocks, event stamps and span attribution
+    /// are identical between engines. A VM that yields mid-run must flush
+    /// first.
+    #[inline(always)]
+    fn flush(&mut self) {
+        let burnt = self.flushed - self.fuel;
+        if burnt > 0 {
+            self.machine.tick(burnt);
+            self.flushed = self.fuel;
+        }
     }
 
     /// Reads value-stack index `i`.
@@ -415,6 +437,7 @@ impl Vm<'_, '_, '_> {
                     if bv == 0 {
                         return Err(RunError::NullDereference);
                     }
+                    self.flush();
                     let raw = self.backend.load(
                         self.machine,
                         VirtAddr(bv as u64).add(u64::from(offset)),
@@ -429,6 +452,7 @@ impl Vm<'_, '_, '_> {
                     if bv == 0 {
                         return Err(RunError::NullDereference);
                     }
+                    self.flush();
                     self.backend.store(
                         self.machine,
                         VirtAddr(bv as u64).add(u64::from(offset)),
@@ -439,13 +463,15 @@ impl Vm<'_, '_, '_> {
                 Insn::Malloc { cost, dst, size, nfields, pool, unchecked } => {
                     self.charge(cost)?;
                     let handle = self.pool_handle(pbase, pool);
+                    self.flush();
                     let addr = if unchecked {
                         self.backend.alloc_unchecked(self.machine, size as usize, handle)?
                     } else {
                         self.backend.alloc(self.machine, size as usize, handle)?
                     };
                     // Calloc semantics, one word per field — the AST
-                    // engine's exact store sequence.
+                    // engine's exact store sequence. Nothing is charged
+                    // between these calls, so there is nothing to flush.
                     for i in 0..u64::from(nfields) {
                         self.backend.store(self.machine, addr.add(i * 8), 8, 0)?;
                     }
@@ -461,6 +487,7 @@ impl Vm<'_, '_, '_> {
                     }
                     let total = elem_size as usize * (n.max(1) as usize);
                     let handle = self.pool_handle(pbase, pool);
+                    self.flush();
                     let addr = if unchecked {
                         self.backend.alloc_unchecked(self.machine, total, handle)?
                     } else {
@@ -476,6 +503,7 @@ impl Vm<'_, '_, '_> {
                     let v = self.get(base + src as usize);
                     if v != 0 {
                         let handle = self.pool_handle(pbase, pool);
+                        self.flush();
                         if unchecked {
                             self.backend.free_unchecked(
                                 self.machine,
@@ -489,12 +517,14 @@ impl Vm<'_, '_, '_> {
                 }
                 Insn::PoolCreate { cost, dst, elem_size } => {
                     self.charge(cost)?;
+                    self.flush();
                     let h = self.backend.pool_create(self.machine, elem_size as usize)?;
                     self.pool_stack[pbase + dst as usize] = h;
                 }
                 Insn::PoolDestroy { cost, pool } => {
                     self.charge(cost)?;
                     let h = self.pool_stack[pbase + pool as usize];
+                    self.flush();
                     self.backend.pool_destroy(self.machine, h)?;
                 }
                 Insn::Call { cost, dst, site } => {
@@ -519,9 +549,11 @@ impl Vm<'_, '_, '_> {
                     // An error path keeps the callee on the shadow stack,
                     // exactly like the AST engine.
                     self.depth += 1;
+                    self.flush();
                     self.machine.telemetry_mut().push_call(&callee.name);
                     self.machine.span_enter(&callee.name, Category::App);
                     let v = self.exec(cs.func, nbase, npbase)?;
+                    self.flush();
                     self.machine.span_exit();
                     self.machine.telemetry_mut().pop_call();
                     self.depth -= 1;

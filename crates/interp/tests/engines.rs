@@ -3,58 +3,267 @@
 //! The AST tree-walker is the reference semantics; the register-bytecode
 //! compiler + VM must be observationally identical on every program the
 //! AST engine executes without a name error: same output, same step
-//! count, same simulated clock (the coalesced-cost contract), same
-//! runtime errors, same detections and byte-identical trap-report JSON.
+//! count, same runtime errors, same detections and byte-identical
+//! trap-report JSON — and the same simulated clock at every machine
+//! boundary, not only at the end. Every run here is on a calibrated,
+//! traced machine behind a backend decorator that logs the clock at each
+//! backend call, and the two engines must agree on that log, on every
+//! event-ring entry, on the flight recorder's folded spans and on its
+//! five-way attribution.
 //!
 //! Coverage comes from three directions: a few hundred randomly generated
 //! MiniC programs (raw and pool-transformed, on the native and
 //! shadow-pool backends), the server corpus the benchmarks use, and the
 //! injected use-after-free corpus where the trap provenance — allocation
-//! site, free site, shadow call stacks — must match exactly. A fuel sweep
-//! pins the out-of-fuel exhaustion point to the burn.
+//! site, free site, shadow call stacks — must match exactly. Two fuel
+//! sweeps pin the out-of-fuel exhaustion point to the burn, one of them
+//! across every kind of backend call.
 
-use dangle_apa::{corpus, parse, pool_allocate, FIGURE_1};
+use dangle_apa::{
+    analyze, corpus, lint_with_mode, parse, pool_allocate, stamp_unchecked, LintMode, Program,
+    FIGURE_1,
+};
 use dangle_interp::backend::{
-    Backend, NativeBackend, ShadowBackend, ShadowPoolBackend,
+    Backend, BackendError, NativeBackend, PoolHandle, ShadowBackend, ShadowPoolBackend,
 };
 use dangle_interp::{compile, run, run_compiled, RunError, RunOutcome, MAX_CALL_DEPTH};
+use dangle_telemetry::{Event, TelemetryConfig, TrapReport};
 use dangle_testkit::minic::random_program;
-use dangle_vmm::Machine;
+use dangle_vmm::{Machine, MachineConfig, Trap, VirtAddr};
+use std::fmt::Debug;
 
 const FUEL: u64 = 50_000_000;
 
-/// Runs `prog` through one engine on a fresh machine + backend, returning
-/// the result and the final simulated clock.
-fn run_engine(
-    bytecode: bool,
-    prog: &dangle_apa::Program,
-    backend: &mut dyn Backend,
-    fuel: u64,
-) -> (Result<RunOutcome, RunError>, u64) {
-    let mut machine = Machine::free_running();
-    let res = if bytecode {
+/// Event-ring capacity of [`traced_machine`]: no program here records
+/// more events, so the ring never overwrites one (`run_engine` asserts
+/// it) and the engines are compared on every event.
+const RING: usize = 1 << 16;
+
+/// A machine with the calibrated cost model, so TLB, cache and syscall
+/// charges all move the clock, and with the flight recorder on.
+fn traced_machine() -> Machine {
+    Machine::with_config(MachineConfig {
+        telemetry: TelemetryConfig { ring_capacity: RING, ..TelemetryConfig::traced() },
+        ..MachineConfig::default()
+    })
+}
+
+/// A [`Backend`] decorator that logs `(method, machine.clock())` as each
+/// call arrives: the clock an engine shows the backend at every machine
+/// boundary.
+struct ClockLog<'b> {
+    inner: &'b mut dyn Backend,
+    log: Vec<(&'static str, u64)>,
+}
+
+impl ClockLog<'_> {
+    fn note(&mut self, method: &'static str, machine: &Machine) {
+        self.log.push((method, machine.clock()));
+    }
+}
+
+impl Backend for ClockLog<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn alloc(
+        &mut self,
+        machine: &mut Machine,
+        size: usize,
+        pool: Option<PoolHandle>,
+    ) -> Result<VirtAddr, BackendError> {
+        self.note("alloc", machine);
+        self.inner.alloc(machine, size, pool)
+    }
+
+    fn free(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        pool: Option<PoolHandle>,
+    ) -> Result<(), BackendError> {
+        self.note("free", machine);
+        self.inner.free(machine, addr, pool)
+    }
+
+    fn alloc_unchecked(
+        &mut self,
+        machine: &mut Machine,
+        size: usize,
+        pool: Option<PoolHandle>,
+    ) -> Result<VirtAddr, BackendError> {
+        self.note("alloc_unchecked", machine);
+        self.inner.alloc_unchecked(machine, size, pool)
+    }
+
+    fn free_unchecked(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        pool: Option<PoolHandle>,
+    ) -> Result<(), BackendError> {
+        self.note("free_unchecked", machine);
+        self.inner.free_unchecked(machine, addr, pool)
+    }
+
+    fn pool_create(
+        &mut self,
+        machine: &mut Machine,
+        elem_hint: usize,
+    ) -> Result<PoolHandle, BackendError> {
+        self.note("pool_create", machine);
+        self.inner.pool_create(machine, elem_hint)
+    }
+
+    fn pool_destroy(&mut self, machine: &mut Machine, pool: PoolHandle) -> Result<(), BackendError> {
+        self.note("pool_destroy", machine);
+        self.inner.pool_destroy(machine, pool)
+    }
+
+    fn load(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        width: usize,
+    ) -> Result<u64, BackendError> {
+        self.note("load", machine);
+        self.inner.load(machine, addr, width)
+    }
+
+    fn store(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        width: usize,
+        value: u64,
+    ) -> Result<(), BackendError> {
+        self.note("store", machine);
+        self.inner.store(machine, addr, width, value)
+    }
+
+    fn load_bytes(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        buf: &mut [u8],
+    ) -> Result<(), BackendError> {
+        self.note("load_bytes", machine);
+        self.inner.load_bytes(machine, addr, buf)
+    }
+
+    fn store_bytes(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        buf: &[u8],
+    ) -> Result<(), BackendError> {
+        self.note("store_bytes", machine);
+        self.inner.store_bytes(machine, addr, buf)
+    }
+
+    fn memset(
+        &mut self,
+        machine: &mut Machine,
+        addr: VirtAddr,
+        byte: u8,
+        len: usize,
+    ) -> Result<(), BackendError> {
+        self.note("memset", machine);
+        self.inner.memset(machine, addr, byte, len)
+    }
+
+    fn explain(&self, trap: &Trap) -> Option<String> {
+        self.inner.explain(trap)
+    }
+
+    fn compute(&mut self, machine: &mut Machine, cycles: u64) {
+        self.note("compute", machine);
+        self.inner.compute(machine, cycles);
+    }
+}
+
+/// Everything one run shows outside the engine.
+struct Observed {
+    result: Result<RunOutcome, RunError>,
+    clock: u64,
+    /// `(method, clock)` at every backend call, in order.
+    calls: Vec<(&'static str, u64)>,
+    /// The whole event ring, oldest first.
+    events: Vec<Event>,
+    /// The flight recorder's collapsed-stack export.
+    fold: String,
+    /// The five-way cycle attribution.
+    categories: Vec<(&'static str, u64)>,
+}
+
+/// Runs `prog` through one engine on a fresh [`traced_machine`], with
+/// `backend` behind a [`ClockLog`].
+fn run_engine(bytecode: bool, prog: &Program, backend: &mut dyn Backend, fuel: u64) -> Observed {
+    let mut machine = traced_machine();
+    let mut logged = ClockLog { inner: backend, log: Vec::new() };
+    let result = if bytecode {
         match compile(prog) {
-            Ok(bc) => run_compiled(&bc, &mut machine, backend, fuel),
+            Ok(bc) => run_compiled(&bc, &mut machine, &mut logged, fuel),
             Err(e) => Err(RunError::Compile(e)),
         }
     } else {
-        run(prog, &mut machine, backend, fuel)
+        run(prog, &mut machine, &mut logged, fuel)
     };
-    (res, machine.clock())
+    let telemetry = machine.telemetry();
+    assert_eq!(telemetry.ring().dropped(), 0, "ring too small to compare every event");
+    let tracer = telemetry.tracer().expect("traced machine");
+    Observed {
+        result,
+        clock: machine.clock(),
+        calls: logged.log,
+        events: telemetry.ring().iter().copied().collect(),
+        fold: tracer.fold(),
+        categories: tracer.categories(),
+    }
 }
 
-/// Asserts both engines agree on result and clock under fresh instances
-/// of the given backend.
+/// Fails with the first entry where `a` and `b` differ.
+fn assert_same_seq<T: PartialEq + Debug>(a: &[T], b: &[T], what: &str, ctx: &str) {
+    if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        panic!(
+            "{ctx}: {what} diverge at entry {i} of {} / {}: ast {:?}, bytecode {:?}",
+            a.len(),
+            b.len(),
+            a.get(i),
+            b.get(i)
+        );
+    }
+}
+
+/// Asserts both engines agree under fresh instances of the given backend:
+/// on the result, on the final clock, and at every boundary in between.
+/// Returns what the AST engine showed.
 fn assert_agree(
-    prog: &dangle_apa::Program,
+    prog: &Program,
     mut mk: impl FnMut() -> Box<dyn Backend>,
     fuel: u64,
     ctx: &str,
-) {
-    let (ast, ast_clock) = run_engine(false, prog, mk().as_mut(), fuel);
-    let (bc, bc_clock) = run_engine(true, prog, mk().as_mut(), fuel);
-    assert_eq!(ast, bc, "{ctx}: results diverge");
-    assert_eq!(ast_clock, bc_clock, "{ctx}: clocks diverge");
+) -> Observed {
+    let ast = run_engine(false, prog, mk().as_mut(), fuel);
+    let bc = run_engine(true, prog, mk().as_mut(), fuel);
+    assert_eq!(ast.result, bc.result, "{ctx}: results diverge");
+    assert_same_seq(&ast.calls, &bc.calls, "backend-call clocks", ctx);
+    assert_same_seq(&ast.events, &bc.events, "ring events", ctx);
+    assert_eq!(ast.fold, bc.fold, "{ctx}: folded spans diverge");
+    assert_eq!(ast.categories, bc.categories, "{ctx}: cycle attribution diverges");
+    assert_eq!(ast.clock, bc.clock, "{ctx}: clocks diverge");
+    ast
+}
+
+/// `prog` pool-allocated and stamped by the interprocedural lint, the
+/// toolchain the benchmarks run: proven-safe sites reach the backend as
+/// `alloc_unchecked`/`free_unchecked`.
+fn pooled_and_linted(prog: &Program) -> Program {
+    let (mut pooled, _) = pool_allocate(prog);
+    let report = lint_with_mode(prog, &analyze(prog), LintMode::Inter);
+    stamp_unchecked(&mut pooled, &report);
+    pooled
 }
 
 // ---- differential tests ----------------------------------------------------
@@ -125,6 +334,70 @@ fn fuel_sweep_pins_exhaustion_point() {
             &format!("fuel {fuel}"),
         );
     }
+}
+
+#[test]
+fn fuel_sweep_crosses_every_kind_of_backend_call() {
+    // Every exhaustion point of a program that makes all eight kinds of
+    // backend call, so for each call some fuel runs out just before it
+    // and the next just after it. The VM ticks the clock only at
+    // boundaries; each of these points must still show the backend, the
+    // ring and the flight recorder the AST engine's clock.
+    let src = "
+        struct node { next: ptr<node>, val: int }
+        fn push(head: ptr<node>, v: int) -> ptr<node> {
+            var n: ptr<node> = malloc(node);
+            n->val = v;
+            n->next = head;
+            return n;
+        }
+        fn roundtrip(v: int) -> int {
+            var t: ptr<node> = malloc(node);
+            t->val = v * 2;
+            var r: int = t->val;
+            free(t);
+            return r;
+        }
+        fn main() {
+            var head: ptr<node> = null;
+            var i: int = 0;
+            while (i < 3) { head = push(head, i); i = i + 1; }
+            var s: int = roundtrip(i);
+            while (head != null) {
+                s = s + head->val;
+                var nxt: ptr<node> = head->next;
+                free(head);
+                head = nxt;
+            }
+            var a: ptr<node> = malloc_array(node, i);
+            a[1]->val = s;
+            s = a[1]->val + 1;
+            free(a);
+            print(s);
+        }";
+    let prog = pooled_and_linted(&parse(src).unwrap());
+    let shadow_pool = || Box::new(ShadowPoolBackend::new()) as Box<dyn Backend>;
+    let full = assert_agree(&prog, shadow_pool, FUEL, "full run");
+    let steps = full.result.as_ref().expect("the program runs clean").steps_used;
+    for kind in [
+        "alloc",
+        "alloc_unchecked",
+        "free",
+        "free_unchecked",
+        "load",
+        "store",
+        "pool_create",
+        "pool_destroy",
+    ] {
+        assert!(full.calls.iter().any(|&(m, _)| m == kind), "no {kind} call in {:?}", full.calls);
+    }
+    let mut reached = 0;
+    for fuel in 0..=steps {
+        let o = assert_agree(&prog, shadow_pool, fuel, &format!("fuel {fuel}"));
+        assert!(o.calls.len() >= reached, "fuel {fuel}: fewer backend calls than with less fuel");
+        reached = o.calls.len();
+    }
+    assert_eq!(reached, full.calls.len(), "the sweep ends at the full run");
 }
 
 #[test]
@@ -209,6 +482,12 @@ fn server_corpus_agrees_under_every_backend() {
             FUEL,
             &format!("{name} pooled shadow"),
         );
+        assert_agree(
+            &pooled_and_linted(&prog),
+            || Box::new(ShadowPoolBackend::new()),
+            FUEL,
+            &format!("{name} pooled, linted shadow"),
+        );
     }
 }
 
@@ -222,7 +501,7 @@ fn injected_uaf_trap_reports_are_byte_identical() {
         let prog = parse(src).unwrap();
         let mut reports = Vec::new();
         for bytecode in [false, true] {
-            let mut machine = Machine::free_running();
+            let mut machine = traced_machine();
             let mut backend = ShadowBackend::new();
             let (res, clock) = {
                 let res = if bytecode {
@@ -279,6 +558,109 @@ fn compile_error_surfaces_through_engine_selector() {
     assert_eq!(err, RunError::UndefinedVariable("nope".into()));
 }
 
+// ---- aborted runs ----------------------------------------------------------
+
+/// A trap report without what depends on the machine's earlier work: the
+/// clock, the absolute addresses and the event-ring context.
+fn provenance(mut r: TrapReport) -> TrapReport {
+    r.fault_addr -= r.object_base;
+    r.object_base = 0;
+    r.clock = 0;
+    r.ring_dropped = 0;
+    r.events.clear();
+    r
+}
+
+/// One run on `machine` through the chosen engine.
+fn run_on(
+    bytecode: bool,
+    prog: &Program,
+    machine: &mut Machine,
+    backend: &mut dyn Backend,
+    fuel: u64,
+) -> Result<RunOutcome, RunError> {
+    if bytecode {
+        run_compiled(&compile(prog).unwrap(), machine, backend, fuel)
+    } else {
+        run(prog, machine, backend, fuel)
+    }
+}
+
+/// What an aborted run leaves for its reader: the shadow call stack, and
+/// the report's provenance for a trap or the error otherwise.
+fn after_abort(
+    res: Result<RunOutcome, RunError>,
+    machine: &Machine,
+    backend: &ShadowBackend,
+) -> (Vec<String>, Result<TrapReport, RunError>) {
+    let cause = match res.expect_err("a faulting run") {
+        RunError::Backend(BackendError::Trap { trap, .. }) => {
+            let r = backend.detector().trap_report(machine, &trap, "minic");
+            Ok(provenance(r.expect("trap attributed")))
+        }
+        e => Err(e),
+    };
+    (machine.telemetry().call_stack().to_vec(), cause)
+}
+
+#[test]
+fn aborted_runs_leave_no_frames_behind_in_either_engine() {
+    // A run that traps, hits a runtime error or runs out of fuel skips its
+    // pops so the trap report can read the faulting stack. Its frames must
+    // not outlive the next run: k faulting runs on one machine and backend
+    // must each leave exactly what a fresh machine leaves, and a clean run
+    // after them must nest its spans under a single `main`.
+    let faulting = [
+        corpus::injected_uafs()[0].1.to_string(),
+        "struct s { v: int }
+         fn peek(p: ptr<s>) -> int { return p->v; }
+         fn main() { var p: ptr<s> = malloc(s); p->v = 1; free(p); print(peek(p)); }"
+            .to_string(),
+        "fn div(a: int, b: int) -> int { return a / b; }
+         fn main() { print(div(1, 0)); }"
+            .to_string(),
+        "fn spin() { while (1) { } } fn main() { spin(); }".to_string(),
+    ];
+    let faulting: Vec<Program> = faulting.iter().map(|s| parse(s).unwrap()).collect();
+    let clean = parse(
+        "struct s { v: int }
+         fn get(p: ptr<s>) -> int { return p->v; }
+         fn main() { var p: ptr<s> = malloc(s); p->v = 7; print(get(p)); free(p); }",
+    )
+    .unwrap();
+    let fuel = 10_000;
+    let mut engines = Vec::new();
+    for bytecode in [false, true] {
+        let mut machine = traced_machine();
+        let mut backend = ShadowBackend::new();
+        let mut seen = Vec::new();
+        for (k, prog) in faulting.iter().cycle().take(3 * faulting.len()).enumerate() {
+            let ctx = format!("bytecode: {bytecode}, faulting run {k}");
+            let res = run_on(bytecode, prog, &mut machine, &mut backend, fuel);
+            let got = after_abort(res, &machine, &backend);
+            let mut fresh_machine = traced_machine();
+            let mut fresh_backend = ShadowBackend::new();
+            let res = run_on(bytecode, prog, &mut fresh_machine, &mut fresh_backend, fuel);
+            let want = after_abort(res, &fresh_machine, &fresh_backend);
+            assert_eq!(got, want, "{ctx}: differs from a fresh machine");
+            let depth = machine.telemetry().tracer().unwrap().depth();
+            assert_eq!(depth, 0, "{ctx}: spans left open");
+            seen.push(got);
+        }
+        let out = run_on(bytecode, &clean, &mut machine, &mut backend, fuel);
+        assert_eq!(out.map(|o| o.output), Ok(vec![7]), "bytecode: {bytecode}");
+        assert!(machine.telemetry().call_stack().is_empty(), "bytecode: {bytecode}");
+        let fold = machine.telemetry().tracer().unwrap().fold();
+        for line in fold.lines().filter(|l| !l.starts_with("(root) ")) {
+            let (path, _cycles) = line.rsplit_once(' ').unwrap();
+            let mains = path.split(';').filter(|&f| f == "main").count();
+            assert_eq!(mains, 1, "bytecode: {bytecode}: nested under stale frames: {line}");
+        }
+        engines.push((seen, fold, machine.clock()));
+    }
+    assert!(engines[0] == engines[1], "the engines leave different state behind");
+}
+
 // ---- call depth ------------------------------------------------------------
 
 /// Runs `f` on a thread with a 128 MiB stack. A debug build spends 8 to
@@ -296,22 +678,20 @@ fn unbounded_recursion_is_an_error_at_the_same_step_in_both_engines() {
              fn main() { print(f(0)); }",
         )
         .unwrap();
-        let (ast, clock) = run_engine(false, &prog, &mut NativeBackend::new(), FUEL);
-        let (bc, bc_clock) = run_engine(true, &prog, &mut NativeBackend::new(), FUEL);
-        assert_eq!(ast, Err(RunError::CallDepthExceeded));
-        assert_eq!(bc, ast);
-        assert_eq!(bc_clock, clock);
-        // The program touches no memory, so on a free-running machine the
-        // clock counts steps. Both engines reach the check with exactly
-        // that much fuel, and run out one step before it with one less.
+        let ast = assert_agree(&prog, || Box::new(NativeBackend::new()), FUEL, "recursion");
+        assert_eq!(ast.result, Err(RunError::CallDepthExceeded));
+        let clock = ast.clock;
+        // The program touches no memory, so the clock counts steps. Both
+        // engines reach the check with exactly that much fuel, and run out
+        // one step before it with one less.
         // `f(m)` takes no instruction to evaluate its argument, so the
         // bytecode charges the call's burns on the `Call` itself: a check
         // placed before that charge would stop at a smaller clock.
         let boundary = [(clock, RunError::CallDepthExceeded), (clock - 1, RunError::OutOfFuel)];
         for (fuel, want) in boundary {
             for bytecode in [false, true] {
-                let (r, at) = run_engine(bytecode, &prog, &mut NativeBackend::new(), fuel);
-                assert_eq!((r, at), (Err(want.clone()), fuel), "bytecode: {bytecode}");
+                let o = run_engine(bytecode, &prog, &mut NativeBackend::new(), fuel);
+                assert_eq!((o.result, o.clock), (Err(want.clone()), fuel), "bytecode: {bytecode}");
             }
         }
     });
@@ -331,8 +711,8 @@ fn recursion_up_to_the_depth_limit_runs_in_both_engines() {
             ))
             .unwrap();
             for bytecode in [false, true] {
-                let (r, _) = run_engine(bytecode, &prog, &mut NativeBackend::new(), FUEL);
-                assert_eq!(r.map(|o| o.output), want, "k = {k}, bytecode: {bytecode}");
+                let o = run_engine(bytecode, &prog, &mut NativeBackend::new(), FUEL);
+                assert_eq!(o.result.map(|o| o.output), want, "k = {k}, bytecode: {bytecode}");
             }
         }
     });

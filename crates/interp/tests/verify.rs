@@ -1,0 +1,319 @@
+//! The bytecode verifier, one rule at a time.
+//!
+//! The VM's dispatch loop indexes slots, globals and code without bounds
+//! checks; the verifier is the whole argument that this is sound. Each test
+//! here makes one minimal mutation of a compiled program that would break
+//! one of the verifier's rules, and asserts that `run_compiled` returns
+//! [`RunError::InvalidBytecode`] naming it, before any fuel is burnt or
+//! the machine or the backend is touched.
+
+use dangle_apa::{parse, pool_allocate};
+use dangle_interp::backend::ShadowPoolBackend;
+use dangle_interp::bytecode::{BcFunc, BcProgram, Insn, POOL_NONE, SLOT_NONE};
+use dangle_interp::{compile, run_compiled, RunError};
+use dangle_vmm::Machine;
+
+const FUEL: u64 = 1_000_000;
+
+/// The program every test mutates, pool-transformed so that it has pool
+/// registers, a pool argument, a global, a loop and a call with arguments:
+///
+/// ```text
+/// fn push (params 2, slots 3, pools 1/1)
+///     0: [+2] malloc %n <- size 16 (2 fields, pool $p0)
+///     1: [+3] store [%n + 8] <- %v
+///     2: [+3] store [%n + 0] <- %head
+///     3: [+2] ret %n
+///     4: [+0] ret _
+///
+/// fn main (params 0, slots 4, pools 0/1)
+///     0: [+1] poolcreate $p0 <- elem 16
+///     1: [+2] const %head <- 0
+///     2: [+2] const %i <- 0
+///     3: [+1] tick
+///     4: [+3] brz.Lt %i, #3 -> 11
+///     5: [+4] call %head <- f0(%head, %i) pools [$p0]
+///     6: [+3] gget %t1 <- g0
+///     7: [+1] bin.Add %t0 <- %t1, %i
+///     8: [+0] gset g0 <- %t0
+///     9: [+4] bin.Add %i <- %i, #1
+///    10: [+0] jump 4
+///    11: [+2] free %head (pool $p0)
+///    12: [+2] gget %t0 <- g0
+///    13: [+0] print %t0
+///    14: [+1] pooldestroy $p0
+///    15: [+0] ret _
+/// ```
+fn base() -> BcProgram {
+    let src = "
+        struct node { next: ptr<node>, val: int }
+        global total: int;
+        fn push(head: ptr<node>, v: int) -> ptr<node> {
+            var n: ptr<node> = malloc(node);
+            n->val = v;
+            n->next = head;
+            return n;
+        }
+        fn main() {
+            var head: ptr<node> = null;
+            var i: int = 0;
+            while (i < 3) {
+                head = push(head, i);
+                total = total + i;
+                i = i + 1;
+            }
+            free(head);
+            print(total);
+        }";
+    let (pooled, _) = pool_allocate(&parse(src).unwrap());
+    compile(&pooled).unwrap()
+}
+
+fn func<'a>(prog: &'a mut BcProgram, name: &str) -> &'a mut BcFunc {
+    prog.funcs.iter_mut().find(|f| f.name == name).unwrap()
+}
+
+/// Index of the first instruction of `f` matching `pred`.
+fn find(f: &BcFunc, pred: impl Fn(&Insn) -> bool) -> usize {
+    f.code.iter().position(pred).unwrap()
+}
+
+/// Asserts that `prog` is rejected with a message containing `want`,
+/// leaving the machine exactly as it found it.
+fn assert_rejected(prog: &BcProgram, want: &str) {
+    let mut machine = Machine::new();
+    let mut backend = ShadowPoolBackend::new();
+    let before = machine.metrics_snapshot();
+    match run_compiled(prog, &mut machine, &mut backend, FUEL) {
+        Err(RunError::InvalidBytecode(msg)) => {
+            assert!(msg.contains(want), "rejected for {msg:?}, expected {want:?}");
+        }
+        other => panic!("expected InvalidBytecode({want:?}), got {other:?}"),
+    }
+    assert_eq!(machine.clock(), 0, "{want}: cycles charged");
+    assert_eq!(machine.metrics_snapshot(), before, "{want}: machine touched");
+    assert!(machine.telemetry().call_stack().is_empty(), "{want}: frames pushed");
+}
+
+/// Every slot operand of `insn` (the `SLOT_NONE` of a valueless `ret`
+/// excluded).
+fn slot_operands(insn: &mut Insn) -> Vec<&mut u16> {
+    match insn {
+        Insn::Const { dst, .. } | Insn::GlobalGet { dst, .. } | Insn::Malloc { dst, .. } => {
+            vec![dst]
+        }
+        Insn::Call { dst, .. } => vec![dst],
+        Insn::Copy { dst, src, .. } => vec![dst, src],
+        Insn::GlobalSet { src, .. } | Insn::Print { src, .. } | Insn::Free { src, .. } => vec![src],
+        Insn::Bin { dst, lhs, rhs, .. } => vec![dst, lhs, rhs],
+        Insn::BinImm { dst, lhs, .. } => vec![dst, lhs],
+        Insn::JumpIfZero { cond, .. } => vec![cond],
+        Insn::BrZero { lhs, rhs, .. } => vec![lhs, rhs],
+        Insn::BrZeroImm { lhs, .. } => vec![lhs],
+        Insn::Index { dst, base, index, .. } => vec![dst, base, index],
+        Insn::LoadField { dst, base, .. } => vec![dst, base],
+        Insn::StoreField { base, src, .. } => vec![base, src],
+        Insn::MallocArray { dst, count, .. } => vec![dst, count],
+        Insn::FailNotPtr { base, .. } => vec![base],
+        Insn::Ret { src, .. } if *src != SLOT_NONE => vec![src],
+        Insn::Ret { .. }
+        | Insn::Jump { .. }
+        | Insn::Tick { .. }
+        | Insn::PoolCreate { .. }
+        | Insn::PoolDestroy { .. } => vec![],
+    }
+}
+
+#[test]
+fn the_unmutated_program_verifies_and_runs() {
+    let mut machine = Machine::new();
+    let out = run_compiled(&base(), &mut machine, &mut ShadowPoolBackend::new(), FUEL);
+    assert_eq!(out.map(|o| o.output), Ok(vec![3]));
+}
+
+#[test]
+fn slot_out_of_range() {
+    // Every slot operand of every instruction, one at a time, then a call
+    // argument.
+    let prog = base();
+    let mut mutations = 0;
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        for pc in 0..f.code.len() {
+            let mut insn = f.code[pc];
+            for k in 0..slot_operands(&mut insn).len() {
+                let mut bad = prog.clone();
+                let nslots = bad.funcs[fi].nslots;
+                *slot_operands(&mut bad.funcs[fi].code[pc]).swap_remove(k) = nslots;
+                assert_rejected(&bad, &format!("slot {nslots} out of {nslots}"));
+                mutations += 1;
+            }
+        }
+    }
+    assert!(mutations >= 20, "only {mutations} slot operands mutated");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    main.calls[0].args[1] = main.nslots;
+    assert_rejected(&prog, "call arg slot 4 out of 4");
+}
+
+#[test]
+fn pool_register_out_of_range() {
+    // The `malloc` in `push`, the `free` in `main`, then the pool ops and
+    // the pool argument.
+    for name in ["push", "main"] {
+        let mut prog = base();
+        let f = func(&mut prog, name);
+        let npools = f.npools;
+        let pc = find(f, |i| matches!(i, Insn::Malloc { .. } | Insn::Free { .. }));
+        match &mut f.code[pc] {
+            Insn::Malloc { pool, .. } | Insn::Free { pool, .. } => *pool = npools,
+            _ => unreachable!(),
+        }
+        assert_rejected(&prog, &format!("pool register {npools} out of {npools}"));
+    }
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::PoolCreate { .. }));
+    main.code[pc] = Insn::PoolCreate { cost: 1, dst: 1, elem_size: 16 };
+    assert_rejected(&prog, "pool register 1 out of 1");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::PoolDestroy { .. }));
+    main.code[pc] = Insn::PoolDestroy { cost: 1, pool: 1 };
+    assert_rejected(&prog, "pool register 1 out of 1");
+
+    let mut prog = base();
+    func(&mut prog, "main").calls[0].pool_args[0] = 1;
+    assert_rejected(&prog, "pool register 1 out of 1");
+}
+
+#[test]
+fn global_index_out_of_range() {
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::GlobalGet { .. }));
+    if let Insn::GlobalGet { idx, .. } = &mut main.code[pc] {
+        *idx = 1;
+    }
+    assert_rejected(&prog, "global 1 out of range");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::GlobalSet { .. }));
+    if let Insn::GlobalSet { idx, .. } = &mut main.code[pc] {
+        *idx = 1;
+    }
+    assert_rejected(&prog, "global 1 out of range");
+}
+
+#[test]
+fn jump_target_out_of_range() {
+    for pick in [
+        |i: &Insn| matches!(i, Insn::Jump { .. }),
+        |i: &Insn| matches!(i, Insn::BrZeroImm { .. }),
+    ] {
+        let mut prog = base();
+        let main = func(&mut prog, "main");
+        let len = main.code.len() as u32;
+        let pc = find(main, pick);
+        match &mut main.code[pc] {
+            Insn::Jump { target, .. } | Insn::BrZeroImm { target, .. } => *target = len,
+            _ => unreachable!(),
+        }
+        assert_rejected(&prog, &format!("jump target {len} out of {len}"));
+    }
+}
+
+#[test]
+fn call_site_out_of_range() {
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::Call { .. }));
+    if let Insn::Call { site, .. } = &mut main.code[pc] {
+        *site = 1;
+    }
+    assert_rejected(&prog, "call site 1 out of range");
+}
+
+#[test]
+fn callee_out_of_range() {
+    let mut prog = base();
+    func(&mut prog, "main").calls[0].func = 2;
+    assert_rejected(&prog, "callee 2 out of range");
+}
+
+#[test]
+fn arity_mismatch() {
+    let mut prog = base();
+    func(&mut prog, "main").calls[0].args.pop();
+    assert_rejected(&prog, "main: arity mismatch calling push");
+}
+
+#[test]
+fn pool_arity_mismatch() {
+    let mut prog = base();
+    func(&mut prog, "main").calls[0].pool_args.clear();
+    assert_rejected(&prog, "main: pool arity mismatch calling push");
+}
+
+#[test]
+fn pool_none_where_a_pool_is_required() {
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::PoolCreate { .. }));
+    main.code[pc] = Insn::PoolCreate { cost: 1, dst: POOL_NONE, elem_size: 16 };
+    assert_rejected(&prog, "poolcreate into POOL_NONE");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    let pc = find(main, |i| matches!(i, Insn::PoolDestroy { .. }));
+    main.code[pc] = Insn::PoolDestroy { cost: 1, pool: POOL_NONE };
+    assert_rejected(&prog, "pooldestroy of POOL_NONE");
+
+    let mut prog = base();
+    func(&mut prog, "main").calls[0].pool_args[0] = POOL_NONE;
+    assert_rejected(&prog, "POOL_NONE passed as pool arg");
+}
+
+#[test]
+fn empty_code_or_a_last_instruction_that_is_not_ret() {
+    let mut prog = base();
+    func(&mut prog, "push").code.clear();
+    assert_rejected(&prog, "push: last insn None is not ret");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    *main.code.last_mut().unwrap() = Insn::Tick { cost: 0 };
+    assert_rejected(&prog, "main: last insn Some(Tick { cost: 0 }) is not ret");
+
+    let mut prog = base();
+    let main = func(&mut prog, "main");
+    *main.code.last_mut().unwrap() = Insn::Jump { cost: 0, target: 0 };
+    assert_rejected(&prog, "is not ret");
+}
+
+#[test]
+fn params_exceeding_slots() {
+    let mut prog = base();
+    let push = func(&mut prog, "push");
+    push.nparams = push.nslots + 1;
+    assert_rejected(&prog, "push: 4 params exceed 3 slots");
+}
+
+#[test]
+fn pool_params_exceeding_pool_registers() {
+    let mut prog = base();
+    let push = func(&mut prog, "push");
+    push.npool_params = push.npools + 1;
+    assert_rejected(&prog, "push: pool params exceed pool registers");
+}
+
+#[test]
+fn main_out_of_range() {
+    let mut prog = base();
+    prog.main = Some(2);
+    assert_rejected(&prog, "main 2 out of 2 functions");
+}

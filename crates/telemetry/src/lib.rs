@@ -92,6 +92,9 @@ pub struct Telemetry {
     /// names, outermost first). Feeds alloc/free/use provenance in
     /// [`TrapReport`]s; always on when the sink is enabled.
     calls: Vec<String>,
+    /// Frames on top of `calls` that an aborted run left for its trap
+    /// report; the next run drops them first.
+    stale_calls: usize,
 }
 
 impl Default for Telemetry {
@@ -112,6 +115,7 @@ impl Telemetry {
             metrics: MetricsRegistry::new(),
             tracer,
             calls: Vec::new(),
+            stale_calls: 0,
         }
     }
 
@@ -172,6 +176,21 @@ impl Telemetry {
     /// The current shadow call stack, outermost first.
     pub fn call_stack(&self) -> &[String] {
         &self.calls
+    }
+
+    /// Marks the top `n` frames of the shadow call stack as left behind
+    /// by an aborted run. They stay readable, so a trap report taken after
+    /// the run still carries the faulting stack, until
+    /// [`Telemetry::drop_stale_calls`].
+    pub fn mark_stale_calls(&mut self, n: usize) {
+        self.stale_calls = (self.stale_calls + n).min(self.calls.len());
+    }
+
+    /// Pops the frames [`Telemetry::mark_stale_calls`] marked (the
+    /// interpreter calls this as each run starts).
+    pub fn drop_stale_calls(&mut self) {
+        self.calls.truncate(self.calls.len().saturating_sub(self.stale_calls));
+        self.stale_calls = 0;
     }
 
     /// Records one event at simulated time `clock`, and bumps the
@@ -242,6 +261,7 @@ impl Telemetry {
             t.reset();
         }
         self.calls.clear();
+        self.stale_calls = 0;
     }
 }
 
@@ -287,6 +307,26 @@ mod tests {
 
         let mut off = Telemetry::new(TelemetryConfig::disabled());
         off.push_call("main");
+        assert!(off.call_stack().is_empty());
+    }
+
+    #[test]
+    fn stale_calls_stay_readable_until_dropped() {
+        let mut t = Telemetry::default();
+        t.push_call("outer");
+        t.push_call("main");
+        t.push_call("handler");
+        t.mark_stale_calls(2);
+        assert_eq!(t.call_stack(), ["outer", "main", "handler"]);
+        t.drop_stale_calls();
+        assert_eq!(t.call_stack(), ["outer"]);
+        t.drop_stale_calls();
+        assert_eq!(t.call_stack(), ["outer"], "dropping twice is a no-op");
+
+        let mut off = Telemetry::new(TelemetryConfig::disabled());
+        off.push_call("main");
+        off.mark_stale_calls(1);
+        off.drop_stale_calls();
         assert!(off.call_stack().is_empty());
     }
 
