@@ -2,9 +2,8 @@
 //!
 //! Unlike every other binary here, this one measures *host* wall-clock
 //! time, not simulated cycles: it quantifies the payoff of the radix page
-//! table + last-translation cache + frame slab against the original
-//! `HashMap`-based implementation (kept as
-//! [`PageTableImpl::Reference`] precisely for this comparison).
+//! table + frame slab against the original `HashMap`-based implementation
+//! (kept as [`PageTableImpl::Reference`] precisely for this comparison).
 //!
 //! ```text
 //! cargo run --release -p dangle-bench --bin simperf

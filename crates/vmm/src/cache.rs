@@ -8,6 +8,8 @@
 //! cache by *physical* line address lets the benchmarks demonstrate both
 //! effects honestly.
 
+use crate::lru::RecencySets;
+
 /// Geometry of the simulated L1 data cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -32,20 +34,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// Set in [`Line::key`] when the line is valid; the low bits are the line
-/// address. Folding validity into the tag keeps lines at 16 bytes and
-/// makes the hit check a single compare.
-const VALID: u64 = 1 << 63;
-
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    /// `line_addr | VALID`, or 0 when invalid.
-    key: u64,
-    stamp: u64,
-}
-
-const INVALID: Line = Line { key: 0, stamp: 0 };
-
 /// A set-associative, LRU-replaced, physically-indexed data cache.
 ///
 /// Accesses are keyed by *physical* byte address: `(frame, offset)` pairs
@@ -54,23 +42,10 @@ const INVALID: Line = Line { key: 0, stamp: 0 };
 #[derive(Clone, Debug)]
 pub struct L1Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
     /// `log2(line_size)`, precomputed so the hot path shifts instead of
     /// dividing.
     line_shift: u32,
-    /// `lines / ways`, precomputed off the hot path.
-    num_sets: usize,
-    /// `num_sets - 1` when `num_sets` is a power of two (the common
-    /// geometry), letting the set index be a mask instead of a division.
-    set_mask: Option<usize>,
-    /// Index of the most recently touched line. A repeat access to the
-    /// same line skips the set scan; the `key` compare makes the shortcut
-    /// self-validating (an evicted line no longer matches), so hit/miss
-    /// counts and LRU state are exactly those of the full scan.
-    last_idx: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    sets: RecencySets,
 }
 
 impl L1Cache {
@@ -83,78 +58,28 @@ impl L1Cache {
         assert!(config.line_size.is_power_of_two(), "line size must be a power of two");
         assert!(config.lines > 0 && config.ways > 0, "cache must be non-empty");
         assert!(config.lines.is_multiple_of(config.ways), "lines must be a multiple of ways");
-        let num_sets = config.lines / config.ways;
         L1Cache {
             config,
-            lines: vec![INVALID; config.lines],
             line_shift: config.line_size.trailing_zeros(),
-            num_sets,
-            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
-            last_idx: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            sets: RecencySets::new(config.lines / config.ways, config.ways),
         }
     }
 
     /// Looks up the line containing physical byte `paddr`; returns `true`
     /// on a hit and fills the line on a miss.
-    ///
-    /// Single pass over the set: the LRU/invalid victim is tracked while
-    /// scanning for the hit, so a miss does not rescan the ways.
     #[inline]
     pub fn access(&mut self, paddr: u64) -> bool {
-        self.tick += 1;
-        let line_addr = paddr >> self.line_shift;
-        let key = line_addr | VALID;
-        // Repeat-line fast path (sequential scans stay on one 64-byte
-        // line for several accesses).
-        if self.lines[self.last_idx].key == key {
-            self.lines[self.last_idx].stamp = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        let set = match self.set_mask {
-            Some(mask) => line_addr as usize & mask,
-            None => (line_addr as usize) % self.num_sets,
-        };
-        let start = set * self.config.ways;
-        let ways = &mut self.lines[start..start + self.config.ways];
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        let mut have_invalid = false;
-        for (i, e) in ways.iter_mut().enumerate() {
-            if e.key == key {
-                e.stamp = self.tick;
-                self.hits += 1;
-                self.last_idx = start + i;
-                return true;
-            }
-            if !have_invalid {
-                if e.key == 0 {
-                    // First invalid way wins, as in a fill of a cold set.
-                    have_invalid = true;
-                    victim = i;
-                } else if e.stamp < best {
-                    best = e.stamp;
-                    victim = i;
-                }
-            }
-        }
-        self.misses += 1;
-        ways[victim] = Line { key, stamp: self.tick };
-        self.last_idx = start + victim;
-        false
+        self.sets.access(paddr >> self.line_shift)
     }
 
     /// Number of accesses that hit.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.sets.hits()
     }
 
     /// Number of accesses that missed.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.sets.misses()
     }
 
     /// The cache geometry.

@@ -55,10 +55,13 @@
 pub mod addr;
 pub mod cache;
 pub mod cost;
+mod lru;
 pub mod machine;
 pub mod pagetable;
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod stamp_lru;
 pub mod stats;
 pub mod tlb;
 pub mod trap;

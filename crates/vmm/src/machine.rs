@@ -95,11 +95,11 @@ pub struct MachineConfig {
     /// pure host-performance knob — simulated costs, traps and stats are
     /// identical across variants (enforced by differential tests).
     pub page_table: PageTableImpl,
-    /// Number of simulated cores. Each core has its own clock, TLB, L1
-    /// cache and last-translation cache over the *shared* page table;
-    /// mapping-mutating syscalls shoot down every remote core's TLB at a
-    /// modelled IPI cost. Default 1, which behaves byte-identically to
-    /// the historical single-core machine.
+    /// Number of simulated cores. Each core has its own clock, TLB and L1
+    /// cache over the *shared* page table; mapping-mutating syscalls
+    /// shoot down every remote core's TLB at a modelled IPI cost. Default
+    /// 1, which behaves byte-identically to the historical single-core
+    /// machine.
     pub cores: usize,
 }
 
@@ -141,24 +141,21 @@ impl FrameSlab {
     }
 }
 
-/// Per-core simulated state: the clock, the TLB (whose last-hit memo is
-/// therefore also per-core), the L1 data cache, and the one-entry
-/// last-translation cache. Everything else — the page table, the frame
-/// slab, the VA bump allocator, stats and telemetry — is shared across
-/// cores, exactly as page tables and RAM are shared on an SMP machine.
+/// The first `N` bytes of `bytes` as an array, for a fixed-width load.
+#[inline]
+fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes[..N].try_into().expect("slice of length N")
+}
+
+/// Per-core simulated state: the clock, the TLB and the L1 data cache.
+/// Everything else — the page table, the frame slab, the VA bump
+/// allocator, stats and telemetry — is shared across cores, exactly as
+/// page tables and RAM are shared on an SMP machine.
 #[derive(Debug)]
 struct Core {
     clock: u64,
     tlb: Tlb,
     cache: L1Cache,
-    /// One-entry last-translation cache sitting between the *modelled*
-    /// TLB and the page-table walk: `ltc_vpn == u64::MAX` means empty.
-    /// Only populated under [`PageTableImpl::Radix`], so the `Reference`
-    /// configuration measures the genuine unaccelerated path. Purely a
-    /// host-speed shortcut — the modelled TLB is still probed (and
-    /// charged) on every access.
-    ltc_vpn: u64,
-    ltc_entry: Entry,
     /// Cycles this core spent in kernel crossings (syscall charges plus
     /// received shootdown IPIs) and in TLB/L1 miss penalties — the
     /// per-core decomposition the `shardperf` artifact reports.
@@ -172,8 +169,6 @@ impl Core {
             clock: 0,
             tlb: Tlb::new(config.tlb),
             cache: L1Cache::new(config.cache),
-            ltc_vpn: u64::MAX,
-            ltc_entry: Entry { frame: 0, prot: Protection::None },
             syscall_cycles: 0,
             penalty_cycles: 0,
         }
@@ -201,13 +196,12 @@ pub struct Machine {
     config: MachineConfig,
     slab: FrameSlab,
     page_table: PageTable,
-    ltc_enabled: bool,
     /// Next virtual page number to hand out; starts above a guard region so
     /// that null and near-null pointers always trap.
     next_vpn: u64,
     first_vpn: u64,
     /// The simulated cores (always at least one). `active` selects the
-    /// core whose clock/TLB/L1/LTC the access path uses; the workload
+    /// core whose clock/TLB/L1 the access path uses; the workload
     /// scheduler switches it between sessions.
     cores: Vec<Core>,
     active: usize,
@@ -240,7 +234,6 @@ impl Machine {
         Machine {
             slab: FrameSlab::default(),
             page_table: PageTable::new(config.page_table),
-            ltc_enabled: config.page_table == PageTableImpl::Radix,
             next_vpn: first_vpn,
             first_vpn,
             cores: (0..config.cores).map(|_| Core::new(&config)).collect(),
@@ -320,10 +313,11 @@ impl Machine {
         }
     }
 
-    /// The single clock funnel: **every** simulated-cycle charge in the
-    /// machine routes through here (remote shootdown-IPI service time is
-    /// the one exception — it lands directly on the *remote* core's
-    /// clock), so on a single-core machine the flight recorder's
+    /// The clock funnel: every simulated-cycle charge in the machine
+    /// routes through here, with two exceptions. [`Machine::translate`]
+    /// repeats this body inline for its per-access charges, and remote
+    /// shootdown-IPI service time lands directly on the *remote* core's
+    /// clock. So on a single-core machine the flight recorder's
     /// attribution table sums to the clock exactly (±0). Tracing never
     /// adds simulated cycles — the charge call is host-side bookkeeping
     /// only.
@@ -547,17 +541,6 @@ impl Machine {
         Ok(base)
     }
 
-    /// Drops every core's last-translation cache. Must be called on
-    /// *every* page-table mutation so a stale entry can never be served
-    /// — on any core: the page table is shared, so a mutation initiated
-    /// on one core invalidates cached translations everywhere.
-    #[inline]
-    fn ltc_invalidate(&mut self) {
-        for core in &mut self.cores {
-            core.ltc_vpn = u64::MAX;
-        }
-    }
-
     /// Invalidates `vpn` in every core's TLB (the functional half of a
     /// TLB shootdown; the cycle cost is modelled once per syscall by
     /// [`Machine::charge_shootdown`]).
@@ -571,7 +554,6 @@ impl Machine {
     /// Maps `vpn` to `frame`, returning whether it replaced an existing
     /// translation (the case that owes a shootdown round).
     fn map_vpn(&mut self, vpn: u64, frame: u32, prot: Protection) -> bool {
-        self.ltc_invalidate();
         let prev = self.page_table.insert(vpn, Entry { frame, prot });
         if let Some(old) = prev {
             self.decref_frame(old.frame);
@@ -692,11 +674,11 @@ impl Machine {
     /// [`Machine::is_private_rw`] accepts already is what this call would
     /// make of it, apart from the zeroing, and is handed out in place.
     ///
-    /// Every page is evicted from every core's TLB and last-translation
-    /// cache. The TLB-shootdown round (see [`MachineConfig::cores`]) is
-    /// charged only when some page had a translation to replace: re-mapping
-    /// pages that are all unmapped sends no IPI. A call that replaces pages
-    /// and then runs out of frames still charges the round.
+    /// Every page is evicted from every core's TLB. The TLB-shootdown
+    /// round (see [`MachineConfig::cores`]) is charged only when some page
+    /// had a translation to replace: re-mapping pages that are all unmapped
+    /// sends no IPI. A call that replaces pages and then runs out of frames
+    /// still charges the round.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] if `addr` is not page-aligned or the
@@ -768,8 +750,8 @@ impl Machine {
     /// pointers older than the threshold).
     ///
     /// As for [`Machine::mmap_fixed`], every page is evicted from every
-    /// core's TLB and last-translation cache, and the shootdown round is
-    /// charged only when some destination page was mapped before.
+    /// core's TLB, and the shootdown round is charged only when some
+    /// destination page was mapped before.
     ///
     /// # Errors
     /// [`Trap::BadSyscallArgument`] if `dst` is unaligned or outside the
@@ -832,7 +814,6 @@ impl Machine {
                 return Err(Trap::BadSyscallArgument { addr: PageNum(base + i).base() });
             }
         }
-        self.ltc_invalidate();
         for i in 0..pages as u64 {
             assert!(self.page_table.set_prot(base + i, prot), "checked above");
             self.tlb_invalidate_all(base + i);
@@ -853,7 +834,6 @@ impl Machine {
         self.stats.munmap_calls += 1;
         self.charge_syscall(self.config.cost.syscall_munmap, pages);
         let base = addr.page().raw();
-        self.ltc_invalidate();
         let mut removed = false;
         for i in 0..pages as u64 {
             removed |= self.unmap_vpn(base + i);
@@ -914,7 +894,6 @@ impl Machine {
         self.stats.mprotect_batch_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_mprotect, ranges.len(), total);
-        self.ltc_invalidate();
         for &(base, pages) in &spans {
             for i in 0..pages as u64 {
                 assert!(self.page_table.set_prot(base + i, prot), "checked above");
@@ -982,7 +961,6 @@ impl Machine {
         self.stats.munmap_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_munmap, ranges.len(), total);
-        self.ltc_invalidate();
         let mut removed = false;
         for &(base, pages) in &spans {
             for i in 0..pages as u64 {
@@ -1181,6 +1159,12 @@ impl Machine {
 
     /// Translates one access touching `[addr, addr+len)` **within a single
     /// page**, charging TLB/cache costs and checking protection.
+    ///
+    /// The charges land on the active core with one borrow of it, as
+    /// [`Machine::advance`] would make them, and the tracer sees them
+    /// afterwards in the same order: the access, then the TLB miss, then
+    /// the L1 miss. A trap's event clock includes the TLB-miss charge; the
+    /// L1 is probed only once the access is allowed.
     #[inline]
     fn translate(
         &mut self,
@@ -1189,48 +1173,68 @@ impl Machine {
         access: AccessKind,
     ) -> Result<(u32, usize), Trap> {
         debug_assert!(addr.offset() + len <= PAGE_SIZE, "access crosses page");
-        self.advance(self.config.cost.mem_access, Charge::Plain);
         match access {
             AccessKind::Read => self.stats.loads += 1,
             AccessKind::Write => self.stats.stores += 1,
         }
         let vpn = addr.page().raw();
-        // The *modelled* TLB is probed (and charged) unconditionally —
-        // the last-translation cache below only short-circuits the host
-        // page-table walk, never the simulated one. Both live on the
-        // active core.
-        if !self.cores[self.active].tlb.access(vpn) {
-            self.advance(self.config.cost.tlb_miss, Charge::TlbPenalty);
+        let cost = &self.config.cost;
+        let core = &mut self.cores[self.active];
+        core.clock += cost.mem_access;
+        let tlb_hit = core.tlb.access(vpn);
+        if !tlb_hit {
+            core.clock += cost.tlb_miss;
+            core.penalty_cycles += cost.tlb_miss;
         }
-        let pte = if self.cores[self.active].ltc_vpn == vpn {
-            self.cores[self.active].ltc_entry
-        } else {
-            match self.page_table.get(vpn) {
-                Some(p) => {
-                    if self.ltc_enabled {
-                        let core = &mut self.cores[self.active];
-                        core.ltc_vpn = vpn;
-                        core.ltc_entry = p;
-                    }
-                    p
-                }
-                None => {
-                    self.stats.traps += 1;
-                    self.note_event(addr, EventKind::Trap);
-                    return Err(Trap::Unmapped { addr, access });
-                }
-            }
+        let pte = match self.page_table.get(vpn) {
+            Some(pte) if pte.prot.allows(access) => pte,
+            pte => return Err(self.fault(addr, access, pte, tlb_hit)),
         };
-        if !pte.prot.allows(access) {
-            self.stats.traps += 1;
-            self.note_event(addr, EventKind::Trap);
-            return Err(Trap::Protection { addr, prot: pte.prot, access });
-        }
         let paddr = (pte.frame as u64) << PAGE_SHIFT | addr.offset() as u64;
-        if !self.cores[self.active].cache.access(paddr) {
-            self.advance(self.config.cost.l1_miss, Charge::TlbPenalty);
+        let l1_hit = core.cache.access(paddr);
+        if !l1_hit {
+            core.clock += cost.l1_miss;
+            core.penalty_cycles += cost.l1_miss;
+        }
+        if self.trace {
+            self.trace_access(tlb_hit, l1_hit);
         }
         Ok((pte.frame, addr.offset()))
+    }
+
+    /// Hands the tracer the charges [`Machine::translate`] made, in the
+    /// order it made them.
+    fn trace_access(&mut self, tlb_hit: bool, l1_hit: bool) {
+        let cost = self.config.cost;
+        self.telemetry.charge(cost.mem_access, Charge::Plain);
+        if !tlb_hit {
+            self.telemetry.charge(cost.tlb_miss, Charge::TlbPenalty);
+        }
+        if !l1_hit {
+            self.telemetry.charge(cost.l1_miss, Charge::TlbPenalty);
+        }
+    }
+
+    /// The trap for an access that found no translation (`pte` is `None`)
+    /// or one whose protection forbids it. Counts and records it after
+    /// tracing the charges made so far, which include no L1 probe.
+    #[cold]
+    fn fault(
+        &mut self,
+        addr: VirtAddr,
+        access: AccessKind,
+        pte: Option<Entry>,
+        tlb_hit: bool,
+    ) -> Trap {
+        if self.trace {
+            self.trace_access(tlb_hit, true);
+        }
+        self.stats.traps += 1;
+        self.note_event(addr, EventKind::Trap);
+        match pte {
+            Some(pte) => Trap::Protection { addr, prot: pte.prot, access },
+            None => Trap::Unmapped { addr, access },
+        }
     }
 
     /// Loads `width` bytes (1, 2, 4 or 8) little-endian from `addr`.
@@ -1244,19 +1248,24 @@ impl Machine {
     #[inline]
     pub fn load(&mut self, addr: VirtAddr, width: usize) -> Result<u64, Trap> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad load width {width}");
-        let mut bytes = [0u8; 8];
         if addr.offset() + width <= PAGE_SIZE {
             let (frame, off) = self.translate(addr, width, AccessKind::Read)?;
-            bytes[..width].copy_from_slice(&self.slab.frame(frame)[off..off + width]);
-        } else {
-            // Page-crossing access: split at the boundary (two TLB lookups,
-            // as on real hardware).
-            let first = PAGE_SIZE - addr.offset();
-            let (f1, o1) = self.translate(addr, first, AccessKind::Read)?;
-            let (f2, _) = self.translate(addr.add(first as u64), width - first, AccessKind::Read)?;
-            bytes[..first].copy_from_slice(&self.slab.frame(f1)[o1..o1 + first]);
-            bytes[first..width].copy_from_slice(&self.slab.frame(f2)[..width - first]);
+            let bytes = &self.slab.frame(frame)[off..];
+            return Ok(match width {
+                1 => bytes[0] as u64,
+                2 => u16::from_le_bytes(word(bytes)) as u64,
+                4 => u32::from_le_bytes(word(bytes)) as u64,
+                _ => u64::from_le_bytes(word(bytes)),
+            });
         }
+        // Page-crossing access: split at the boundary (two TLB lookups,
+        // as on real hardware).
+        let mut bytes = [0u8; 8];
+        let first = PAGE_SIZE - addr.offset();
+        let (f1, o1) = self.translate(addr, first, AccessKind::Read)?;
+        let (f2, _) = self.translate(addr.add(first as u64), width - first, AccessKind::Read)?;
+        bytes[..first].copy_from_slice(&self.slab.frame(f1)[o1..o1 + first]);
+        bytes[first..width].copy_from_slice(&self.slab.frame(f2)[..width - first]);
         Ok(u64::from_le_bytes(bytes))
     }
 
@@ -1272,18 +1281,23 @@ impl Machine {
     #[inline]
     pub fn store(&mut self, addr: VirtAddr, width: usize, value: u64) -> Result<(), Trap> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad store width {width}");
-        let bytes = value.to_le_bytes();
         if addr.offset() + width <= PAGE_SIZE {
             let (frame, off) = self.translate(addr, width, AccessKind::Write)?;
-            self.slab.frame_mut(frame)[off..off + width].copy_from_slice(&bytes[..width]);
-        } else {
-            let first = PAGE_SIZE - addr.offset();
-            let (f1, o1) = self.translate(addr, first, AccessKind::Write)?;
-            let (f2, _) =
-                self.translate(addr.add(first as u64), width - first, AccessKind::Write)?;
-            self.slab.frame_mut(f1)[o1..o1 + first].copy_from_slice(&bytes[..first]);
-            self.slab.frame_mut(f2)[..width - first].copy_from_slice(&bytes[first..width]);
+            let bytes = &mut self.slab.frame_mut(frame)[off..];
+            match width {
+                1 => bytes[0] = value as u8,
+                2 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+                4 => bytes[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+                _ => bytes[..8].copy_from_slice(&value.to_le_bytes()),
+            }
+            return Ok(());
         }
+        let bytes = value.to_le_bytes();
+        let first = PAGE_SIZE - addr.offset();
+        let (f1, o1) = self.translate(addr, first, AccessKind::Write)?;
+        let (f2, _) = self.translate(addr.add(first as u64), width - first, AccessKind::Write)?;
+        self.slab.frame_mut(f1)[o1..o1 + first].copy_from_slice(&bytes[..first]);
+        self.slab.frame_mut(f2)[..width - first].copy_from_slice(&bytes[first..width]);
         Ok(())
     }
 
@@ -1520,16 +1534,15 @@ mod tests {
     }
 
     #[test]
-    fn mprotect_invalidates_tlb_and_ltc_on_every_core() {
-        // Satellite regression: the TLB and the one-entry last-translation
-        // cache are per-core, so a protect on core 0 must shoot down the
-        // entries the *other* cores cached, or they would keep loading
-        // through a stale ReadWrite translation.
+    fn mprotect_invalidates_tlb_on_every_core() {
+        // The TLB is per-core, so a protect on core 0 must shoot down the
+        // entries the *other* cores cached, or their next access would hit
+        // a stale translation instead of missing.
         let mut m = m8();
         let a = m.mmap(1).unwrap();
         for core in 0..8 {
             m.switch_core(core);
-            m.store_u64(a, core as u64).unwrap(); // warm TLB + LTC everywhere
+            m.store_u64(a, core as u64).unwrap(); // warm every core's TLB
         }
         m.switch_core(0);
         m.mprotect(a, 1, Protection::None).unwrap();
@@ -2045,8 +2058,8 @@ mod tests {
 
     #[test]
     fn bulk_ops_match_per_word_costs() {
-        // The bulk cost convention: a 4096-byte aligned read_bytes charges
-        // exactly what 512 word loads would, but performs one translation.
+        // The bulk cost convention: a 4096-byte aligned read_bytes counts
+        // the 512 word loads a word loop would, but performs one translation.
         let mut m = Machine::new();
         let a = m.mmap(1).unwrap();
         m.load_u64(a).unwrap(); // warm TLB and L1 for the page base
@@ -2054,6 +2067,32 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         m.read_bytes(a, &mut buf).unwrap();
         assert_eq!(m.stats().loads - loads, (PAGE_SIZE / 8) as u64);
+    }
+
+    #[test]
+    fn memset_of_a_fresh_page_probes_tlb_and_l1_once() {
+        // The bulk convention: one translation per page chunk, whose probe
+        // of the modelled TLB and L1 stands for the whole chunk; the other
+        // 511 words are charged `mem_access` each without a probe.
+        let mut m = Machine::new(); // calibrated costs
+        let cost = m.config().cost;
+        let a = m.mmap(1).unwrap();
+        let lookups = |m: &Machine| {
+            (m.tlb().hits() + m.tlb().misses(), m.cache().hits() + m.cache().misses())
+        };
+        let (tlb_before, l1_before) = lookups(&m);
+        let stores = m.stats().stores;
+        let clock = m.clock();
+        m.memset(a, 0x5a, PAGE_SIZE).unwrap();
+        let (tlb_after, l1_after) = lookups(&m);
+        assert_eq!(tlb_after - tlb_before, 1, "one TLB lookup for the page");
+        assert_eq!(l1_after - l1_before, 1, "one L1 lookup for the page");
+        assert_eq!(m.stats().stores - stores, (PAGE_SIZE / 8) as u64);
+        assert_eq!(
+            m.clock() - clock,
+            (PAGE_SIZE / 8) as u64 * cost.mem_access + cost.tlb_miss + cost.l1_miss,
+            "512 word accesses plus the fresh page's TLB and L1 misses"
+        );
     }
 
     #[test]
@@ -2070,7 +2109,7 @@ mod tests {
         for m in [&mut r, &mut x] {
             let a = m.mmap(2).unwrap();
             m.store_u64(a, 1).unwrap();
-            m.store_u64(a, 2).unwrap(); // LTC hit on the radix machine
+            m.store_u64(a, 2).unwrap();
             let s = m.mremap_alias(a, 2).unwrap();
             m.mprotect(s, 2, Protection::None).unwrap();
             assert!(m.load_u64(s).is_err());

@@ -27,12 +27,10 @@ use crate::machine::Protection;
 /// identical across variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PageTableImpl {
-    /// The original flat `HashMap` page table (no last-translation
-    /// cache). Kept as the baseline for differential testing and the
-    /// `simperf` speedup measurement.
+    /// The original flat `HashMap` page table. Kept as the baseline for
+    /// differential testing and the `simperf` speedup measurement.
     Reference,
-    /// Multi-level radix page table with a one-entry last-translation
-    /// cache in front (the default).
+    /// Multi-level radix page table (the default).
     #[default]
     Radix,
 }

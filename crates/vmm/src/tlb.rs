@@ -8,6 +8,8 @@
 //! decomposition, and the ablation bench sweeps its geometry (the paper's
 //! §6 future work proposes architectural TLB changes).
 
+use crate::lru::RecencySets;
+
 /// Geometry of the simulated TLB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -32,21 +34,6 @@ impl Default for TlbConfig {
     }
 }
 
-/// Set in [`TlbEntry::key`] when the entry is valid; the low bits are the
-/// VPN. Folding validity into the tag keeps entries at 16 bytes and makes
-/// the hit check a single compare.
-const VALID: u64 = 1 << 63;
-
-#[derive(Clone, Copy, Debug)]
-struct TlbEntry {
-    /// `vpn | VALID`, or 0 when invalid.
-    key: u64,
-    /// LRU timestamp; larger = more recent.
-    stamp: u64,
-}
-
-const INVALID: TlbEntry = TlbEntry { key: 0, stamp: 0 };
-
 /// A set-associative, LRU-replaced translation lookaside buffer.
 ///
 /// The TLB caches *translations only*; protection changes and unmappings
@@ -55,21 +42,7 @@ const INVALID: TlbEntry = TlbEntry { key: 0, stamp: 0 };
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<TlbEntry>,
-    /// `entries / ways`, precomputed off the hot path.
-    num_sets: usize,
-    /// `num_sets - 1` when `num_sets` is a power of two (the common
-    /// geometry), letting the set index be a mask instead of a division.
-    set_mask: Option<usize>,
-    /// Index of the most recently touched entry. A repeat access to the
-    /// same VPN skips the set scan; the `key` compare makes the shortcut
-    /// self-validating (an evicted/invalidated entry no longer matches),
-    /// so hit/miss counts and LRU state are exactly those of the full
-    /// scan.
-    last_idx: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    sets: RecencySets,
 }
 
 impl Tlb {
@@ -84,100 +57,35 @@ impl Tlb {
             config.entries.is_multiple_of(config.ways),
             "TLB entries must be a multiple of ways"
         );
-        let num_sets = config.entries / config.ways;
-        Tlb {
-            config,
-            sets: vec![INVALID; config.entries],
-            num_sets,
-            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
-            last_idx: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn set_range(&self, vpn: u64) -> (usize, usize) {
-        let set = match self.set_mask {
-            Some(mask) => vpn as usize & mask,
-            None => (vpn as usize) % self.num_sets,
-        };
-        let start = set * self.config.ways;
-        (start, start + self.config.ways)
+        Tlb { config, sets: RecencySets::new(config.entries / config.ways, config.ways) }
     }
 
     /// Looks up `vpn`, updating LRU state and counters. Returns `true` on a
     /// hit. On a miss the entry is filled (replacing the LRU way).
-    ///
-    /// Single pass over the set: the LRU/invalid victim is tracked while
-    /// scanning for the hit, so a miss does not rescan the ways.
     #[inline]
     pub fn access(&mut self, vpn: u64) -> bool {
-        self.tick += 1;
-        let key = vpn | VALID;
-        // Repeat-page fast path (consecutive accesses usually stay on one
-        // page).
-        if self.sets[self.last_idx].key == key {
-            self.sets[self.last_idx].stamp = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        let (start, end) = self.set_range(vpn);
-        let ways = &mut self.sets[start..end];
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        let mut have_invalid = false;
-        for (i, e) in ways.iter_mut().enumerate() {
-            if e.key == key {
-                e.stamp = self.tick;
-                self.hits += 1;
-                self.last_idx = start + i;
-                return true;
-            }
-            if !have_invalid {
-                if e.key == 0 {
-                    // First invalid way wins, as in a fill of a cold set.
-                    have_invalid = true;
-                    victim = i;
-                } else if e.stamp < best {
-                    best = e.stamp;
-                    victim = i;
-                }
-            }
-        }
-        self.misses += 1;
-        ways[victim] = TlbEntry { key, stamp: self.tick };
-        self.last_idx = start + victim;
-        false
+        self.sets.access(vpn)
     }
 
     /// Invalidates the entry for `vpn` if cached (TLB shootdown for one
     /// page, as after `mprotect`/`munmap`).
     pub fn invalidate(&mut self, vpn: u64) {
-        let key = vpn | VALID;
-        let (start, end) = self.set_range(vpn);
-        for e in &mut self.sets[start..end] {
-            if e.key == key {
-                *e = INVALID;
-            }
-        }
+        self.sets.invalidate(vpn);
     }
 
     /// Invalidates everything (full flush).
     pub fn flush(&mut self) {
-        for e in &mut self.sets {
-            *e = INVALID;
-        }
+        self.sets.flush();
     }
 
     /// Number of lookups that hit.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.sets.hits()
     }
 
     /// Number of lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.sets.misses()
     }
 
     /// The TLB geometry.
