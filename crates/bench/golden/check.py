@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Pins the paper's Tables 1-3 to checked-in golden artifacts.
+"""Pins the paper's evaluation to checked-in golden artifacts.
 
-Run the `table1`, `table2` and `table3` binaries first; each writes its
+Run the seven paper binaries first (`table1`, `table2`, `table3`,
+`wastage`, `exhaustion`, `ablation` and `soundness`); each writes its
 `BENCH_<name>.json` to the working directory. Then, from that directory:
 
     python3 crates/bench/golden/check.py            # compare, exit 1 on a diff
@@ -11,6 +12,10 @@ Host wall-clock fields (`host_wall_ms`, `host_exec_per_sec`) differ from
 run to run and are dropped before comparing and before writing. Every
 other field is simulated and deterministic, so a comparison fails with
 the first JSON path whose value differs from the golden.
+
+Table 1's invariants are checked in both modes, so an update cannot write
+a golden that breaks them: the five configurations ran, the overhead
+splits exactly into syscall and TLB cycles, and no configuration sampled.
 """
 
 import json
@@ -18,7 +23,7 @@ import os
 import sys
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
-TABLES = ("table1", "table2", "table3")
+ARTIFACTS = ("table1", "table2", "table3", "wastage", "exhaustion", "ablation", "soundness")
 HOST_FIELDS = {"host_wall_ms", "host_exec_per_sec"}
 
 
@@ -50,29 +55,57 @@ def first_diff(golden, actual, path="$"):
     return None if golden == actual else path
 
 
+def table1_violation(artifact):
+    """The first broken Table 1 invariant, or None."""
+    if artifact["benchmark"] != "table1" or artifact["schema_version"] != 1:
+        return "not a schema-1 table1 artifact"
+    rows = artifact["rows"]
+    if len(rows) < 9:
+        return f"expected utilities + servers, got {len(rows)} rows"
+    for row in rows:
+        name = row["workload"]
+        for key in ("native", "base", "pa", "pa_dummy", "ours"):
+            if key not in row["configs"] or row["configs"][key]["cycles"] <= 0:
+                return f"{name}: no {key} run"
+        dec = row["decomposition"]
+        if dec["syscall_cycles"] + dec["tlb_cycles"] != dec["overhead_cycles"]:
+            return f"{name}: decomposition does not add up"
+        if row["ratio1"] < 1.0:
+            return f"{name}: ratio1 below 1"
+        for key, cfg in row["configs"].items():
+            if any(cfg["sampling"].values()):
+                return f"{name}: {key} sampled"
+    return None
+
+
 def main():
     update = sys.argv[1:] == ["--update"]
     if sys.argv[1:] and not update:
         sys.exit(__doc__)
     failed = False
-    for table in TABLES:
-        with open(f"BENCH_{table}.json") as f:
+    for name in ARTIFACTS:
+        with open(f"BENCH_{name}.json") as f:
             actual = strip_host(json.load(f))
-        golden_path = os.path.join(GOLDEN_DIR, f"{table}.json")
+        violation = table1_violation(actual) if name == "table1" else None
+        if violation:
+            print(f"{name}: {violation}")
+            failed = True
+            continue
+        golden_path = os.path.join(GOLDEN_DIR, f"{name}.json")
         if update:
             with open(golden_path, "w") as f:
                 json.dump(actual, f, indent=1, sort_keys=True)
                 f.write("\n")
-            print(f"{table}: golden written")
+            print(f"{name}: golden written")
             continue
         with open(golden_path) as f:
             golden = json.load(f)
         diff = first_diff(golden, actual)
         if diff:
-            print(f"{table}: differs from the golden at {diff}")
+            print(f"{name}: differs from the golden at {diff}")
             failed = True
         else:
-            print(f"{table}: matches the golden")
+            print(f"{name}: matches the golden")
     sys.exit(1 if failed else 0)
 
 

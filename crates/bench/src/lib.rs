@@ -17,8 +17,7 @@
 //! fidelity discussion).
 
 use dangle_interp::backend::{
-    Backend, CapabilityBackend, EFenceBackend, MemcheckBackend, NativeBackend, PoolBackend,
-    ShadowBackend, ShadowPoolBackend,
+    Backend, MemcheckBackend, NativeBackend, PoolBackend, ShadowPoolBackend,
 };
 use dangle_telemetry::{Json, MetricsSnapshot};
 use dangle_vmm::{Machine, MachineConfig, MachineStats};
@@ -26,8 +25,8 @@ use dangle_workloads::Workload;
 
 pub use dangle_telemetry::Artifact;
 
-/// The measurement configurations of Tables 1 and 3, plus the baseline
-/// detectors for Table 2 and the related-work comparisons.
+/// The measurement configurations of Tables 1 and 3, plus the Valgrind-style
+/// baseline of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Config {
     /// Plain malloc ("native" column; we do not model compiler codegen
@@ -42,32 +41,11 @@ pub enum Config {
     /// The paper's detector: shadow pages + pool VA recycling ("Our
     /// approach").
     Ours,
-    /// Insight 1 only (shadow pages, no pools) — debugging mode.
-    ShadowOnly,
-    /// Electric Fence (object per virtual *and* physical page).
-    EFence,
     /// Valgrind-memcheck-style software checking.
     Memcheck,
-    /// SafeC/Xu-style capability checking.
-    Capability,
 }
 
 impl Config {
-    /// Column label used in the printed tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Config::Native => "native",
-            Config::Base => "LLVM (base)",
-            Config::Pa => "PA",
-            Config::PaDummy => "PA + dummy syscalls",
-            Config::Ours => "Our approach",
-            Config::ShadowOnly => "shadow (no pools)",
-            Config::EFence => "Electric Fence",
-            Config::Memcheck => "Valgrind",
-            Config::Capability => "capability store",
-        }
-    }
-
     /// Machine-readable key used in `BENCH_*.json` artifacts.
     pub fn key(&self) -> &'static str {
         match self {
@@ -76,10 +54,7 @@ impl Config {
             Config::Pa => "pa",
             Config::PaDummy => "pa_dummy",
             Config::Ours => "ours",
-            Config::ShadowOnly => "shadow_only",
-            Config::EFence => "efence",
             Config::Memcheck => "memcheck",
-            Config::Capability => "capability",
         }
     }
 
@@ -90,10 +65,7 @@ impl Config {
             Config::Pa => Box::new(PoolBackend::new()),
             Config::PaDummy => Box::new(PoolBackend::with_dummy_syscalls()),
             Config::Ours => Box::new(ShadowPoolBackend::new()),
-            Config::ShadowOnly => Box::new(ShadowBackend::new()),
-            Config::EFence => Box::new(EFenceBackend::new()),
             Config::Memcheck => Box::new(MemcheckBackend::new()),
-            Config::Capability => Box::new(CapabilityBackend::new()),
         }
     }
 }
@@ -245,42 +217,10 @@ pub fn measure_with(
     machine_config: MachineConfig,
 ) -> Measurement {
     let mut backend = config.backend();
-    measure_backend(workload, backend.as_mut(), machine_config)
-}
-
-/// The one measurement helper every harness shares: runs `workload` on an
-/// explicit `backend` instance (for detector configurations that have no
-/// [`Config`] key, e.g. batched-syscall modes) on a fresh machine, and
-/// packages the result exactly like [`measure`]. Telemetry series are
-/// zeroed via [`dangle_telemetry::Telemetry::reset_for_run`] before the
-/// run, so consecutive configurations can never bleed counters or
-/// histograms into each other's artifact rows.
-///
-/// # Panics
-/// Panics if the workload fails.
-pub fn measure_backend(
-    workload: &dyn Workload,
-    backend: &mut dyn Backend,
-    machine_config: MachineConfig,
-) -> Measurement {
     let mut machine = Machine::with_config(machine_config);
-    measure_on(workload, backend, &mut machine)
-}
-
-/// [`measure_backend`] on a caller-owned machine, for harnesses that need
-/// to inspect machine state (e.g. the flight recorder) after the run.
-///
-/// # Panics
-/// Panics if the workload fails.
-pub fn measure_on(
-    workload: &dyn Workload,
-    backend: &mut dyn Backend,
-    machine: &mut Machine,
-) -> Measurement {
-    machine.telemetry_mut().reset_for_run();
     let started = std::time::Instant::now();
     let checksum = workload
-        .run(machine, backend)
+        .run(&mut machine, backend.as_mut())
         .unwrap_or_else(|e| panic!("{} on {}: {e}", workload.name(), backend.name()));
     Measurement {
         cycles: machine.clock(),

@@ -167,25 +167,29 @@ pub trait Backend {
         self.free(machine, addr, pool)
     }
 
-    /// Creates a pool (`poolinit`). Non-pool schemes return a dummy handle.
+    /// Creates a pool (`poolinit`). Schemes without pools return handle 0.
     ///
     /// # Errors
     /// [`BackendError::Other`] if the scheme cannot create pools.
     fn pool_create(
         &mut self,
-        machine: &mut Machine,
-        elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError>;
+        _machine: &mut Machine,
+        _elem_hint: usize,
+    ) -> Result<PoolHandle, BackendError> {
+        Ok(0)
+    }
 
-    /// Destroys a pool (`pooldestroy`). A no-op for non-pool schemes.
+    /// Destroys a pool (`pooldestroy`). A no-op for schemes without pools.
     ///
     /// # Errors
     /// [`BackendError::Other`] for invalid handles.
     fn pool_destroy(
         &mut self,
-        machine: &mut Machine,
-        pool: PoolHandle,
-    ) -> Result<(), BackendError>;
+        _machine: &mut Machine,
+        _pool: PoolHandle,
+    ) -> Result<(), BackendError> {
+        Ok(())
+    }
 
     /// A program-level load (checked by software schemes).
     ///
@@ -301,25 +305,43 @@ pub trait Backend {
     }
 }
 
-/// Bulk-op overrides for MMU-backed schemes: the machine's page-chunked
-/// bulk transfers replace the default per-word walk (page protection
-/// still traps dangling accesses — chunks never cross a page). `plain`
-/// maps traps bare; `explained` attaches the detector's attribution.
-macro_rules! mmu_bulk_ops {
-    (@map plain, $self:ident, $t:ident) => {
-        BackendError::Trap { trap: $t, report: None }
-    };
-    (@map explained, $self:ident, $t:ident) => {
-        BackendError::Trap { report: $self.explain(&$t), trap: $t }
-    };
-    ($kind:ident) => {
+/// A trap of an MMU-backed scheme, with the scheme's attribution.
+fn mmu_trap<B: Backend + ?Sized>(backend: &B, trap: Trap) -> BackendError {
+    BackendError::Trap { report: backend.explain(&trap), trap }
+}
+
+/// The memory operations of an MMU-backed scheme: accesses go straight to
+/// the machine, whose page protection traps dangling uses, and bulk
+/// transfers are page-chunked instead of the default per-word walk (chunks
+/// never cross a page). Traps carry [`Backend::explain`]'s attribution.
+macro_rules! mmu_ops {
+    () => {
+        fn load(
+            &mut self,
+            machine: &mut Machine,
+            addr: VirtAddr,
+            width: usize,
+        ) -> Result<u64, BackendError> {
+            machine.load(addr, width).map_err(|t| mmu_trap(self, t))
+        }
+
+        fn store(
+            &mut self,
+            machine: &mut Machine,
+            addr: VirtAddr,
+            width: usize,
+            value: u64,
+        ) -> Result<(), BackendError> {
+            machine.store(addr, width, value).map_err(|t| mmu_trap(self, t))
+        }
+
         fn load_bytes(
             &mut self,
             machine: &mut Machine,
             addr: VirtAddr,
             buf: &mut [u8],
         ) -> Result<(), BackendError> {
-            machine.read_bytes(addr, buf).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.read_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
         }
 
         fn store_bytes(
@@ -328,7 +350,7 @@ macro_rules! mmu_bulk_ops {
             addr: VirtAddr,
             buf: &[u8],
         ) -> Result<(), BackendError> {
-            machine.write_bytes(addr, buf).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.write_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
         }
 
         fn memset(
@@ -338,7 +360,7 @@ macro_rules! mmu_bulk_ops {
             byte: u8,
             len: usize,
         ) -> Result<(), BackendError> {
-            machine.memset(addr, byte, len).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.memset(addr, byte, len).map_err(|t| mmu_trap(self, t))
         }
     };
 }
@@ -390,44 +412,7 @@ impl Backend for NativeBackend {
         self.heap.free(machine, addr).map_err(from_alloc)
     }
 
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -530,28 +515,7 @@ impl Backend for PoolBackend {
         self.pools.destroy(machine, Self::handle_to_pool(pool)).map_err(from_pool)
     }
 
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -630,48 +594,7 @@ impl Backend for ShadowBackend {
         self.heap.free_unchecked(machine, addr).map_err(from_alloc)
     }
 
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
+    mmu_ops!();
 
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.heap.explain(trap).map(|r| r.render(self.heap.sites()))
@@ -802,32 +725,7 @@ impl Backend for ShadowPoolBackend {
         self.detector.destroy(machine, PoolId(pool)).map_err(from_pool)
     }
 
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
+    mmu_ops!();
 
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.detector.explain_rendered(trap)
@@ -881,44 +779,7 @@ impl Backend for ArenaBackend {
         self.heap.free(machine, addr).map_err(from_alloc)
     }
 
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -969,22 +830,6 @@ macro_rules! checked_backend {
                 _pool: Option<PoolHandle>,
             ) -> Result<(), BackendError> {
                 self.inner.free(machine, addr).map_err(from_alloc)
-            }
-
-            fn pool_create(
-                &mut self,
-                _machine: &mut Machine,
-                _elem_hint: usize,
-            ) -> Result<PoolHandle, BackendError> {
-                Ok(0)
-            }
-
-            fn pool_destroy(
-                &mut self,
-                _machine: &mut Machine,
-                _pool: PoolHandle,
-            ) -> Result<(), BackendError> {
-                Ok(())
             }
 
             fn load(
@@ -1083,44 +928,7 @@ impl Backend for EFenceBackend {
         self.inner.free(machine, addr).map_err(from_alloc)
     }
 
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -1269,14 +1077,17 @@ mod tests {
     fn exercise_bulk(backend: &mut dyn Backend, expect_detection: bool) {
         let mut m = Machine::free_running();
         let pool = backend.pool_create(&mut m, 16).unwrap();
-        let p = backend.alloc(&mut m, 64, Some(pool)).unwrap();
-        let data: Vec<u8> = (0..64u8).map(|i| i ^ 0x5a).collect();
+        // Larger than a page, so every transfer crosses a page boundary.
+        const LEN: usize = 6_000;
+        let p = backend.alloc(&mut m, LEN, Some(pool)).unwrap();
+        let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8 ^ 0x5a).collect();
         backend.store_bytes(&mut m, p, &data).unwrap();
-        let mut back = vec![0u8; 64];
+        let mut back = vec![0u8; LEN];
         backend.load_bytes(&mut m, p, &mut back).unwrap();
         assert_eq!(back, data, "{}: bulk round trip", backend.name());
-        backend.memset(&mut m, p, 0x11, 64).unwrap();
-        assert_eq!(backend.load(&mut m, p, 8).unwrap(), 0x1111_1111_1111_1111);
+        backend.memset(&mut m, p, 0x11, LEN).unwrap();
+        let last_word = p.add(LEN as u64 - 8);
+        assert_eq!(backend.load(&mut m, last_word, 8).unwrap(), 0x1111_1111_1111_1111);
         backend.free(&mut m, p, Some(pool)).unwrap();
         let got = backend.load_bytes(&mut m, p, &mut back);
         if expect_detection {
@@ -1435,5 +1246,100 @@ mod tests {
         b.store(&mut m, p, 8, 1).unwrap();
         b.free(&mut m, p, None).unwrap();
         assert!(b.load(&mut m, p, 8).unwrap_err().is_detection());
+    }
+
+    /// Malformed frees and bad pool handles end in a typed error on every
+    /// scheme, and leave the backend usable.
+    #[test]
+    fn malformed_frees_return_typed_errors() {
+        type Make = fn() -> Box<dyn Backend>;
+        // (backend, whether it has pools that handles can name)
+        let backends: [(Make, bool); 11] = [
+            (|| Box::new(NativeBackend::new()), false),
+            (|| Box::new(PoolBackend::new()), true),
+            (|| Box::new(PoolBackend::with_dummy_syscalls()), true),
+            (|| Box::new(ShadowBackend::new()), false),
+            (|| Box::new(ShadowPoolBackend::new()), true),
+            (|| Box::new(ShardedPoolBackend::new(4)), true),
+            (|| Box::new(ArenaBackend::new(2)), false),
+            (|| Box::new(EFenceBackend::new()), false),
+            (|| Box::new(MemcheckBackend::new()), false),
+            (|| Box::new(CapabilityBackend::new()), false),
+            (|| Box::new(CombinedBackend::new()), true),
+        ];
+        type Case = fn(&mut dyn Backend, &mut Machine) -> Result<(), BackendError>;
+        const WILD: VirtAddr = VirtAddr(0x7777_0000);
+        let frees: [(&str, Case); 10] = [
+            ("null", |b, m| b.free(m, VirtAddr::NULL, None)),
+            ("wild", |b, m| b.free(m, WILD, None)),
+            ("misaligned", |b, m| {
+                let p = b.alloc(m, 32, None)?;
+                b.free(m, p.add(1), None)
+            }),
+            ("interior", |b, m| {
+                let p = b.alloc(m, 32, None)?;
+                b.free(m, p.add(16), None)
+            }),
+            ("interior, multi-page", |b, m| {
+                let p = b.alloc(m, 3 * 4096, None)?;
+                b.free(m, p.add(4096), None)
+            }),
+            ("double", |b, m| {
+                let p = b.alloc(m, 32, None)?;
+                b.free(m, p, None)?;
+                b.free(m, p, None)
+            }),
+            ("unchecked wild", |b, m| b.free_unchecked(m, WILD, None)),
+            ("unchecked interior", |b, m| {
+                let p = b.alloc_unchecked(m, 32, None)?;
+                b.free_unchecked(m, p.add(16), None)
+            }),
+            ("checked free of a freed unchecked object", |b, m| {
+                let p = b.alloc_unchecked(m, 32, None)?;
+                b.free_unchecked(m, p, None)?;
+                b.free(m, p, None)
+            }),
+            ("unchecked free of a freed checked object", |b, m| {
+                let p = b.alloc(m, 32, None)?;
+                b.free(m, p, None)?;
+                b.free_unchecked(m, p, None)
+            }),
+        ];
+        let handles: [(&str, Case); 6] = [
+            ("alloc in an unknown pool", |b, m| b.alloc(m, 16, Some(999)).map(drop)),
+            ("free into an unknown pool", |b, m| {
+                let p = b.alloc(m, 16, None)?;
+                b.free(m, p, Some(999))
+            }),
+            ("destroy an unknown pool", |b, m| b.pool_destroy(m, 999)),
+            ("alloc in a destroyed pool", |b, m| {
+                let h = b.pool_create(m, 16)?;
+                b.pool_destroy(m, h)?;
+                b.alloc(m, 16, Some(h)).map(drop)
+            }),
+            ("free into a destroyed pool", |b, m| {
+                let h = b.pool_create(m, 16)?;
+                let p = b.alloc(m, 16, Some(h))?;
+                b.pool_destroy(m, h)?;
+                b.free(m, p, Some(h))
+            }),
+            ("destroy a pool twice", |b, m| {
+                let h = b.pool_create(m, 16)?;
+                b.pool_destroy(m, h)?;
+                b.pool_destroy(m, h)
+            }),
+        ];
+        for (make, pools) in backends {
+            let mut b = make();
+            let mut m = Machine::free_running();
+            let cases = frees.iter().chain(handles.iter().filter(|_| pools));
+            for (case, call) in cases {
+                assert!(call(b.as_mut(), &mut m).is_err(), "{}: {case} succeeded", b.name());
+            }
+            let p = b.alloc(&mut m, 16, None).unwrap();
+            b.store(&mut m, p, 8, 7).unwrap();
+            assert_eq!(b.load(&mut m, p, 8).unwrap(), 7, "{}", b.name());
+            b.free(&mut m, p, None).unwrap();
+        }
     }
 }

@@ -151,8 +151,8 @@ pub fn is_detection(err: &RunError) -> bool {
 pub enum Engine {
     /// The tree-walking AST interpreter — the differential reference.
     Ast,
-    /// The register-bytecode compiler + VM — same observable behaviour,
-    /// ~10x the host throughput (see `BENCH_interpperf.json`).
+    /// The register-bytecode compiler + VM — same observable behaviour at
+    /// several times the host throughput.
     Bytecode,
 }
 

@@ -158,7 +158,7 @@ struct Core {
     cache: L1Cache,
     /// Cycles this core spent in kernel crossings (syscall charges plus
     /// received shootdown IPIs) and in TLB/L1 miss penalties — the
-    /// per-core decomposition the `shardperf` artifact reports.
+    /// per-core decomposition [`Machine::core_report`] returns.
     syscall_cycles: u64,
     penalty_cycles: u64,
 }

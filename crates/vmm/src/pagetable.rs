@@ -9,9 +9,8 @@
 //!   (present bit, protection bits, frame number), keeping each leaf a
 //!   flat cache-friendly `4096 × 8 B` block.
 //! * [`PageTableImpl::Reference`] — the original flat
-//!   `HashMap<u64, u64>`, kept so the `simperf` bench and the
-//!   differential property tests can A/B the optimized path against the
-//!   reference one on identical inputs.
+//!   `HashMap<u64, u64>`, kept so the differential tests can check the
+//!   optimized path against the reference one on identical inputs.
 //!
 //! Both store the same packed entries and expose the same operations;
 //! switching implementations must never change simulated behaviour —
@@ -27,8 +26,8 @@ use crate::machine::Protection;
 /// identical across variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PageTableImpl {
-    /// The original flat `HashMap` page table. Kept as the baseline for
-    /// differential testing and the `simperf` speedup measurement.
+    /// The original flat `HashMap` page table. Kept as the oracle of the
+    /// differential tests.
     Reference,
     /// Multi-level radix page table (the default).
     #[default]

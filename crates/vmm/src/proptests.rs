@@ -187,8 +187,8 @@ fn run_case(rng: &mut TestRng, nops: usize, case: u64) {
 /// (flat `HashMap`) machine and a `Radix` machine driven through
 /// identical randomized syscall/access sequences must produce identical
 /// results — every `Ok`/`Trap`, the simulated clock, the full
-/// `MachineStats`, and the TLB counters. This is the guarantee that lets
-/// `simperf` call its speedup "free".
+/// `MachineStats`, and the TLB counters. This is the guarantee that makes
+/// the radix table a host-only optimisation.
 #[test]
 fn radix_machine_is_bit_identical_to_reference() {
     use crate::cache::CacheConfig;

@@ -32,7 +32,6 @@ pub mod olden_sim;
 pub mod olden_sort;
 pub mod olden_trees;
 pub mod servers;
-pub mod stream;
 
 use dangle_interp::backend::{Backend, BackendError, PoolHandle};
 use dangle_telemetry::Category;
@@ -152,23 +151,6 @@ impl<'m, 'b> Ctx<'m, 'b> {
     /// As for [`Ctx::put`].
     pub fn put_u8(&mut self, buf: VirtAddr, i: usize, v: u8) -> WResult<()> {
         self.backend.store(self.machine, buf.add(i as u64), 1, v as u64)
-    }
-
-    /// Bulk read of a simulated buffer into host memory (`memcpy` out).
-    /// MMU-backed schemes translate once per page instead of per word.
-    ///
-    /// # Errors
-    /// As for [`Ctx::get`].
-    pub fn read_buf(&mut self, buf: VirtAddr, out: &mut [u8]) -> WResult<()> {
-        self.backend.load_bytes(self.machine, buf, out)
-    }
-
-    /// Bulk write of host memory into a simulated buffer (`memcpy` in).
-    ///
-    /// # Errors
-    /// As for [`Ctx::put`].
-    pub fn write_buf(&mut self, buf: VirtAddr, data: &[u8]) -> WResult<()> {
-        self.backend.store_bytes(self.machine, buf, data)
     }
 
     /// Bulk `memset` of a simulated buffer.

@@ -1,0 +1,161 @@
+//! The extensions' claims, asserted as tests at small workload scale:
+//! batched protection syscalls, the flight recorder and the radix page
+//! table. Every check depends only on the simulated clock or on identical
+//! results, so it is exact on any host. Host speed is measured by
+//! `perfbench/` alone. Lint elision, sampling and sharding keep their
+//! claims in `lint.rs`, `sampling.rs` and `concurrency.rs`, and the
+//! bytecode VM its equivalence with the AST walker in
+//! `crates/interp/tests/engines.rs`.
+
+use dangle::core::{BatchConfig, DetectorConfig};
+use dangle::interp::backend::{Backend, BackendError, NativeBackend, ShadowPoolBackend};
+use dangle::telemetry::TelemetryConfig;
+use dangle::vmm::{Machine, MachineConfig, PageTableImpl};
+use dangle::workloads::apps::Gzip;
+use dangle::workloads::olden_trees::{Perimeter, TreeAdd};
+use dangle::workloads::servers::{Ftpd, Ghttpd, GhttpdKeepAlive};
+use dangle::workloads::{Workload, REQUEST_HISTOGRAM};
+
+/// Runs `w` on a fresh machine built from `config`, returning its checksum
+/// and the machine.
+fn run_on(w: &dyn Workload, backend: &mut dyn Backend, config: MachineConfig) -> (u64, Machine) {
+    let mut m = Machine::with_config(config);
+    let checksum = w.run(&mut m, backend).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+    (checksum, m)
+}
+
+fn ftpd() -> Ftpd {
+    Ftpd { connections: 2, commands_per_connection: 3, file_bytes: 6_000 }
+}
+
+fn keepalive() -> GhttpdKeepAlive {
+    GhttpdKeepAlive { connections: 4, requests_per_connection: 24, response_bytes: 2_000 }
+}
+
+/// Off (one syscall per protection event), eager batching, and batching
+/// with protects deferred across 8 frees.
+const BATCH_MODES: [BatchConfig; 3] = [
+    BatchConfig { enabled: false, protect_epoch: None },
+    BatchConfig { enabled: true, protect_epoch: None },
+    BatchConfig { enabled: true, protect_epoch: Some(8) },
+];
+
+fn batched(batch: BatchConfig) -> ShadowPoolBackend {
+    ShadowPoolBackend::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
+}
+
+/// The trap report of a use-after-free on the first allocation of a fresh
+/// machine.
+fn injected_uaf_report(backend: &mut dyn Backend, config: MachineConfig) -> String {
+    let mut m = Machine::with_config(config);
+    let p = backend.alloc(&mut m, 16, None).unwrap();
+    backend.store(&mut m, p, 8, 0xdead).unwrap();
+    backend.free(&mut m, p, None).unwrap();
+    let BackendError::Trap { report, .. } = backend.load(&mut m, p, 8).unwrap_err() else {
+        panic!("use-after-free not trapped")
+    };
+    report.expect("trap must be attributed")
+}
+
+#[test]
+fn eager_batching_halves_kernel_crossings() {
+    // At these sizes: 836 crossings off, 306 eager, 302 with an 8-free epoch.
+    let workloads: [&dyn Workload; 4] =
+        [&ftpd(), &keepalive(), &TreeAdd { depth: 8, passes: 2 }, &Perimeter { levels: 5 }];
+    let (mut crossings, mut cycles) = ([0u64; 3], [0u64; 3]);
+    for w in workloads {
+        let runs = BATCH_MODES.map(|b| run_on(w, &mut batched(b), MachineConfig::default()));
+        let (off_sum, off) = &runs[0];
+        let mut row = [0u64; 3];
+        for (i, (sum, m)) in runs.iter().enumerate() {
+            assert_eq!(sum, off_sum, "{}: checksum under {:?}", w.name(), BATCH_MODES[i]);
+            let s = m.stats();
+            row[i] = s.mmap_calls + s.mremap_calls + s.mprotect_calls;
+            crossings[i] += row[i];
+            cycles[i] += m.clock();
+        }
+        assert_eq!(runs[1].1.stats().traps, off.stats().traps, "{}: traps", w.name());
+        assert!(row[1] <= row[0], "{}: eager batching added crossings {row:?}", w.name());
+    }
+    let [off, eager, epoch8] = crossings;
+    assert!(off >= 2 * eager, "batching must halve crossings: {off} -> {eager}");
+    assert!(epoch8 <= eager, "deferred protects must not add crossings: {crossings:?}");
+    assert!(cycles[1] <= cycles[0], "batching must not cost cycles: {cycles:?}");
+}
+
+#[test]
+fn batching_keeps_trap_reports_byte_identical() {
+    let config = MachineConfig::default();
+    let off = injected_uaf_report(&mut batched(BATCH_MODES[0]), config);
+    assert!(off.contains("dangling read"), "{off}");
+    assert_eq!(off, injected_uaf_report(&mut batched(BATCH_MODES[1]), config));
+
+    // Deferred protects leave a freed page readable until the epoch ends;
+    // the 8th free flushes all of them.
+    let mut m = Machine::with_config(config);
+    let mut b = batched(BATCH_MODES[2]);
+    let objs: Vec<_> = (0..8).map(|_| b.alloc(&mut m, 16, None).unwrap()).collect();
+    for &p in &objs {
+        b.free(&mut m, p, None).unwrap();
+    }
+    assert!(b.load(&mut m, objs[0], 8).unwrap_err().is_detection());
+}
+
+#[test]
+fn tracing_is_cycle_neutral_and_attribution_closes() {
+    let traced = MachineConfig { telemetry: TelemetryConfig::traced(), ..MachineConfig::default() };
+    let workloads: [&dyn Workload; 2] = [&ftpd(), &keepalive()];
+    for w in workloads {
+        let (off_sum, off) = run_on(w, &mut ShadowPoolBackend::new(), MachineConfig::default());
+        let (on_sum, on) = run_on(w, &mut ShadowPoolBackend::new(), traced);
+        assert_eq!(on_sum, off_sum, "{}: tracing changed the checksum", w.name());
+        assert_eq!(on.stats().traps, off.stats().traps, "{}: traps", w.name());
+        assert_eq!(on.clock(), off.clock(), "{}: tracing charged cycles", w.name());
+
+        let tracer = on.telemetry().tracer().expect("tracing on");
+        let categories = tracer.categories();
+        let names: Vec<_> = categories.iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            names,
+            ["app", "detector_metadata", "protection_syscalls", "tlb_l1_penalty", "pool_recycling"]
+        );
+        let total: u64 = categories.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total, on.clock(), "{}: attribution must sum to the clock", w.name());
+        assert!(!tracer.fold().is_empty(), "{}: no collapsed stacks", w.name());
+
+        let snapshot = on.metrics_snapshot();
+        let latency = snapshot.histograms.iter().find(|h| h.name == REQUEST_HISTOGRAM);
+        let latency = latency.expect("traced runs record request latency");
+        assert!(latency.count > 0 && latency.p50 > 0, "{}: {latency:?}", w.name());
+        assert!(latency.p99 > 0 && latency.p999 > 0, "{}: {latency:?}", w.name());
+    }
+
+    let off = injected_uaf_report(&mut ShadowPoolBackend::new(), MachineConfig::default());
+    assert_eq!(off, injected_uaf_report(&mut ShadowPoolBackend::new(), traced));
+}
+
+/// Asserts `w` gives the same checksum and cycles under the reference and
+/// radix page tables, on the native allocator and on the detector.
+fn assert_page_tables_agree(w: &dyn Workload) {
+    let backends: [fn() -> Box<dyn Backend>; 2] =
+        [|| Box::new(NativeBackend::new()), || Box::new(ShadowPoolBackend::new())];
+    for backend in backends {
+        let [(ref_sum, reference), (radix_sum, radix)] =
+            [PageTableImpl::Reference, PageTableImpl::Radix].map(|page_table| {
+                let config = MachineConfig { page_table, ..MachineConfig::default() };
+                run_on(w, backend().as_mut(), config)
+            });
+        assert_eq!(ref_sum, radix_sum, "{}: checksum", w.name());
+        assert_eq!(reference.clock(), radix.clock(), "{}: cycles", w.name());
+    }
+}
+
+#[test]
+fn radix_and_reference_page_tables_agree_on_gzip() {
+    assert_page_tables_agree(&Gzip::default());
+}
+
+#[test]
+fn radix_and_reference_page_tables_agree_on_ghttpd() {
+    assert_page_tables_agree(&Ghttpd::default());
+}

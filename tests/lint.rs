@@ -5,10 +5,12 @@
 //! elision fast path for `ProvablySafe` classes, and a lint↔runtime
 //! differential property test over randomized MiniC programs: stamping
 //! `unchecked` sites never changes a program's observable behaviour, and
-//! no `ProvablySafe` site ever participates in a runtime detection.
+//! no `ProvablySafe` site ever participates in a runtime detection. Over
+//! the server and injected-UAF corpora, deeper analysis only removes
+//! protection syscalls, and never changes output, detection or trap text.
 
 use dangle::apa::{
-    analyze, lint, parse, pool_allocate, pool_allocate_with_lint, LintReport,
+    analyze, corpus, lint, parse, pool_allocate, pool_allocate_with_lint, LintReport,
     Program, Verdict, FIGURE_1,
 };
 use dangle::interp::backend::ShadowPoolBackend;
@@ -733,4 +735,99 @@ fn free_through_two_levels_is_definite_with_chain() {
     let (t, _) = pool_allocate(&prog);
     let (got, _) = run_shadow_pool(&t);
     assert_eq!(got, Outcome::Detected);
+}
+
+// ---------------------------------------------------------------------
+// Runtime payoff by analysis depth over the server, Figure 1 and
+// injected-UAF corpora.
+// ---------------------------------------------------------------------
+
+/// What a run shows outside the detector's bookkeeping: output (`Err`
+/// holds the trap text), shadow syscalls (`mremap` + `mprotect`), clock
+/// and elided allocations.
+type Observed = (Result<Vec<i64>, String>, u64, u64, u64);
+
+/// Runs `prog` pool-allocated, with lint stamping at `mode` when given, on
+/// a calibrated machine.
+fn run_linted(
+    prog: &Program,
+    mode: Option<LintMode>,
+    engine: Engine,
+) -> (Observed, Option<LintReport>) {
+    let (prog, report) = match mode {
+        Some(mode) => {
+            let (t, _, r) = pool_allocate_with_lint_mode(prog, mode);
+            (t, Some(r))
+        }
+        None => (pool_allocate(prog).0, None),
+    };
+    let mut m = Machine::new();
+    let mut b = ShadowPoolBackend::new();
+    let res = match run_with(engine, &prog, &mut m, &mut b, FUEL) {
+        Ok(o) => Ok(o.output),
+        Err(e) if is_detection(&e) => Err(e.to_string()),
+        Err(e) => panic!("not a detection: {e}"),
+    };
+    let s = m.stats();
+    let elided = m.metrics_snapshot().counter("shadow.elided");
+    ((res, s.mremap_calls + s.mprotect_calls, m.clock(), elided), report)
+}
+
+#[test]
+fn deeper_lint_only_removes_protection_syscalls() {
+    let mut programs = vec![
+        ("fingerd", corpus::fingerd(50), false),
+        ("ftpd", corpus::ftpd(25), false),
+        ("ftpd-helper", corpus::ftpd_helper(25), false),
+        ("ghttpd", corpus::ghttpd(25), false),
+        ("ghttpd-keepalive", corpus::ghttpd_keepalive(2, 10), false),
+        ("figure1", FIGURE_1.to_string(), true),
+        ("figure1-fixed", corpus::figure1_fixed(), false),
+    ];
+    programs.extend(corpus::injected_uafs().into_iter().map(|(n, src)| (n, src.to_string(), true)));
+    let mut shadow = std::collections::HashMap::new();
+    let mut elided = 0;
+    for (name, src, dangles) in programs {
+        let prog = parse(&src).unwrap();
+        let modes = [None, Some(LintMode::Intra), Some(LintMode::Inter)];
+        let [(off, _), (intra, r_intra), (inter, r_inter)] = modes.map(|mode| {
+            let ast = run_linted(&prog, mode, Engine::Ast);
+            assert_eq!(
+                ast.0,
+                run_linted(&prog, mode, Engine::Bytecode).0,
+                "{name} {mode:?}: engines"
+            );
+            ast
+        });
+        let (r_intra, r_inter) = (r_intra.unwrap(), r_inter.unwrap());
+        assert_eq!(off.0.is_err(), dangles, "{name}: detection");
+        assert_eq!(intra.0, off.0, "{name}: intra changed output or trap text");
+        assert_eq!(inter.0, off.0, "{name}: inter changed output or trap text");
+        if !dangles {
+            assert_eq!(r_intra.sites_flagged(), 0, "{name}: false Definite\n{}", r_intra.render());
+            assert_eq!(r_inter.sites_flagged(), 0, "{name}: false Definite\n{}", r_inter.render());
+        }
+        assert_eq!(off.3, 0, "{name}: elided with the pass off");
+        assert!(r_inter.sites_safe() >= r_intra.sites_safe(), "{name}: inter lost safe sites");
+        assert!(
+            inter.1 <= intra.1 && intra.1 <= off.1,
+            "{name}: {} {} {}",
+            off.1,
+            intra.1,
+            inter.1
+        );
+        if name == "figure1-fixed" {
+            assert_eq!((r_inter.sites_unknown(), r_inter.sites_flagged()), (0, 0), "{name}");
+        }
+        elided += inter.3;
+        shadow.insert(name, [off.1, intra.1, inter.1]);
+    }
+    assert!(elided > 0, "the elision pass never fired");
+    // At these sizes fingerd drops from 100 shadow syscalls to 0, and
+    // ftpd-helper from 100 to 0 only with summaries (100 intra).
+    let [fingerd_off, _, fingerd_inter] = shadow["fingerd"];
+    assert!(fingerd_off > 0 && fingerd_inter == 0, "fingerd: {:?}", shadow["fingerd"]);
+    let [_, helper_intra, helper_inter] = shadow["ftpd-helper"];
+    assert!(helper_inter < helper_intra, "ftpd-helper: {:?}", shadow["ftpd-helper"]);
+    assert_eq!(shadow["figure1-fixed"][2], 0, "figure1-fixed keeps protection");
 }

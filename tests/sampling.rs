@@ -18,13 +18,18 @@
 //! 3. **Decisions are seed-deterministic.** The same `SamplingConfig`
 //!    reproduces the same protected subset across repeat runs, across
 //!    engines, and across core counts.
+//!
+//! Between the endpoints sits the GWP-ASan-style operating point, pinned on
+//! the server and injected-UAF corpora: 1-in-64 sampling costs at most a
+//! tenth of full protection on keep-alive ghttpd yet still catches injected
+//! bugs, and sites dangle-lint proved safe never reach the policy.
 
-use dangle_apa::{parse, pool_allocate};
+use dangle_apa::{corpus, parse, pool_allocate, pool_allocate_with_lint_mode, LintMode, Program};
 use dangle_core::{DetectorConfig, SamplingConfig, ShadowConfig};
 use dangle_interp::backend::{
     Backend, BackendError, PoolHandle, ShadowBackend, ShadowPoolBackend,
 };
-use dangle_interp::{run_with, Engine, RunError, RunOutcome};
+use dangle_interp::{is_detection, run_with, Engine, RunError, RunOutcome};
 use dangle_testkit::minic::random_program;
 use dangle_vmm::{Machine, MachineConfig, Trap, VirtAddr};
 use dangle_workloads::concurrent::ConcurrentMix;
@@ -274,4 +279,109 @@ fn four_core_sampled_concurrent_mix_is_reproducible() {
         runs.push((r, m.clock(), format!("{:?}", m.stats())));
     }
     assert_eq!(runs[0], runs[1], "same seed, same config: 4-core sampled run moved");
+}
+
+const SWEEP_SEED: u64 = 0x5a3d_11e5;
+
+/// One sampled run of `prog`: its output (`Err` holds a detection), its
+/// clock, and the `sampling.protected`, `sampling.skipped`,
+/// `sampling.budget_exhausted` and `shadow.elided` counters.
+fn sampled_run(
+    prog: &Program,
+    engine: Engine,
+    sampling: SamplingConfig,
+) -> (Result<Vec<i64>, String>, u64, [u64; 4]) {
+    let mut machine = Machine::new();
+    let mut b =
+        ShadowPoolBackend::with_config(DetectorConfig { sampling, ..DetectorConfig::default() });
+    let res = match run_with(engine, prog, &mut machine, &mut b, FUEL) {
+        Ok(o) => Ok(o.output),
+        Err(e) if is_detection(&e) => Err(e.to_string()),
+        Err(e) => panic!("not a detection: {e}"),
+    };
+    let snap = machine.metrics_snapshot();
+    let counters =
+        ["sampling.protected", "sampling.skipped", "sampling.budget_exhausted", "shadow.elided"];
+    (res, machine.clock(), counters.map(|c| snap.counter(c)))
+}
+
+#[test]
+fn one_in_64_costs_a_tenth_of_full_protection_on_servers() {
+    let sweep = [1, 8, 64, 512, SamplingConfig::NEVER];
+    for (name, src) in [("ftpd", corpus::ftpd(25)), ("keepalive", corpus::ghttpd_keepalive(10, 10))]
+    {
+        let parsed = parse(&src).unwrap();
+        for lint in [None, Some(LintMode::Inter)] {
+            let prog = match lint {
+                None => pool_allocate(&parsed).0,
+                Some(mode) => pool_allocate_with_lint_mode(&parsed, mode).0,
+            };
+            let full = observe(&prog, Engine::Ast, Variant::Unsampled);
+            let n1 = Variant::Sampled(SamplingConfig::one_in(1).with_seed(SWEEP_SEED));
+            assert_eq!(full, observe(&prog, Engine::Ast, n1), "{name} {lint:?}: N=1 diverged");
+            let output = full.0.clone().map(|o| o.output);
+            assert!(output.is_ok(), "{name}: server workloads run clean");
+            let runs = sweep.map(|n| {
+                sampled_run(&prog, Engine::Ast, SamplingConfig::one_in(n).with_seed(SWEEP_SEED))
+            });
+            for (n, run) in sweep.iter().zip(&runs) {
+                assert_eq!(run.0, output, "{name} {lint:?} N={n}: output moved");
+            }
+            let (n64, never) = (runs[2].1, runs[4].1);
+            assert!(full.1 >= never, "{name} {lint:?}: full protection below the floor");
+            assert_eq!(runs[0].2[1], 0, "{name}: N=1 skipped a site");
+            assert_eq!(runs[4].2[0], 0, "{name}: N=inf protected a site");
+            if name == "keepalive" && lint.is_none() {
+                // At this size: overhead 516294 cycles at full, 0 at 1 in 64.
+                let (full_overhead, n64_overhead) = (full.1 - never, n64 - never);
+                assert!(
+                    full_overhead >= 10 * n64_overhead.max(1),
+                    "1-in-64 overhead {n64_overhead} is above a tenth of {full_overhead}"
+                );
+                let cfg = SamplingConfig::one_in(8).with_seed(SWEEP_SEED);
+                assert_eq!(sampled_run(&prog, Engine::Bytecode, cfg), runs[1], "engines diverged");
+                let tight = SamplingConfig::one_in(1).with_seed(SWEEP_SEED).with_budgets(4, 2, 512);
+                let budgeted = sampled_run(&prog, Engine::Ast, tight);
+                assert!(budgeted.2[2] > 0, "a 4-token class budget must run out");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_in_64_still_catches_injected_uafs() {
+    let mut caught = [0u64; 2];
+    let mut runs = 0;
+    for (name, src) in corpus::injected_uafs() {
+        let (prog, _) = pool_allocate(&parse(src).unwrap());
+        let unsampled = sampled_run(&prog, Engine::Ast, SamplingConfig::default());
+        assert!(unsampled.0.is_err(), "{name}: full protection must detect");
+        let reference = observe(&prog, Engine::Ast, Variant::Unsampled);
+        for s in 0..64 {
+            let seed = SWEEP_SEED ^ (s * 0x9e37_79b9);
+            let n1 = observe(
+                &prog,
+                Engine::Ast,
+                Variant::Sampled(SamplingConfig::one_in(1).with_seed(seed)),
+            );
+            assert_eq!(n1, reference, "{name} seed {s}: N=1 diverged");
+            caught[0] += u64::from(n1.0.is_err());
+            let n64 = sampled_run(&prog, Engine::Ast, SamplingConfig::one_in(64).with_seed(seed));
+            caught[1] += u64::from(n64.0.is_err());
+            runs += 1;
+        }
+    }
+    assert_eq!(caught[0], runs, "N=1 must catch every injected UAF");
+    assert!(caught[1] > 0, "N=64 caught none of {runs} injected UAFs");
+}
+
+#[test]
+fn lint_safe_sites_never_reach_the_sampling_policy() {
+    let (prog, _, _) =
+        pool_allocate_with_lint_mode(&parse(&corpus::fingerd(25)).unwrap(), LintMode::Inter);
+    let (res, _, [protected, skipped, _, elided]) =
+        sampled_run(&prog, Engine::Ast, SamplingConfig::one_in(1).with_seed(SWEEP_SEED));
+    assert!(res.is_ok(), "fingerd runs clean");
+    assert_eq!((protected, skipped), (0, 0), "elided sites were sampled");
+    assert!(elided > 0, "fingerd's sites are elided");
 }
