@@ -86,7 +86,7 @@ pub fn collect(
     let mut candidates: Vec<(PoolId, FreedSpan)> = Vec::new();
     let mut candidate_pages: HashSet<PageNum> = HashSet::new();
     for &p in &pools {
-        for span in detector.freed_spans(p) {
+        for &span in detector.freed_spans(p) {
             for k in 0..span.span as u64 {
                 candidate_pages.insert(span.base.add(k));
             }

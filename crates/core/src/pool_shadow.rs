@@ -21,28 +21,17 @@
 use crate::diag::SiteId;
 use crate::protect::{runs_overlap, CanonicalMemory, Protector};
 use crate::sharded::DetectorConfig;
+pub use dangle_pool::FreedSpan;
 use dangle_pool::{PoolError, PoolId, PoolSet};
 use dangle_telemetry::{Category, CounterHandle, EventKind};
 use dangle_vmm::{Machine, PageNum, VirtAddr};
-use std::collections::HashMap;
-
-/// One freed object's shadow span, kept per pool for the §3.4 GC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FreedSpan {
-    /// First shadow page of the span.
-    pub base: PageNum,
-    /// Number of pages.
-    pub span: usize,
-}
 
 /// The canonical memory of a [`ShadowPool`]: the pool runtime, whose
-/// shared free list also recycles shadow runs, plus the freed spans the
-/// §3.4 GC may reclaim.
+/// shared free list also recycles shadow runs and whose pools keep the
+/// freed spans the §3.4 GC may reclaim.
 #[derive(Debug)]
 pub struct PoolMemory {
     pools: PoolSet,
-    /// Freed-object shadow spans per pool (candidates for the §3.4 GC).
-    freed: HashMap<PoolId, Vec<FreedSpan>>,
     /// Cached telemetry handles for the per-alloc counters, resolved on
     /// first use so the hot path skips the by-name registry lookup.
     recycled_counter: Option<CounterHandle>,
@@ -118,7 +107,7 @@ impl CanonicalMemory for PoolMemory {
     }
 
     fn note_freed(&mut self, pool: PoolId, base: PageNum, pages: usize) {
-        self.freed.entry(pool).or_default().push(FreedSpan { base, span: pages });
+        self.pools.note_freed_span(pool, FreedSpan { base, span: pages });
     }
 }
 
@@ -162,7 +151,6 @@ impl ShadowPool {
     pub(crate) fn for_shard(config: &DetectorConfig, shard: usize) -> ShadowPool {
         let mem = PoolMemory {
             pools: PoolSet::with_config(config.pool),
-            freed: HashMap::new(),
             recycled_counter: None,
             fresh_counter: None,
         };
@@ -281,9 +269,7 @@ impl ShadowPool {
         if let Ok(shadow) = self.mem.pools.extra_pages(pool) {
             self.registry.forget_pages(shadow);
         }
-        self.mem.pools.destroy(machine, pool)?;
-        self.mem.freed.remove(&pool);
-        Ok(())
+        self.mem.pools.destroy(machine, pool)
     }
 
     /// The underlying pool runtime (read-only).
@@ -314,8 +300,8 @@ impl ShadowPool {
     }
 
     /// Freed shadow spans of `pool` — GC candidates.
-    pub fn freed_spans(&self, pool: PoolId) -> Vec<FreedSpan> {
-        self.mem.freed.get(&pool).cloned().unwrap_or_default()
+    pub fn freed_spans(&self, pool: PoolId) -> &[FreedSpan] {
+        self.mem.pools.freed_spans(pool)
     }
 
     /// Reclaims a freed shadow span of `pool` after the GC proved it
@@ -329,9 +315,9 @@ impl ShadowPool {
         if runs_overlap(&self.pending_protect, span.base, span.span) {
             return 0;
         }
-        let Some(list) = self.mem.freed.get_mut(&pool) else { return 0 };
-        let Some(pos) = list.iter().position(|&s| s == span) else { return 0 };
-        list.remove(pos);
+        if !self.mem.pools.take_freed_span(pool, span) {
+            return 0;
+        }
         self.registry.forget_range(span.base, span.span);
         for i in 0..span.span as u64 {
             let pg = span.base.add(i);

@@ -401,8 +401,8 @@ impl<M: CanonicalMemory> Protector<M> {
             self.registry.note_sampled(true);
         }
         if !machine.telemetry().call_stack().is_empty() {
-            let stack = machine.telemetry().call_stack().to_vec();
-            self.registry.note_alloc_stack(&stack);
+            self.registry
+                .note_alloc_stack(machine.telemetry().call_stack());
         }
         self.stats.note_alloc(size);
         Ok(user)
@@ -604,8 +604,8 @@ impl<M: CanonicalMemory> Protector<M> {
             .telemetry_mut()
             .counter_add("core.pages_protected", span as u64);
         self.mem.free(machine, scope, canon_hidden)?;
-        let stack = machine.telemetry().call_stack().to_vec();
-        self.registry.mark_freed_traced(addr, site, &stack);
+        self.registry
+            .mark_freed_traced(addr, site, machine.telemetry().call_stack());
         self.mem.note_freed(scope, hidden.page(), span);
         self.stats.note_free(total - SHADOW_WORD);
         Ok(())

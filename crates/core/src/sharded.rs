@@ -11,7 +11,9 @@
 //!   core that created it (`active_core() % shards`), and every later
 //!   operation on the pool routes to that shard — so the hot paths
 //!   (`poolalloc`/`poolfree`) touch per-shard state only and never
-//!   contend;
+//!   contend. A pool's handle encodes its owner: it is the shard-local
+//!   pool id times the shard count plus the shard, so routing is a
+//!   division and the router keeps no table of the pools ever created;
 //! * ownership is **by page range**: the pages a shard maps belong to its
 //!   registry, so a trap is explained by whichever shard's registry knows
 //!   the faulting page;
@@ -189,10 +191,6 @@ impl Default for DetectorConfig {
 #[derive(Debug)]
 pub struct ShardedShadowPool {
     shards: Vec<ShadowPool>,
-    /// Public handle -> (owning shard, shard-local pool id), kept only with
-    /// more than one shard. With one shard a handle is the shard's own pool
-    /// id, so a long-running server holds no table entry per dead pool.
-    handles: Vec<(usize, PoolId)>,
     epoch: EpochFreeList,
     /// Shard that served the most recent routed operation, so
     /// [`ShardedShadowPool::render_last_report`] reads the right registry.
@@ -217,7 +215,6 @@ impl ShardedShadowPool {
         assert!(config.shards >= 1, "a sharded detector needs at least one shard");
         ShardedShadowPool {
             shards: (0..config.shards).map(|i| ShadowPool::for_shard(&config, i)).collect(),
-            handles: Vec::new(),
             epoch: EpochFreeList::new(config.shards),
             last_shard: 0,
         }
@@ -233,35 +230,58 @@ impl ShardedShadowPool {
         &self.epoch
     }
 
-    fn route(&self, handle: PoolId) -> Result<(usize, PoolId), PoolError> {
-        if self.shards.len() == 1 {
-            return Ok((0, handle));
-        }
-        self.handles.get(handle.0 as usize).copied().ok_or(PoolError::Unknown(handle))
+    /// Runs `op` on the shard that owns the global handle `pool`, with the
+    /// pool's shard-local id. A handle is `local * shards + shard`, so the
+    /// owner is `pool % shards` and the local id `pool / shards`. Records
+    /// the shard for [`ShardedShadowPool::render_last_report`] and reports
+    /// a bad pool id by its global handle.
+    fn on_owner<T>(
+        &mut self,
+        pool: PoolId,
+        op: impl FnOnce(&mut ShadowPool, PoolId) -> Result<T, PoolError>,
+    ) -> Result<T, PoolError> {
+        let n = self.shards.len();
+        let (shard, local) = (pool.0 as usize % n, PoolId((pool.0 as usize / n) as u32));
+        self.last_shard = shard;
+        op(&mut self.shards[shard], local).map_err(|e| match e {
+            PoolError::Unknown(_) => PoolError::Unknown(pool),
+            PoolError::Destroyed(_) => PoolError::Destroyed(pool),
+            other => other,
+        })
     }
 
     /// `poolinit`, routed to the shard of the calling core
     /// (`active_core() % shards`). The returned id is a *global* handle,
-    /// valid from any core. A pool-creation boundary is a quiescent point
-    /// for the calling core: no allocation is in flight, so the epoch is
-    /// announced and any runs past their grace period are adopted into the
-    /// shard's free list (multi-shard only).
+    /// valid from any core: the shard-local id times the shard count plus
+    /// the shard, so with one shard it is the shard's own pool id. A
+    /// pool-creation boundary is a quiescent point for the calling core:
+    /// no allocation is in flight, so the epoch is announced and any runs
+    /// past their grace period are adopted into the shard's free list
+    /// (multi-shard only).
+    ///
+    /// # Panics
+    /// When the handle would not fit in a `u32`: a shard can create at
+    /// most `u32::MAX / shards` pools.
     pub fn create(&mut self, machine: &Machine, elem_hint: usize) -> PoolId {
-        if self.shards.len() == 1 {
-            return self.shards[0].create(elem_hint);
-        }
-        let shard = machine.active_core() % self.shards.len();
-        self.epoch.quiesce(machine.active_core());
-        while self.shards[shard].pools().free_page_count() < SHARD_FREE_WATERMARK {
-            match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
-                Some((base, pages)) => self.shards[shard].adopt_free_run(base, pages),
-                None => break,
+        let shards = self.shards.len();
+        let shard = machine.active_core() % shards;
+        if shards > 1 {
+            self.epoch.quiesce(machine.active_core());
+            while self.shards[shard].pools().free_page_count() < SHARD_FREE_WATERMARK {
+                match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
+                    Some((base, pages)) => self.shards[shard].adopt_free_run(base, pages),
+                    None => break,
+                }
             }
         }
         let local = self.shards[shard].create(elem_hint);
-        self.handles.push((shard, local));
         self.last_shard = shard;
-        PoolId(self.handles.len() as u32 - 1)
+        let handle = u64::from(local.0)
+            .checked_mul(shards as u64)
+            .and_then(|h| h.checked_add(shard as u64))
+            .and_then(|h| u32::try_from(h).ok())
+            .expect("pool handles are u32: at most u32::MAX / shards pools per shard");
+        PoolId(handle)
     }
 
     /// `poolalloc` + shadow remap on the owning shard, tagged with a site.
@@ -275,9 +295,7 @@ impl ShardedShadowPool {
         size: usize,
         site: SiteId,
     ) -> Result<VirtAddr, PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].alloc_at(machine, local, size, site)
+        self.on_owner(pool, |s, local| s.alloc_at(machine, local, size, site))
     }
 
     /// [`ShardedShadowPool::alloc_at`] with an unknown site.
@@ -304,9 +322,7 @@ impl ShardedShadowPool {
         addr: VirtAddr,
         site: SiteId,
     ) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].free_at(machine, local, addr, site)
+        self.on_owner(pool, |s, local| s.free_at(machine, local, addr, site))
     }
 
     /// [`ShardedShadowPool::free_at`] with an unknown site.
@@ -332,9 +348,7 @@ impl ShardedShadowPool {
         pool: PoolId,
         size: usize,
     ) -> Result<VirtAddr, PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].alloc_unchecked(machine, local, size)
+        self.on_owner(pool, |s, local| s.alloc_unchecked(machine, local, size))
     }
 
     /// Unchecked `poolfree`, on the owning shard.
@@ -347,9 +361,7 @@ impl ShardedShadowPool {
         pool: PoolId,
         addr: VirtAddr,
     ) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].free_unchecked(machine, local, addr)
+        self.on_owner(pool, |s, local| s.free_unchecked(machine, local, addr))
     }
 
     /// `pooldestroy` on the owning shard, then (multi-shard only) a
@@ -361,10 +373,9 @@ impl ShardedShadowPool {
     /// # Errors
     /// As for [`ShadowPool::destroy`].
     pub fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].destroy(machine, local)?;
+        self.on_owner(pool, |s, local| s.destroy(machine, local))?;
         if self.shards.len() > 1 {
+            let shard = self.last_shard;
             self.epoch.quiesce(machine.active_core());
             loop {
                 let free = self.shards[shard].pools().free_page_count();
@@ -584,6 +595,30 @@ mod tests {
         e.quiesce(1);
         e.quiesce(2);
         assert_eq!(e.take_safe(4), Some((PageNum(7), 1)));
+    }
+
+    #[test]
+    fn handles_encode_the_owning_shard() {
+        let mut m = machine(3);
+        let mut sp = ShardedShadowPool::new(3);
+        let mut handles = Vec::new();
+        for round in 0..2 {
+            for core in 0..3 {
+                m.switch_core(core);
+                let h = sp.create(&m, 8);
+                assert_eq!(h, PoolId(round * 3 + core as u32), "local * shards + shard");
+                handles.push(h);
+            }
+        }
+        m.switch_core(0);
+        let dead = handles[4]; // shard 1's second pool
+        sp.destroy(&mut m, dead).unwrap();
+        assert_eq!(sp.alloc(&mut m, dead, 8), Err(PoolError::Destroyed(dead)));
+        assert_eq!(sp.destroy(&mut m, dead), Err(PoolError::Destroyed(dead)));
+        let unborn = PoolId(7); // shard 1's third pool, never created
+        assert_eq!(sp.alloc(&mut m, unborn, 8), Err(PoolError::Unknown(unborn)));
+        assert!(sp.alloc(&mut m, handles[5], 8).is_ok());
+        assert_eq!(sp.shard(2).stats().allocs, 1, "handle 5 lives on shard 2");
     }
 
     #[test]

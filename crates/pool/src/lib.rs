@@ -131,7 +131,16 @@ struct ClassState {
     cur_end: u64,
 }
 
-#[derive(Debug)]
+/// One freed object's shadow span, kept with its pool for the §3.4 GC.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FreedSpan {
+    /// First shadow page of the span.
+    pub base: PageNum,
+    /// Number of pages.
+    pub span: usize,
+}
+
+#[derive(Debug, Default)]
 struct Pool {
     /// Element-size hint passed to `poolinit` (the `sizeof` the transform
     /// derives from the points-to graph node). Currently informational.
@@ -142,12 +151,41 @@ struct Pool {
     /// Shadow pages registered by the dangling-pointer detector so they are
     /// recycled together with the pool.
     extra_pages: Vec<PageNum>,
+    /// Shadow spans of the objects the detector freed in this pool, the
+    /// candidates of the §3.4 GC.
+    freed: Vec<FreedSpan>,
     /// First-fit list of freed large runs: `(pages, block_base)`.
     large_free: Vec<(usize, VirtAddr)>,
     /// Pools this pool's objects hold pointers into (dynamic pool
     /// points-to graph, §3.4).
     points_to: Vec<PoolId>,
     stats: AllocStats,
+}
+
+/// Entries of capacity each list of a destroyed pool keeps for the next
+/// `poolinit`. The per-request pools of a server list fewer pages (at most
+/// 80 in a seed-1 run of perfbench's server-mix-4c), so their lifecycles
+/// stay free of host allocation once warm; a larger pool's lists shrink
+/// back to this, so the spare pools never sit at the size of the largest
+/// pool ever destroyed.
+const SPARE_LIST_KEEP: usize = 128;
+
+impl Pool {
+    /// Empties the pool for reuse by a later `poolinit`, keeping at most
+    /// [`SPARE_LIST_KEEP`] entries of capacity per list.
+    fn clear(&mut self) {
+        fn empty<T>(list: &mut Vec<T>) {
+            list.clear();
+            list.shrink_to(SPARE_LIST_KEEP);
+        }
+        self.classes = Default::default();
+        empty(&mut self.pages);
+        empty(&mut self.extra_pages);
+        empty(&mut self.freed);
+        empty(&mut self.large_free);
+        empty(&mut self.points_to);
+        self.stats = AllocStats::default();
+    }
 }
 
 /// The pool runtime: all pools of one program plus the shared page free
@@ -174,6 +212,13 @@ pub struct PoolSet {
     /// `None` tombstone, so ids are never reused and a long-running server
     /// keeps one pointer per dead pool, not its class table and page lists.
     pools: Vec<Option<Box<Pool>>>,
+    /// Storage of destroyed pools, emptied with some capacity kept (see
+    /// [`SPARE_LIST_KEEP`]), which `create` hands out before allocating a
+    /// new pool.
+    // Boxed: a pool's box moves between `pools` and here, so reusing it
+    // allocates nothing.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Pool>>,
     destroyed: u64,
     /// Shared free list of virtual-page *runs*: `(base, len)`, kept
     /// **sorted by base** and fully coalesced (no two entries adjacent).
@@ -183,6 +228,8 @@ pub struct PoolSet {
     /// where the previous append-only list could only merge with the
     /// most recently released run and fragmented over time.
     free_runs: Vec<(PageNum, u32)>,
+    /// The runs `destroy` unmaps, kept so a destroy allocates nothing.
+    unmap: Vec<(VirtAddr, usize)>,
     config: PoolConfig,
     /// Cached telemetry handles for the `acquire_run` hot path (resolved
     /// lazily on first use instead of by name on every call).
@@ -205,15 +252,9 @@ impl PoolSet {
     /// compiler inferred for the pool's points-to node (0 if unknown).
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
         let id = PoolId(self.pools.len() as u32);
-        self.pools.push(Some(Box::new(Pool {
-            elem_hint,
-            classes: Default::default(),
-            pages: Vec::new(),
-            extra_pages: Vec::new(),
-            large_free: Vec::new(),
-            points_to: Vec::new(),
-            stats: AllocStats::default(),
-        })));
+        let mut pool = self.spare.pop().unwrap_or_default();
+        pool.elem_hint = elem_hint;
+        self.pools.push(Some(pool));
         id
     }
 
@@ -297,38 +338,34 @@ impl PoolSet {
 
     /// Releases a set of pages: sorts, coalesces consecutive pages into
     /// runs, and pushes the runs onto the shared free list. Returns the
-    /// number of distinct pages released and, on a machine with more than
-    /// one core, the coalesced runs of released pages that are not
-    /// private read-write, which the caller unmaps (see the
-    /// [module docs](self)).
-    fn release_pages(
-        &mut self,
-        machine: &Machine,
-        mut pages: Vec<PageNum>,
-    ) -> (u64, Vec<(VirtAddr, usize)>) {
-        let mut unmap = Vec::new();
+    /// number of distinct pages released. On a machine with more than one
+    /// core, `self.unmap` receives the coalesced runs of released pages
+    /// that are not private read-write, in address order, which the caller
+    /// unmaps (see the [module docs](self)).
+    fn release_pages(&mut self, machine: &Machine, pages: &mut Vec<PageNum>) -> u64 {
+        self.unmap.clear();
         if !self.config.reuse_pages || pages.is_empty() {
-            return (0, unmap);
+            return 0;
         }
         pages.sort_unstable();
         pages.dedup();
         let multi_core = machine.core_count() > 1;
         let (mut run_base, mut run_len) = (pages[0], 0u32);
-        for &pg in &pages {
+        for &pg in pages.iter() {
             if pg != run_base.add(run_len as u64) {
                 self.release_run(run_base, run_len);
                 (run_base, run_len) = (pg, 0);
             }
             run_len += 1;
             if multi_core && !machine.is_private_rw(pg.base(), 1) {
-                match unmap.last_mut() {
+                match self.unmap.last_mut() {
                     Some((base, len)) if base.page().add(*len as u64) == pg => *len += 1,
-                    _ => unmap.push((pg.base(), 1)),
+                    _ => self.unmap.push((pg.base(), 1)),
                 }
             }
         }
         self.release_run(run_base, run_len);
-        (pages.len() as u64, unmap)
+        pages.len() as u64
     }
 
     /// Obtains `n` contiguous virtual pages: recycled from the shared free
@@ -529,15 +566,16 @@ impl PoolSet {
     pub fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
         machine.tick(LOGIC_COST);
         self.pool_live(pool)?;
-        let p = self.pools[pool.0 as usize].take().expect("checked live above");
+        let mut p = self.pools[pool.0 as usize].take().expect("checked live above");
         self.destroyed += 1;
-        let mut pages = p.pages;
-        pages.extend_from_slice(&p.extra_pages);
-        let (released, unmap) = self.release_pages(machine, pages);
-        match unmap[..] {
+        p.pages.append(&mut p.extra_pages);
+        let released = self.release_pages(machine, &mut p.pages);
+        p.clear();
+        self.spare.push(p);
+        match self.unmap[..] {
             [] => {}
             [(base, len)] => machine.munmap(base, len)?,
-            _ => machine.munmap_batch(&unmap)?,
+            _ => machine.munmap_batch(&self.unmap)?,
         }
         machine.note_event(VirtAddr::NULL, EventKind::PoolDestroy);
         machine.telemetry_mut().counter_add("pool.pages_released", released);
@@ -610,6 +648,34 @@ impl PoolSet {
                 }
             }
             Err(_) => false,
+        }
+    }
+
+    /// Records the shadow span of an object the detector just freed in
+    /// `pool`, a candidate for the §3.4 GC. Ignored for a pool that is not
+    /// live.
+    pub fn note_freed_span(&mut self, pool: PoolId, span: FreedSpan) {
+        if let Ok(p) = self.pool_live(pool) {
+            p.freed.push(span);
+        }
+    }
+
+    /// The freed shadow spans recorded for `pool`, oldest first; empty for
+    /// a pool that is not live.
+    pub fn freed_spans(&self, pool: PoolId) -> &[FreedSpan] {
+        self.pool(pool).map_or(&[], |p| &p.freed)
+    }
+
+    /// Removes `span` from `pool`'s freed spans, returning whether it was
+    /// recorded there.
+    pub fn take_freed_span(&mut self, pool: PoolId, span: FreedSpan) -> bool {
+        let Ok(p) = self.pool_live(pool) else { return false };
+        match p.freed.iter().position(|&s| s == span) {
+            Some(i) => {
+                p.freed.remove(i);
+                true
+            }
+            None => false,
         }
     }
 
@@ -791,6 +857,67 @@ mod tests {
         assert_eq!(std::mem::size_of_val(&ps.pools[0]), std::mem::size_of::<usize>());
         assert_eq!(ps.create(8), PoolId(1));
         assert_eq!((ps.pools_created(), ps.pools_destroyed()), (2, 1));
+    }
+
+    #[test]
+    fn a_destroyed_pools_storage_is_reused_empty() {
+        let (mut m, mut ps) = setup();
+        let old = ps.create(16);
+        let other = ps.create(8);
+        let a = ps.alloc(&mut m, old, 16).unwrap();
+        ps.alloc(&mut m, old, 3 * PAGE_SIZE).unwrap();
+        ps.free(&mut m, old, a).unwrap();
+        ps.register_extra_page(old, PageNum(900)).unwrap();
+        ps.note_freed_span(old, FreedSpan { base: PageNum(900), span: 1 });
+        ps.note_pool_edge(old, other);
+        let capacity = ps.pools[old.0 as usize].as_ref().unwrap().pages.capacity();
+        ps.destroy(&mut m, old).unwrap();
+
+        let new = ps.create(32);
+        let p = ps.pools[new.0 as usize].as_ref().unwrap();
+        assert_eq!(p.pages.capacity(), capacity, "the old pool's lists came back");
+        assert_eq!(ps.elem_hint(new).unwrap(), 32);
+        assert!(ps.pool_pages(new).unwrap().is_empty());
+        assert!(ps.extra_pages(new).unwrap().is_empty());
+        assert!(ps.freed_spans(new).is_empty());
+        assert!(ps.pool_edges(new).unwrap().is_empty());
+        assert_eq!(ps.pool_stats(new).unwrap().allocs, 0);
+        // The old pool's class state is gone: the first block is carved
+        // from a page the new pool acquires, not popped off a free list.
+        ps.alloc(&mut m, new, 16).unwrap();
+        assert_eq!(ps.pool_pages(new).unwrap().len(), 1);
+        assert!(ps.freed_spans(old).is_empty(), "a destroyed pool has no spans");
+    }
+
+    #[test]
+    fn a_large_pools_lists_shrink_before_reuse() {
+        let (mut m, mut ps) = setup();
+        let big = ps.create(8);
+        for i in 0..4 * SPARE_LIST_KEEP as u64 {
+            ps.register_extra_page(big, PageNum(10_000 + i)).unwrap();
+        }
+        ps.destroy(&mut m, big).unwrap();
+        let new = ps.create(8);
+        let p = ps.pools[new.0 as usize].as_ref().unwrap();
+        assert!(p.pages.capacity() <= SPARE_LIST_KEEP, "{}", p.pages.capacity());
+        assert!(p.extra_pages.capacity() <= SPARE_LIST_KEEP);
+    }
+
+    #[test]
+    fn freed_spans_are_kept_per_pool() {
+        let mut ps = PoolSet::new();
+        let (p, q) = (ps.create(8), ps.create(8));
+        let s1 = FreedSpan { base: PageNum(40), span: 1 };
+        let s2 = FreedSpan { base: PageNum(41), span: 2 };
+        ps.note_freed_span(p, s1);
+        ps.note_freed_span(p, s2);
+        assert_eq!(ps.freed_spans(p), [s1, s2]);
+        assert!(ps.freed_spans(q).is_empty());
+        assert!(!ps.take_freed_span(q, s1), "not q's span");
+        assert!(ps.take_freed_span(p, s1));
+        assert!(!ps.take_freed_span(p, s1), "taken once");
+        assert_eq!(ps.freed_spans(p), [s2]);
+        assert!(ps.freed_spans(PoolId(7)).is_empty(), "unknown pool");
     }
 
     #[test]

@@ -95,6 +95,12 @@ pub struct Telemetry {
     /// Frames on top of `calls` that an aborted run left for its trap
     /// report; the next run drops them first.
     stale_calls: usize,
+    /// The `event.<kind>` counter of each [`EventKind`], by
+    /// [`EventKind::index`], as its registry index plus one; 0 until the
+    /// kind is first recorded, so counters register in the order they
+    /// always did. One byte each keeps the sink small: `Machine` embeds
+    /// it, and the bytecode VM's loop is sensitive to that struct's size.
+    event_counters: [u8; EventKind::COUNT],
 }
 
 impl Default for Telemetry {
@@ -116,6 +122,7 @@ impl Telemetry {
             tracer,
             calls: Vec::new(),
             stale_calls: 0,
+            event_counters: [0; EventKind::COUNT],
         }
     }
 
@@ -200,7 +207,18 @@ impl Telemetry {
             return;
         }
         self.ring.push(Event { clock, addr, kind });
-        self.metrics.add_named(kind.counter_name(), 1);
+        let cached = &mut self.event_counters[kind.index()];
+        let handle = match *cached {
+            0 => {
+                let h = self.metrics.counter_handle(kind.counter_name());
+                // A registry index past 254 is not cached; that kind keeps
+                // going by name.
+                *cached = u8::try_from(h.0 + 1).unwrap_or(0);
+                h
+            }
+            i => CounterHandle(usize::from(i) - 1),
+        };
+        self.metrics.add(handle, 1);
     }
 
     /// Adds to a named counter (registering it on first use).
@@ -348,6 +366,24 @@ mod tests {
         assert_eq!(t.counter("event.trap"), 0);
         t.counter_add("x", 2);
         assert_eq!(t.counter("x"), 2);
+    }
+
+    #[test]
+    fn event_counters_register_in_first_use_order() {
+        let mut t = Telemetry::default();
+        t.counter_add("first", 1);
+        t.record(1, 0, EventKind::Munmap { pages: 1 });
+        t.counter_add("second", 1);
+        t.record(2, 0, EventKind::Mmap { pages: 1 });
+        t.record(3, 0, EventKind::Munmap { pages: 2 });
+        let names: Vec<_> = t.snapshot().counters.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["first", "event.munmap", "second", "event.mmap"]);
+        assert_eq!(t.counter("event.munmap"), 2);
+        // The cached handles survive a reset.
+        t.reset_for_run();
+        t.record(4, 0, EventKind::Munmap { pages: 1 });
+        assert_eq!(t.counter("event.munmap"), 1);
+        assert_eq!(t.snapshot().counters.len(), 4);
     }
 
     #[test]

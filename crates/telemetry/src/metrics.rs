@@ -10,7 +10,7 @@
 
 /// Cheap index into the registry's counter table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterHandle(usize);
+pub struct CounterHandle(pub(crate) usize);
 
 /// Cheap index into the registry's histogram table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -80,6 +80,28 @@ impl EventKind {
         }
     }
 
+    /// Number of event kinds.
+    pub(crate) const COUNT: usize = 12;
+
+    /// This kind's position among the [`EventKind::COUNT`] kinds, in
+    /// declaration order.
+    pub(crate) fn index(&self) -> usize {
+        match self {
+            EventKind::Mmap { .. } => 0,
+            EventKind::Mremap { .. } => 1,
+            EventKind::Mprotect { .. } => 2,
+            EventKind::Munmap { .. } => 3,
+            EventKind::DummySyscall => 4,
+            EventKind::Alloc { .. } => 5,
+            EventKind::Free { .. } => 6,
+            EventKind::FreeListHit { .. } => 7,
+            EventKind::FreeListMiss { .. } => 8,
+            EventKind::PoolCreate => 9,
+            EventKind::PoolDestroy => 10,
+            EventKind::Trap => 11,
+        }
+    }
+
     /// The registry counter bumped on every [`crate::Telemetry::record`] of
     /// this kind.
     pub fn counter_name(&self) -> &'static str {
@@ -299,10 +321,12 @@ mod tests {
             EventKind::PoolDestroy,
             EventKind::Trap,
         ];
-        for k in kinds {
+        for (i, k) in kinds.into_iter().enumerate() {
             let back = EventKind::from_name(k.name(), k.magnitude()).unwrap();
             assert_eq!(back, k);
+            assert_eq!(k.index(), i, "{k:?}");
         }
+        assert_eq!(kinds.len(), EventKind::COUNT);
         assert!(EventKind::from_name("bogus", None).is_none());
     }
 }

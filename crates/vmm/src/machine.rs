@@ -615,27 +615,56 @@ impl Machine {
         );
     }
 
-    /// Validates the destination ranges of a vectored syscall: every range
-    /// must be non-empty and no two ranges may overlap (adjacent ranges are
-    /// fine). Returns the total page count. The
-    /// [`Trap::BadSyscallArgument`] carries the base of the offending range.
-    fn validate_batch_ranges(spans: &[(u64, usize)]) -> Result<usize, Trap> {
-        let mut sorted: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    /// Validates the destination ranges of a vectored syscall, given as
+    /// `(first page, pages)`: every range must be non-empty and no two
+    /// ranges may overlap (adjacent ranges are fine). Returns the total
+    /// page count. The [`Trap::BadSyscallArgument`] carries the base of the
+    /// offending range: the first empty one in argument order, else the
+    /// higher of the first overlapping pair in address order. Ranges that
+    /// arrive sorted, as every batch the detector and the pool runtime
+    /// build does, are checked in place; others are checked on a sorted
+    /// copy.
+    fn validate_batch_ranges<I>(spans: I) -> Result<usize, Trap>
+    where
+        I: Iterator<Item = (u64, usize)> + Clone,
+    {
+        let bad = |base: u64| Trap::BadSyscallArgument { addr: PageNum(base).base() };
         let mut total = 0usize;
-        for &(base, pages) in spans {
+        let mut sorted = true;
+        let mut overlap = None;
+        let mut prev: Option<(u64, u64)> = None;
+        for (base, pages) in spans.clone() {
             if pages == 0 {
-                return Err(Trap::BadSyscallArgument { addr: PageNum(base).base() });
+                return Err(bad(base));
             }
-            sorted.push((base, base + pages as u64));
+            let range = (base, base + pages as u64);
+            match prev {
+                Some(p) if range < p => sorted = false,
+                Some(p) if overlap.is_none() && range.0 < p.1 => overlap = Some(range.0),
+                _ => {}
+            }
+            prev = Some(range);
             total += pages;
         }
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[1].0 < w[0].1 {
-                return Err(Trap::BadSyscallArgument { addr: PageNum(w[1].0).base() });
-            }
+        if !sorted {
+            let mut copy: Vec<(u64, u64)> = spans.map(|(b, p)| (b, b + p as u64)).collect();
+            copy.sort_unstable();
+            overlap = copy.windows(2).find(|w| w[1].0 < w[0].1).map(|w| w[1].0);
         }
-        Ok(total)
+        match overlap {
+            Some(base) => Err(bad(base)),
+            None => Ok(total),
+        }
+    }
+
+    /// The first page of `[base, base + pages)` that is unmapped, as the
+    /// [`Trap::BadSyscallArgument`] a syscall needing the range mapped
+    /// returns.
+    fn require_mapped(&self, base: u64, pages: usize) -> Result<(), Trap> {
+        match (base..base + pages as u64).find(|&vpn| !self.page_table.contains(vpn)) {
+            Some(vpn) => Err(Trap::BadSyscallArgument { addr: PageNum(vpn).base() }),
+            None => Ok(()),
+        }
     }
 
     /// `mmap`: maps `pages` fresh virtual pages to fresh zeroed frames with
@@ -720,22 +749,14 @@ impl Machine {
         self.stats.mremap_calls += 1;
         self.charge_syscall(self.config.cost.syscall_mremap, pages);
         let src_base = src.page().raw();
-        // Validate the whole source range before mutating anything.
-        let mut frames = Vec::with_capacity(pages);
-        for i in 0..pages as u64 {
-            match self.page_table.get(src_base + i) {
-                Some(pte) => frames.push(pte.frame),
-                None => {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    })
-                }
-            }
-        }
+        // Validate the whole source range before mutating anything. The
+        // new pages are fresh, so mapping them leaves the source as it is.
+        self.require_mapped(src_base, pages)?;
         let new_base = self.take_vpns(pages)?;
-        for (i, frame) in frames.into_iter().enumerate() {
+        for i in 0..pages as u64 {
+            let frame = self.page_table.get(src_base + i).expect("validated above").frame;
             self.incref_frame(frame);
-            self.map_vpn(new_base + i as u64, frame, Protection::ReadWrite);
+            self.map_vpn(new_base + i, frame, Protection::ReadWrite);
         }
         let addr = PageNum(new_base).base();
         self.note_event(addr, EventKind::Mremap { pages: pages as u32 });
@@ -772,21 +793,19 @@ impl Machine {
         self.stats.mmap_calls += 1;
         self.charge_syscall(self.config.cost.syscall_mmap, pages);
         let src_base = src.page().raw();
-        let mut frames = Vec::with_capacity(pages);
-        for i in 0..pages as u64 {
-            match self.page_table.get(src_base + i) {
-                Some(pte) => frames.push(pte.frame),
-                None => {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    })
-                }
-            }
-        }
+        self.require_mapped(src_base, pages)?;
+        // Each destination page takes the frame its source page had before
+        // the call. A destination overlapping the source from above is
+        // therefore mapped top page first, as `memmove` copies, so no
+        // source page is re-mapped before it has been read; every other
+        // call maps in ascending order.
         let mut replaced = false;
-        for (i, frame) in frames.into_iter().enumerate() {
+        let top_down = dst_base > src_base && dst_base < src_base + pages as u64;
+        for k in 0..pages as u64 {
+            let i = if top_down { pages as u64 - 1 - k } else { k };
+            let frame = self.page_table.get(src_base + i).expect("validated above").frame;
             self.incref_frame(frame);
-            replaced |= self.map_fixed(dst_base + i as u64, frame);
+            replaced |= self.map_fixed(dst_base + i, frame);
         }
         if replaced {
             self.charge_shootdown();
@@ -809,11 +828,7 @@ impl Machine {
         self.stats.mprotect_calls += 1;
         self.charge_syscall(self.config.cost.syscall_mprotect, pages);
         let base = addr.page().raw();
-        for i in 0..pages as u64 {
-            if !self.page_table.contains(base + i) {
-                return Err(Trap::BadSyscallArgument { addr: PageNum(base + i).base() });
-            }
-        }
+        self.require_mapped(base, pages)?;
         for i in 0..pages as u64 {
             assert!(self.page_table.set_prot(base + i, prot), "checked above");
             self.tlb_invalidate_all(base + i);
@@ -880,21 +895,16 @@ impl Machine {
         if ranges.is_empty() {
             return Ok(());
         }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                if !self.page_table.contains(base + i) {
-                    return Err(Trap::BadSyscallArgument { addr: PageNum(base + i).base() });
-                }
-            }
+        let spans = ranges.iter().map(|&(a, p)| (a.page().raw(), p));
+        let total = Self::validate_batch_ranges(spans.clone())?;
+        for (base, pages) in spans.clone() {
+            self.require_mapped(base, pages)?;
         }
         self.stats.mprotect_calls += 1;
         self.stats.mprotect_batch_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_mprotect, ranges.len(), total);
-        for &(base, pages) in &spans {
+        for (base, pages) in spans {
             for i in 0..pages as u64 {
                 assert!(self.page_table.set_prot(base + i, prot), "checked above");
                 self.tlb_invalidate_all(base + i);
@@ -926,14 +936,13 @@ impl Machine {
                 return Err(Trap::BadSyscallArgument { addr });
             }
         }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
+        let spans = ranges.iter().map(|&(a, p)| (a.page().raw(), p));
+        let total = Self::validate_batch_ranges(spans.clone())?;
         self.stats.mmap_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_mmap, ranges.len(), total);
         let mut replaced = false;
-        let mapped = spans.iter().try_for_each(|&(base, pages)| {
+        let mapped = spans.clone().try_for_each(|(base, pages)| {
             (0..pages as u64).try_for_each(|i| self.remap_fresh(base + i, &mut replaced))
         });
         if replaced {
@@ -955,14 +964,13 @@ impl Machine {
         if ranges.is_empty() {
             return Ok(());
         }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
+        let spans = ranges.iter().map(|&(a, p)| (a.page().raw(), p));
+        let total = Self::validate_batch_ranges(spans.clone())?;
         self.stats.munmap_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_munmap, ranges.len(), total);
         let mut removed = false;
-        for &(base, pages) in &spans {
+        for (base, pages) in spans {
             for i in 0..pages as u64 {
                 removed |= self.unmap_vpn(base + i);
             }
@@ -993,25 +1001,12 @@ impl Machine {
         if ranges.is_empty() {
             return Ok(Vec::new());
         }
-        let mut frames: Vec<Vec<u32>> = Vec::with_capacity(ranges.len());
         let mut total = 0usize;
         for &(src, pages) in ranges {
             if pages == 0 {
                 return Err(Trap::BadSyscallArgument { addr: src });
             }
-            let src_base = src.page().raw();
-            let mut fs = Vec::with_capacity(pages);
-            for i in 0..pages as u64 {
-                match self.page_table.get(src_base + i) {
-                    Some(pte) => fs.push(pte.frame),
-                    None => {
-                        return Err(Trap::BadSyscallArgument {
-                            addr: PageNum(src_base + i).base(),
-                        })
-                    }
-                }
-            }
-            frames.push(fs);
+            self.require_mapped(src.page().raw(), pages)?;
             total += pages;
         }
         if self.next_vpn + total as u64 > self.first_vpn + self.config.virt_pages {
@@ -1020,12 +1015,16 @@ impl Machine {
         self.stats.mremap_calls += 1;
         self.stats.ranges_batched += ranges.len() as u64;
         self.charge_batch_syscall(self.config.cost.syscall_mremap, ranges.len(), total);
+        // The new pages are fresh, so mapping them leaves every source as
+        // validated.
         let mut out = Vec::with_capacity(ranges.len());
-        for fs in frames {
-            let new_base = self.take_vpns(fs.len()).expect("reserved above");
-            for (i, frame) in fs.into_iter().enumerate() {
+        for &(src, pages) in ranges {
+            let src_base = src.page().raw();
+            let new_base = self.take_vpns(pages).expect("reserved above");
+            for i in 0..pages as u64 {
+                let frame = self.page_table.get(src_base + i).expect("validated above").frame;
                 self.incref_frame(frame);
-                self.map_vpn(new_base + i as u64, frame, Protection::ReadWrite);
+                self.map_vpn(new_base + i, frame, Protection::ReadWrite);
             }
             out.push(PageNum(new_base).base());
         }
@@ -1059,18 +1058,10 @@ impl Machine {
                 return Err(Trap::BadSyscallArgument { addr: dst });
             }
         }
-        let spans: Vec<(u64, usize)> =
-            entries.iter().map(|&(_, d, p)| (d.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
+        let total =
+            Self::validate_batch_ranges(entries.iter().map(|&(_, d, p)| (d.page().raw(), p)))?;
         for &(src, _, pages) in entries {
-            let src_base = src.page().raw();
-            for i in 0..pages as u64 {
-                if !self.page_table.contains(src_base + i) {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    });
-                }
-            }
+            self.require_mapped(src.page().raw(), pages)?;
         }
         self.stats.mmap_calls += 1;
         self.stats.ranges_batched += entries.len() as u64;
@@ -1905,6 +1896,25 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_alias_fixed_takes_the_frames_the_source_had() {
+        let page = PAGE_SIZE as u64;
+        let mut m = m();
+        let a = m.mmap(4).unwrap();
+        let frames = |m: &Machine| -> Vec<u32> {
+            (0..4).map(|i| m.frame_of(a.add(i * page)).unwrap()).collect()
+        };
+        let f = frames(&m);
+        // Up one page: pages 1..4 alias what pages 0..3 mapped before.
+        m.alias_fixed(a, a.add(page), 3).unwrap();
+        assert_eq!(frames(&m), [f[0], f[0], f[1], f[2]]);
+        assert_eq!(m.stats().phys_frames_in_use, 3, "page 3's frame was released");
+        // Down one page: pages 0..3 alias what pages 1..4 mapped before.
+        m.alias_fixed(a.add(page), a, 3).unwrap();
+        assert_eq!(frames(&m), [f[0], f[1], f[2], f[2]]);
+        assert_eq!(m.stats().phys_frames_in_use, 3);
+    }
+
+    #[test]
     fn alias_fixed_rejects_bad_arguments() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
@@ -2261,6 +2271,16 @@ mod tests {
         assert!(matches!(err, Trap::BadSyscallArgument { .. }), "empty range");
         let err = m.munmap_batch(&[(a, 2), (a.add(PAGE_SIZE as u64), 1)]).unwrap_err();
         assert!(matches!(err, Trap::BadSyscallArgument { .. }));
+        // The trap names the higher range of the first overlapping pair in
+        // address order, whatever the argument order.
+        let page = |i: u64| a.add(i * PAGE_SIZE as u64);
+        let (p1, p2, p3) = (page(1), page(2), page(3));
+        for ranges in [[(a, 1), (p1, 2), (p2, 2)], [(p2, 2), (a, 1), (p1, 2)]] {
+            let err = m.munmap_batch(&ranges).unwrap_err();
+            assert_eq!(err, Trap::BadSyscallArgument { addr: p2 }, "{ranges:?}");
+        }
+        let err = m.munmap_batch(&[(p3, 1), (p2, 2), (a, 0)]).unwrap_err();
+        assert_eq!(err, Trap::BadSyscallArgument { addr: a }, "an empty range is named first");
         assert_eq!(m.clock(), clock, "failed batches charge nothing");
         assert_eq!(*m.stats(), stats, "failed batches count nothing");
         assert_eq!(m.protection(a), Some(Protection::ReadWrite), "nothing applied");
