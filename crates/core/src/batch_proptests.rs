@@ -40,7 +40,7 @@ fn batched_pool() -> ShadowPool {
 }
 
 fn batched_pool_with(batch: BatchConfig) -> ShadowPool {
-    ShadowPool::for_shard(&DetectorConfig { batch, ..DetectorConfig::default() }, 0)
+    ShadowPool::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
 }
 
 /// Panics unless both runs' pool page tables pass the aliasing audit.

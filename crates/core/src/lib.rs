@@ -19,8 +19,10 @@
 //!
 //! Both are one [`protect::Protector`] — shadow alias, hidden word,
 //! `PROT_NONE` on free, sampling and batching — over two kinds of
-//! canonical memory; [`ShardedShadowPool`] routes pools across per-core
-//! `ShadowPool` shards.
+//! canonical memory. On a multi-core machine every core shares the one
+//! detector: the simulator charges nothing for sharing it, while per-core
+//! TLBs and shootdown IPIs charge what the paper's mechanism really costs
+//! on SMP.
 //!
 //! Supporting modules:
 //!
@@ -46,18 +48,16 @@ pub mod pool_shadow;
 pub mod protect;
 pub mod sampling;
 pub mod shadow;
-pub mod sharded;
 
 #[cfg(feature = "os")]
 pub mod os;
 
 pub use diag::{DanglingKind, DanglingReport, ObjectRecord, ObjectState, SiteId, SiteTable};
 pub use gc::GcReport;
-pub use pool_shadow::{FreedSpan, ShadowPool};
+pub use pool_shadow::{DetectorConfig, FreedSpan, ShadowPool};
 pub use protect::{BatchConfig, Protector, SHADOW_WORD};
 pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy};
 pub use shadow::{ShadowConfig, ShadowHeap};
-pub use sharded::{DetectorConfig, EpochFreeList, ShardedShadowPool};
 
 #[cfg(test)]
 mod batch_proptests;

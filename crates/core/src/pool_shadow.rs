@@ -19,10 +19,10 @@
 //! and the destroy and GC bookkeeping.
 
 use crate::diag::SiteId;
-use crate::protect::{runs_overlap, CanonicalMemory, Protector};
-use crate::sharded::DetectorConfig;
+use crate::protect::{runs_overlap, BatchConfig, CanonicalMemory, Protector};
+use crate::sampling::SamplingConfig;
 pub use dangle_pool::FreedSpan;
-use dangle_pool::{PoolError, PoolId, PoolSet};
+use dangle_pool::{PoolConfig, PoolError, PoolId, PoolSet};
 use dangle_telemetry::{Category, CounterHandle, EventKind};
 use dangle_vmm::{Machine, PageNum, VirtAddr};
 
@@ -111,6 +111,19 @@ impl CanonicalMemory for PoolMemory {
     }
 }
 
+/// Configuration of a [`ShadowPool`], and through it of the interpreter's
+/// `ShadowPoolBackend`. The default is the paper's configuration: page
+/// reuse on, no batching, no sampling.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DetectorConfig {
+    /// The pool runtime.
+    pub pool: PoolConfig,
+    /// Vectored-syscall batching (see [`BatchConfig`]).
+    pub batch: BatchConfig,
+    /// Sampled protection (see [`SamplingConfig`]).
+    pub sampling: SamplingConfig,
+}
+
 /// The pool-based shadow-page detector (the paper's production
 /// configuration): a [`Protector`] over [`PoolMemory`]. See the
 /// [module docs](self).
@@ -140,21 +153,19 @@ impl Default for ShadowPool {
 }
 
 impl ShadowPool {
-    /// Creates a detector with the default configuration. Other
-    /// configurations are built by [`crate::ShardedShadowPool`].
+    /// Creates a detector with the default configuration.
     pub fn new() -> ShadowPool {
-        ShadowPool::for_shard(&DetectorConfig::default(), 0)
+        ShadowPool::with_config(DetectorConfig::default())
     }
 
-    /// The detector shard `shard` of a [`crate::ShardedShadowPool`] built
-    /// from `config`.
-    pub(crate) fn for_shard(config: &DetectorConfig, shard: usize) -> ShadowPool {
+    /// Creates a detector with an explicit configuration.
+    pub fn with_config(config: DetectorConfig) -> ShadowPool {
         let mem = PoolMemory {
             pools: PoolSet::with_config(config.pool),
             recycled_counter: None,
             fresh_counter: None,
         };
-        Protector::with_memory(mem, config.batch, config.sampling.for_shard(shard))
+        Protector::with_memory(mem, config.batch, config.sampling)
     }
 
     /// `poolinit`. See [`PoolSet::create`].
@@ -277,22 +288,6 @@ impl ShadowPool {
         &self.mem.pools
     }
 
-    /// Takes up to `max` contiguous recycled pages off this detector's
-    /// shared free list without mapping them, so a sharded composition
-    /// (see [`crate::sharded`]) can retire the surplus into a cross-shard
-    /// epoch free list. `None` when the list is empty or reuse is off.
-    pub fn export_free_run(&mut self, max: usize) -> Option<(PageNum, usize)> {
-        self.mem.pools.take_free_run_capped(max)
-    }
-
-    /// Adds a run of recycled pages — exported from another shard and held
-    /// until an epoch grace period passed — to this detector's free list.
-    /// The pages must have been handed out by the same [`Machine`] so a
-    /// later `mmap_fixed` recycling them is legal.
-    pub fn adopt_free_run(&mut self, base: PageNum, pages: usize) {
-        self.mem.pools.donate_run(base, pages as u32);
-    }
-
     /// Records a dynamic pool points-to edge (see
     /// [`PoolSet::note_pool_edge`]).
     pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {
@@ -332,11 +327,11 @@ impl ShadowPool {
 mod tests {
     use super::*;
     use crate::diag::DanglingKind;
-    use crate::protect::BatchConfig;
     use dangle_heap::AllocError;
+    use dangle_vmm::{CostModel, MachineConfig, Trap};
 
     fn batched_with(batch: BatchConfig) -> ShadowPool {
-        ShadowPool::for_shard(&DetectorConfig { batch, ..DetectorConfig::default() }, 0)
+        ShadowPool::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
     }
 
     fn setup() -> (Machine, ShadowPool) {
@@ -636,6 +631,47 @@ mod tests {
     }
 
     #[test]
+    fn destroyed_pages_are_reused_on_another_core_without_ipis() {
+        let mut m = Machine::with_config(MachineConfig {
+            cores: 4,
+            cost: CostModel::free(),
+            ..MachineConfig::default()
+        });
+        let mut sp = ShadowPool::new();
+        let old = sp.create(16);
+        let x = sp.alloc(&mut m, old, 16).unwrap();
+        m.store_u64(x, 1).unwrap();
+        m.switch_core(3);
+        assert_eq!(m.load_u64(x).unwrap(), 1, "core 3 caches x's shadow page");
+        m.switch_core(0);
+        sp.destroy(&mut m, old).unwrap();
+        let new = sp.create(16);
+
+        // Core 1 reuses the destroyed pool's pages: both were unmapped at
+        // destroy, so re-mapping them replaces nothing and sends no IPI.
+        m.switch_core(1);
+        let ipis = m.stats().shootdown_ipis;
+        let y = sp.alloc(&mut m, new, 16).unwrap();
+        assert_eq!(y.page(), x.page(), "the shadow page was recycled");
+        assert_eq!(m.stats().shootdown_ipis, ipis, "reuse sent no IPI");
+        m.store_u64(y, 2).unwrap();
+
+        // No core kept a translation across the destroy and the re-map.
+        m.switch_core(3);
+        let misses = m.tlb().misses();
+        assert_eq!(m.load_u64(y).unwrap(), 2, "core 3 sees the new object");
+        assert_eq!(m.tlb().misses(), misses + 1, "first access after the re-map misses");
+
+        // A dangling read of an object freed on core 1 traps on core 3.
+        m.switch_core(1);
+        sp.free(&mut m, new, y).unwrap();
+        m.switch_core(3);
+        let trap = m.load_u64(y).unwrap_err();
+        assert!(matches!(trap, Trap::Protection { .. }), "{trap:?}");
+        assert!(sp.explain(&trap).is_some(), "the trap is attributed to y");
+    }
+
+    #[test]
     fn reused_registry_slot_reports_only_the_new_object() {
         let (mut m, mut sp) = setup();
         let old_alloc = sp.sites_mut().intern("old:malloc");
@@ -664,8 +700,7 @@ mod tests {
 
     fn sampled(cfg: crate::SamplingConfig) -> (Machine, ShadowPool) {
         let config = DetectorConfig { sampling: cfg, ..DetectorConfig::default() };
-        let sp = ShadowPool::for_shard(&config, 0);
-        (Machine::free_running(), sp)
+        (Machine::free_running(), ShadowPool::with_config(config))
     }
 
     #[test]

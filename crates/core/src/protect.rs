@@ -272,8 +272,8 @@ impl<M: CanonicalMemory> Protector<M> {
         &self.sites
     }
 
-    /// The most recent dangling-use report produced by a detector-internal
-    /// fault (a double free caught during a free).
+    /// The dangling-use report of the most recent checked free, when that
+    /// free trapped on a freed object (a double free); `None` otherwise.
     pub fn last_report(&self) -> Option<&DanglingReport> {
         self.last_report.as_ref()
     }
@@ -556,6 +556,10 @@ impl<M: CanonicalMemory> Protector<M> {
         addr: VirtAddr,
         site: SiteId,
     ) -> Result<(), M::Error> {
+        // A report belongs to the free that made it: a later free that
+        // traps elsewhere (a wild pointer on the sampled fast path) must
+        // not carry an earlier double free's diagnosis.
+        self.last_report = None;
         if addr.raw() < SHADOW_WORD as u64 {
             return Err(AllocError::InvalidFree { addr }.into());
         }

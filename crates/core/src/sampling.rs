@@ -109,21 +109,6 @@ impl SamplingConfig {
         self.refill_window = window;
         self
     }
-
-    /// The configuration shard `shard` of a sharded pool should run.
-    ///
-    /// Shard 0 keeps the base seed, so a one-shard detector draws exactly
-    /// the configured sequence; later shards mix the shard index in with a
-    /// golden-ratio stride so their draws are independent without any
-    /// cross-shard state.
-    pub fn for_shard(mut self, shard: usize) -> SamplingConfig {
-        if shard > 0 {
-            self.seed = self
-                .seed
-                .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        }
-        self
-    }
 }
 
 impl Default for SamplingConfig {
@@ -144,8 +129,7 @@ pub enum SampleDecision {
     Skip { budget_exhausted: bool },
 }
 
-/// Stateful decision engine owned by each detector (one per shard in the
-/// sharded pool, so there is no cross-shard contention).
+/// Stateful decision engine owned by each detector.
 #[derive(Clone, Debug)]
 pub struct SamplingPolicy {
     config: SamplingConfig,
@@ -378,13 +362,5 @@ mod tests {
             p.decide(SiteId(2), 0),
             SampleDecision::Protect { .. }
         ));
-    }
-
-    #[test]
-    fn shard_zero_keeps_the_base_seed() {
-        let cfg = SamplingConfig::one_in(8).with_seed(0xabc);
-        assert_eq!(cfg.for_shard(0), cfg);
-        assert_ne!(cfg.for_shard(1), cfg);
-        assert_ne!(cfg.for_shard(1), cfg.for_shard(2));
     }
 }

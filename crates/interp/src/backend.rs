@@ -11,7 +11,7 @@
 //! | [`NativeBackend`] | plain `malloc` | native / LLVM base |
 //! | [`PoolBackend`] | Automatic Pool Allocation only | PA |
 //! | [`PoolBackend::with_dummy_syscalls`] | PA + no-op kernel crossings | PA + dummy syscalls |
-//! | [`ShadowPoolBackend`] | **the paper's approach** (sharded per core when configured) | Our approach |
+//! | [`ShadowPoolBackend`] | **the paper's approach** | Our approach |
 //! | [`ArenaBackend`] | per-core `malloc` arenas, no detector | — (multi-core native) |
 //! | [`ShadowBackend`] | Insight 1 only (no pools, no VA reuse) | — (debug mode) |
 //! | [`EFenceBackend`] | Electric Fence | §5.3 comparison |
@@ -19,7 +19,7 @@
 //! | [`CapabilityBackend`] | SafeC/Xu-style | §5.2 comparison |
 
 use dangle_baselines::{CapabilityChecker, CheckError, CheckedMemory, EFence, Memcheck};
-use dangle_core::{DetectorConfig, ShadowConfig, ShadowHeap, ShardedShadowPool};
+use dangle_core::{DetectorConfig, ShadowConfig, ShadowHeap, ShadowPool};
 use dangle_heap::{AllocError, Allocator, ArenaHeap, SysHeap};
 use dangle_pool::{PoolError, PoolId, PoolSet};
 use dangle_telemetry::EventKind;
@@ -607,53 +607,49 @@ impl Backend for ShadowBackend {
 
 /// The paper's production configuration: shadow pages within Automatic Pool
 /// Allocation pools, with full virtual-address recycling at `pooldestroy`.
-/// The detector is a [`ShardedShadowPool`]: one shard unless configured,
-/// and on more, pools owned by the shard of the creating core, traps
-/// explained by page-range ownership and destroyed pages crossing shards
-/// through an epoch-based free list (see [`dangle_core::sharded`]).
+/// One [`ShadowPool`] serves every core of the machine.
 #[derive(Debug, Default)]
 pub struct ShadowPoolBackend {
-    detector: ShardedShadowPool,
+    detector: ShadowPool,
     global_pool: Option<PoolId>,
 }
 
 impl ShadowPoolBackend {
-    /// Creates the backend: one shard, the paper's configuration.
+    /// Creates the backend in the paper's configuration.
     pub fn new() -> ShadowPoolBackend {
         ShadowPoolBackend::default()
     }
 
     /// Creates the backend with an explicit detector configuration (pool
-    /// runtime, batching, sampling, shard count).
+    /// runtime, batching, sampling).
     pub fn with_config(config: DetectorConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend { detector: ShardedShadowPool::with_config(config), global_pool: None }
+        ShadowPoolBackend { detector: ShadowPool::with_config(config), global_pool: None }
     }
 
     /// The detector (for diagnostics and stats).
-    pub fn detector(&self) -> &ShardedShadowPool {
+    pub fn detector(&self) -> &ShadowPool {
         &self.detector
     }
 
-    fn pool_or_global(&mut self, machine: &Machine, pool: Option<PoolHandle>) -> PoolId {
+    fn pool_or_global(&mut self, pool: Option<PoolHandle>) -> PoolId {
         match pool {
             Some(h) => PoolId(h),
-            None => *self.global_pool.get_or_insert_with(|| self.detector.create(machine, 0)),
+            None => *self.global_pool.get_or_insert_with(|| self.detector.create(0)),
         }
     }
 }
 
-/// The paper's approach sharded across the machine's cores: the
-/// constructor of a [`ShadowPoolBackend`] with one detector shard per
-/// core.
+/// A compatibility name for the pool backend on a multi-core machine.
+// Its only caller is `perfbench/src/ops.rs:105`; this constructor is
+// deleted together with that call in the next change to the benchmark.
 pub enum ShardedPoolBackend {}
 
 impl ShardedPoolBackend {
-    /// Creates a [`ShadowPoolBackend`] with `shards` detector shards.
-    // The type only names this constructor; the backend it builds is the
-    // one pool backend, so `new` deliberately does not return `Self`.
+    /// Creates a [`ShadowPoolBackend`]; every core shares its detector.
+    // The type only names this constructor, so `new` does not return `Self`.
     #[allow(clippy::new_ret_no_self)]
-    pub fn new(shards: usize) -> ShadowPoolBackend {
-        ShadowPoolBackend::with_config(DetectorConfig { shards, ..DetectorConfig::default() })
+    pub fn new(_cores: usize) -> ShadowPoolBackend {
+        ShadowPoolBackend::new()
     }
 }
 
@@ -668,7 +664,7 @@ impl Backend for ShadowPoolBackend {
         size: usize,
         pool: Option<PoolHandle>,
     ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(machine, pool);
+        let p = self.pool_or_global(pool);
         self.detector.alloc(machine, p, size).map_err(from_pool)
     }
 
@@ -678,11 +674,11 @@ impl Backend for ShadowPoolBackend {
         addr: VirtAddr,
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(machine, pool);
+        let p = self.pool_or_global(pool);
         self.detector.free(machine, p, addr).map_err(|e| match e {
             PoolError::Alloc(AllocError::Trap(trap)) => BackendError::Trap {
                 trap,
-                report: self.detector.render_last_report(),
+                report: self.detector.last_report().map(|r| r.render(self.detector.sites())),
             },
             other => from_pool(other),
         })
@@ -694,7 +690,7 @@ impl Backend for ShadowPoolBackend {
         size: usize,
         pool: Option<PoolHandle>,
     ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(machine, pool);
+        let p = self.pool_or_global(pool);
         self.detector.alloc_unchecked(machine, p, size).map_err(from_pool)
     }
 
@@ -704,7 +700,7 @@ impl Backend for ShadowPoolBackend {
         addr: VirtAddr,
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(machine, pool);
+        let p = self.pool_or_global(pool);
         self.detector.free_unchecked(machine, p, addr).map_err(from_pool)
     }
 
@@ -714,7 +710,7 @@ impl Backend for ShadowPoolBackend {
         elem_hint: usize,
     ) -> Result<PoolHandle, BackendError> {
         machine.note_event(VirtAddr::NULL, EventKind::PoolCreate);
-        Ok(self.detector.create(machine, elem_hint).0)
+        Ok(self.detector.create(elem_hint).0)
     }
 
     fn pool_destroy(
@@ -728,7 +724,7 @@ impl Backend for ShadowPoolBackend {
     mmu_ops!();
 
     fn explain(&self, trap: &Trap) -> Option<String> {
-        self.detector.explain_rendered(trap)
+        self.detector.explain(trap).map(|r| r.render(self.detector.sites()))
     }
 }
 
@@ -737,8 +733,9 @@ impl Backend for ShadowPoolBackend {
 // ---------------------------------------------------------------------
 
 /// Plain `malloc` over per-core arenas ([`ArenaHeap`]): the undetected
-/// multi-core baseline the sharded detector's overhead is measured
-/// against. With one arena this is cycle-identical to [`NativeBackend`].
+/// multi-core baseline the detector's overhead on a multi-core machine is
+/// measured against. With one arena this is cycle-identical to
+/// [`NativeBackend`].
 #[derive(Debug)]
 pub struct ArenaBackend {
     heap: ArenaHeap,
@@ -1053,6 +1050,7 @@ impl Backend for CombinedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dangle_core::SamplingConfig;
 
     fn exercise(backend: &mut dyn Backend, expect_detection: bool) {
         let mut m = Machine::free_running();
@@ -1248,8 +1246,15 @@ mod tests {
         assert!(b.load(&mut m, p, 8).unwrap_err().is_detection());
     }
 
+    /// 1-in-1 sampling: every object protected, but frees the registry
+    /// does not know take the sampled fast path.
+    fn sampled_every_object() -> DetectorConfig {
+        DetectorConfig { sampling: SamplingConfig::one_in(1), ..DetectorConfig::default() }
+    }
+
     /// Malformed frees and bad pool handles end in a typed error on every
-    /// scheme, and leave the backend usable.
+    /// scheme, and leave the backend usable. A wild free names no object,
+    /// so no scheme attaches a dangling-pointer report to it.
     #[test]
     fn malformed_frees_return_typed_errors() {
         type Make = fn() -> Box<dyn Backend>;
@@ -1260,7 +1265,7 @@ mod tests {
             (|| Box::new(PoolBackend::with_dummy_syscalls()), true),
             (|| Box::new(ShadowBackend::new()), false),
             (|| Box::new(ShadowPoolBackend::new()), true),
-            (|| Box::new(ShardedPoolBackend::new(4)), true),
+            (|| Box::new(ShadowPoolBackend::with_config(sampled_every_object())), true),
             (|| Box::new(ArenaBackend::new(2)), false),
             (|| Box::new(EFenceBackend::new()), false),
             (|| Box::new(MemcheckBackend::new()), false),
@@ -1269,7 +1274,7 @@ mod tests {
         ];
         type Case = fn(&mut dyn Backend, &mut Machine) -> Result<(), BackendError>;
         const WILD: VirtAddr = VirtAddr(0x7777_0000);
-        let frees: [(&str, Case); 10] = [
+        let frees: [(&str, Case); 11] = [
             ("null", |b, m| b.free(m, VirtAddr::NULL, None)),
             ("wild", |b, m| b.free(m, WILD, None)),
             ("misaligned", |b, m| {
@@ -1288,6 +1293,12 @@ mod tests {
                 let p = b.alloc(m, 32, None)?;
                 b.free(m, p, None)?;
                 b.free(m, p, None)
+            }),
+            ("wild after a double free", |b, m| {
+                let p = b.alloc(m, 32, None)?;
+                b.free(m, p, None)?;
+                let _ = b.free(m, p, None);
+                b.free(m, WILD, None)
             }),
             ("unchecked wild", |b, m| b.free_unchecked(m, WILD, None)),
             ("unchecked interior", |b, m| {
@@ -1334,7 +1345,15 @@ mod tests {
             let mut m = Machine::free_running();
             let cases = frees.iter().chain(handles.iter().filter(|_| pools));
             for (case, call) in cases {
-                assert!(call(b.as_mut(), &mut m).is_err(), "{}: {case} succeeded", b.name());
+                let r = call(b.as_mut(), &mut m);
+                assert!(r.is_err(), "{}: {case} succeeded", b.name());
+                if case.contains("wild") {
+                    assert!(
+                        !matches!(r, Err(BackendError::Trap { report: Some(_), .. })),
+                        "{}: {case} carries a report: {r:?}",
+                        b.name()
+                    );
+                }
             }
             let p = b.alloc(&mut m, 16, None).unwrap();
             b.store(&mut m, p, 8, 7).unwrap();

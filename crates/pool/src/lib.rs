@@ -685,14 +685,6 @@ impl PoolSet {
         self.release_run(page, 1);
     }
 
-    /// Pushes a whole run of `pages` contiguous pages starting at `base`
-    /// onto the shared free list, coalescing with neighbours. Used by the
-    /// sharded detector to adopt runs retired by *another* shard once an
-    /// epoch grace period has passed.
-    pub fn donate_run(&mut self, base: PageNum, pages: u32) {
-        self.release_run(base, pages);
-    }
-
     /// Records that an object in `from` was observed to hold a pointer into
     /// `to` (dynamic pool points-to graph, §3.4).
     pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {

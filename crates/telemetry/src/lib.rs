@@ -266,21 +266,6 @@ impl Telemetry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
-
-    /// Zeroes every counter and histogram (keeping registered handles
-    /// valid), empties the event ring, unwinds the flight recorder, and
-    /// clears the shadow call stack — a clean slate between benchmark
-    /// configurations sharing one sink.
-    pub fn reset_for_run(&mut self) {
-        self.metrics.reset_for_run();
-        let cap = if self.config.enabled { self.config.ring_capacity } else { 0 };
-        self.ring = EventRing::new(cap);
-        if let Some(t) = self.tracer.as_mut() {
-            t.reset();
-        }
-        self.calls.clear();
-        self.stale_calls = 0;
-    }
 }
 
 #[cfg(test)]
@@ -349,26 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_for_run_clears_state_keeping_config() {
-        let mut t = Telemetry::new(TelemetryConfig::traced());
-        t.record(5, 0x40, EventKind::Trap);
-        t.counter_add("x", 3);
-        t.observe("h", 9);
-        t.push_call("main");
-        t.span_enter("req", Category::App, 0);
-        t.charge(4, Charge::Plain);
-        t.reset_for_run();
-        assert_eq!(t.counter("x"), 0);
-        assert_eq!(t.ring().len(), 0);
-        assert!(t.call_stack().is_empty());
-        assert_eq!(t.tracer().unwrap().total(), 0);
-        // Handles registered before the reset still resolve.
-        assert_eq!(t.counter("event.trap"), 0);
-        t.counter_add("x", 2);
-        assert_eq!(t.counter("x"), 2);
-    }
-
-    #[test]
     fn event_counters_register_in_first_use_order() {
         let mut t = Telemetry::default();
         t.counter_add("first", 1);
@@ -379,11 +344,6 @@ mod tests {
         let names: Vec<_> = t.snapshot().counters.into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["first", "event.munmap", "second", "event.mmap"]);
         assert_eq!(t.counter("event.munmap"), 2);
-        // The cached handles survive a reset.
-        t.reset_for_run();
-        t.record(4, 0, EventKind::Munmap { pages: 1 });
-        assert_eq!(t.counter("event.munmap"), 1);
-        assert_eq!(t.snapshot().counters.len(), 4);
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Zeroes the histogram in place.
-    pub fn reset(&mut self) {
-        *self = Histogram::default();
-    }
 }
 
 /// Point-in-time copy of one histogram, as exported to JSON.
@@ -286,18 +281,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Zeroes every counter and histogram **in place**: registered names
-    /// keep their slots, so [`CounterHandle`]s and [`HistogramHandle`]s
-    /// held by callers stay valid across benchmark configurations.
-    pub fn reset_for_run(&mut self) {
-        for (_, v) in &mut self.counters {
-            *v = 0;
-        }
-        for (_, h) in &mut self.histograms {
-            h.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -368,26 +351,6 @@ mod tests {
         assert_eq!(h.percentile(0.99), 64);
         assert_eq!(h.percentile(0.999), 524_288);
         assert_eq!(h.percentile(1.0), 524_288);
-    }
-
-    #[test]
-    fn reset_for_run_zeroes_but_keeps_handles() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter_handle("syscalls");
-        let h = r.histogram_handle("lat");
-        r.add(c, 41);
-        r.observe(h, 9);
-        r.reset_for_run();
-        assert_eq!(r.counter_value("syscalls"), 0);
-        assert_eq!(r.histogram("lat").unwrap().count(), 0);
-        // The pre-reset handles still address the same series.
-        r.add(c, 2);
-        r.observe(h, 3);
-        assert_eq!(r.counter_value("syscalls"), 2);
-        assert_eq!(r.histogram("lat").unwrap().count(), 1);
-        // No duplicate registration happened.
-        assert_eq!(r.counter_handle("syscalls"), c);
-        assert_eq!(r.histogram_handle("lat"), h);
     }
 
     #[test]

@@ -252,17 +252,6 @@ impl SpanTracer {
         }
         path.pop();
     }
-
-    /// Clears all aggregation (tree, attribution table) and unwinds the
-    /// live stack back to the root, keeping allocations.
-    pub fn reset(&mut self) {
-        self.nodes.truncate(1);
-        self.nodes[0].children.clear();
-        self.nodes[0].self_cycles = 0;
-        self.nodes[0].count = 1;
-        self.stack.truncate(1);
-        self.categories = [0; 5];
-    }
 }
 
 #[cfg(test)]
@@ -333,19 +322,5 @@ mod tests {
         assert_eq!(t.depth(), 2);
         assert_eq!(t.exit(70), 10);
         assert_eq!(t.exit(90), 40, "outer span duration includes inner");
-    }
-
-    #[test]
-    fn reset_clears_everything_but_stays_usable() {
-        let mut t = SpanTracer::new();
-        t.enter("a", Category::App, 0);
-        t.charge(9, Charge::Plain);
-        t.reset();
-        assert_eq!(t.total(), 0);
-        assert_eq!(t.depth(), 0);
-        assert_eq!(t.fold(), "");
-        t.enter("b", Category::App, 0);
-        t.charge(2, Charge::TlbPenalty);
-        assert_eq!(t.category_cycles(Category::TlbL1Penalty), 2);
     }
 }

@@ -1,7 +1,8 @@
 //! Random well-named MiniC program generator.
 //!
-//! Shared by the engine-equivalence suite (`dangle-interp`) and the
-//! sharded-detector differential (`tests/concurrency.rs`): every variable
+//! Shared by the engine-equivalence suite (`dangle-interp`), the sampling
+//! differential (`tests/sampling.rs`) and the lint differentials
+//! (`tests/lint.rs`): every variable
 //! is declared before use and scoped lexically, every call has the
 //! declared arity, and names are never reused — the fragment on which the
 //! AST and bytecode engines promise identical behaviour (see `compile`'s

@@ -329,7 +329,7 @@ impl ConcurrentMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dangle_interp::backend::{ArenaBackend, ShardedPoolBackend};
+    use dangle_interp::backend::{ArenaBackend, ShadowPoolBackend};
     use dangle_vmm::{CostModel, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
@@ -356,7 +356,7 @@ mod tests {
         let cfg = small_mix(2, 7);
         let run = || {
             let mut m = machine(4);
-            let mut b = ShardedPoolBackend::new(4);
+            let mut b = ShadowPoolBackend::new();
             let r = cfg.run(&mut m, &mut b).unwrap();
             (r, m.max_core_clock())
         };
@@ -368,7 +368,7 @@ mod tests {
         let mut reference = None;
         for seed in [1u64, 99, 123_456] {
             let mut m = machine(4);
-            let mut b = ShardedPoolBackend::new(4);
+            let mut b = ShadowPoolBackend::new();
             let r = small_mix(3, seed).run(&mut m, &mut b).unwrap();
             assert_eq!(r.detections.len(), 3, "every injected UAF detected");
             let key = (r.checksum, r.detections.clone());
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn undetecting_backend_reports_nothing_but_same_checksum() {
         let mut m1 = machine(2);
-        let mut b1 = ShardedPoolBackend::new(2);
+        let mut b1 = ShadowPoolBackend::new();
         let detected = small_mix(2, 5).run(&mut m1, &mut b1).unwrap();
         let mut m2 = machine(2);
         let mut b2 = ArenaBackend::new(2);

@@ -1,21 +1,18 @@
-//! Differential tests pinning the sharded multi-core detector's detections
-//! and its scaling.
+//! Differential tests pinning the detector's detections and its scaling
+//! on a multi-core machine, where every core shares one detector.
 //!
 //! **Detections are interleaving-invariant.** The concurrent driver's
 //! normalized detection records and checksum must not change across
 //! scheduler seeds or core counts: rescheduling may move sessions in time
 //! but can never add, lose, or misattribute a dangling use.
 //!
-//! **Cores scale.** With one detector shard per core, 8 cores serve the
-//! keep-alive ghttpd mix at three times the sessions per simulated second
-//! of one core, and one core never sends a TLB-shootdown IPI.
+//! **Cores scale.** 8 cores serve the keep-alive ghttpd mix at three
+//! times the sessions per simulated second of one core, and one core never
+//! sends a TLB-shootdown IPI.
 //!
-//! One shard needs no comparison with a separate detector: there is one
-//! pool backend, and `ShardedPoolBackend::new(1)` builds the same value as
-//! `ShadowPoolBackend::new()`. The golden Tables 1–3 pin the one-shard
-//! numbers.
+//! The backend is the one the golden Tables 1–3 pin on one core.
 
-use dangle_interp::backend::ShardedPoolBackend;
+use dangle_interp::backend::ShadowPoolBackend;
 use dangle_vmm::{Machine, MachineConfig};
 use dangle_workloads::concurrent::ConcurrentMix;
 
@@ -40,7 +37,7 @@ fn every_interleaving_reports_the_same_injected_uafs() {
                 ..ConcurrentMix::default()
             };
             let mut m = machine(cores);
-            let mut b = ShardedPoolBackend::new(cores);
+            let mut b = ShadowPoolBackend::new();
             let r = cfg.run(&mut m, &mut b).unwrap();
             assert_eq!(
                 r.detections.len(),
@@ -75,7 +72,7 @@ fn eight_cores_serve_three_times_the_sessions_of_one() {
     let mut walls = Vec::new();
     for cores in [1usize, 2, 4, 8] {
         let mut m = machine(cores);
-        let mut b = ShardedPoolBackend::new(cores);
+        let mut b = ShadowPoolBackend::new();
         let r = mix.run(&mut m, &mut b).unwrap();
         assert_eq!(r.detections.len(), 8, "{cores} cores: injected UAFs missed");
         let key = (r.checksum, r.detections);
@@ -95,10 +92,8 @@ fn eight_cores_serve_three_times_the_sessions_of_one() {
         // The slowest core finishes last: its clock is the wall clock.
         walls.push(m.max_core_clock());
     }
-    // Sessions per second go as 1 / wall clock; this mix reaches 6.29x.
-    // The speed-up is the per-core clocks', not evidence for sharding:
-    // with one detector shard for all 8 cores the mix still reaches
-    // 6.28x, because the simulator charges nothing for cores sharing a
-    // shard.
+    // Sessions per second go as 1 / wall clock; this mix reaches 6.28x.
+    // The speed-up is the per-core clocks': the simulator charges nothing
+    // for cores sharing the detector.
     assert!(walls[0] >= 3 * walls[3], "8 cores below 3x one core: {walls:?}");
 }

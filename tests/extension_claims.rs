@@ -2,8 +2,8 @@
 //! batched protection syscalls, the flight recorder and the radix page
 //! table. Every check depends only on the simulated clock or on identical
 //! results, so it is exact on any host. Host speed is measured by
-//! `perfbench/` alone. Lint elision, sampling and sharding keep their
-//! claims in `lint.rs`, `sampling.rs` and `concurrency.rs`, and the
+//! `perfbench/` alone. Lint elision, sampling and the multi-core machine
+//! keep their claims in `lint.rs`, `sampling.rs` and `concurrency.rs`, and the
 //! bytecode VM its equivalence with the AST walker in
 //! `crates/interp/tests/engines.rs`.
 

@@ -9,7 +9,7 @@
 //! global allocator, so it holds one test, and counts only on that test's
 //! thread.
 
-use dangle_interp::backend::{Backend, ShadowPoolBackend, ShardedPoolBackend};
+use dangle_interp::backend::{Backend, ShadowPoolBackend};
 use dangle_vmm::{Machine, MachineConfig, VirtAddr, PAGE_SIZE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -81,8 +81,8 @@ const SIZES: [usize; 8] = [16, 24, 48, 100, 256, 1000, PAGE_SIZE + 904, 64];
 
 /// `lifecycles` pool lifecycles: create a pool, allocate every size in it,
 /// free every other object and destroy the pool. On a multi-core machine
-/// each lifecycle runs on the next core, so its pool lands on that core's
-/// detector shard.
+/// each lifecycle runs on the next core, so `pooldestroy` unmaps pages
+/// other cores' TLBs may hold.
 fn run_lifecycles(machine: &mut Machine, backend: &mut dyn Backend, lifecycles: usize) {
     let cores = machine.core_count();
     let mut objects = [VirtAddr::NULL; SIZES.len()];
@@ -103,11 +103,8 @@ fn run_lifecycles(machine: &mut Machine, backend: &mut dyn Backend, lifecycles: 
 fn pool_lifecycles_make_no_host_allocations_after_warm_up() {
     const WARM_UP: usize = 500;
     const LIFECYCLES: usize = 10_000;
-    let setups: [(&str, usize, ShadowPoolBackend); 2] = [
-        ("1 core, 1 shard", 1, ShadowPoolBackend::new()),
-        ("4 cores, 4 shards", 4, ShardedPoolBackend::new(4)),
-    ];
-    for (name, cores, mut backend) in setups {
+    for (name, cores) in [("1 core", 1), ("4 cores", 4)] {
+        let mut backend = ShadowPoolBackend::new();
         let mut machine = Machine::with_config(MachineConfig {
             cores,
             ..MachineConfig::default()

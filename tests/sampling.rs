@@ -273,7 +273,7 @@ fn four_core_sampled_concurrent_mix_is_reproducible() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut m = Machine::with_config(MachineConfig { cores: 4, ..MachineConfig::default() });
-        let config = DetectorConfig { sampling, shards: 4, ..DetectorConfig::default() };
+        let config = DetectorConfig { sampling, ..DetectorConfig::default() };
         let mut b = ShadowPoolBackend::with_config(config);
         let r = cfg.run(&mut m, &mut b).unwrap();
         runs.push((r, m.clock(), format!("{:?}", m.stats())));
