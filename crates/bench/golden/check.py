@@ -10,8 +10,9 @@ Run the seven paper binaries first (`table1`, `table2`, `table3`,
 
 Host wall-clock fields (`host_wall_ms`, `host_exec_per_sec`) differ from
 run to run and are dropped before comparing and before writing. Every
-other field is simulated and deterministic, so a comparison fails with
-the first JSON path whose value differs from the golden.
+other field is simulated and deterministic, so a comparison fails when
+any JSON path differs from the golden, printing for each artifact how
+many paths differ and the first 20 of them.
 
 Table 1's invariants are checked in both modes, so an update cannot write
 a golden that breaks them: the five configurations ran, the overhead
@@ -25,6 +26,7 @@ import sys
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 ARTIFACTS = ("table1", "table2", "table3", "wastage", "exhaustion", "ablation", "soundness")
 HOST_FIELDS = {"host_wall_ms", "host_exec_per_sec"}
+SHOWN_DIFFS = 20
 
 
 def strip_host(value):
@@ -35,24 +37,23 @@ def strip_host(value):
     return value
 
 
-def first_diff(golden, actual, path="$"):
+def diffs(golden, actual, path="$"):
+    """Every JSON path whose value differs between the two, in key order."""
     if type(golden) is not type(actual):
-        return path
-    if isinstance(golden, dict):
+        yield path
+    elif isinstance(golden, dict):
         for key in sorted(set(golden) | set(actual)):
             if key not in golden or key not in actual:
-                return f"{path}.{key}"
-            found = first_diff(golden[key], actual[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(golden, list):
+                yield f"{path}.{key}"
+            else:
+                yield from diffs(golden[key], actual[key], f"{path}.{key}")
+    elif isinstance(golden, list):
         for i, (g, a) in enumerate(zip(golden, actual)):
-            found = first_diff(g, a, f"{path}[{i}]")
-            if found:
-                return found
-        return f"{path}[{min(len(golden), len(actual))}]" if len(golden) != len(actual) else None
-    return None if golden == actual else path
+            yield from diffs(g, a, f"{path}[{i}]")
+        for i in range(min(len(golden), len(actual)), max(len(golden), len(actual))):
+            yield f"{path}[{i}]"
+    elif golden != actual:
+        yield path
 
 
 def table1_violation(artifact):
@@ -100,9 +101,12 @@ def main():
             continue
         with open(golden_path) as f:
             golden = json.load(f)
-        diff = first_diff(golden, actual)
-        if diff:
-            print(f"{name}: differs from the golden at {diff}")
+        found = list(diffs(golden, actual))
+        if found:
+            shown = found[:SHOWN_DIFFS]
+            print(f"{name}: {len(found)} paths differ from the golden; the first {len(shown)}:")
+            for path in shown:
+                print(f"  {path}")
             failed = True
         else:
             print(f"{name}: matches the golden")

@@ -18,17 +18,18 @@
 //!   address consumption is bounded by the *live* pools.
 //!
 //! Both are one [`protect::Protector`] — shadow alias, hidden word,
-//! `PROT_NONE` on free, sampling and batching — over two kinds of
-//! canonical memory. On a multi-core machine every core shares the one
-//! detector: the simulator charges nothing for sharing it, while per-core
-//! TLBs and shootdown IPIs charge what the paper's mechanism really costs
-//! on SMP.
+//! `PROT_NONE` on free and sampling — over two kinds of canonical memory.
+//! Each allocation pays one alias syscall and each free one `mprotect`,
+//! issued before the call returns. On a multi-core machine every core
+//! shares the one detector: the simulator charges nothing for sharing it,
+//! while per-core TLBs and shootdown IPIs charge what the paper's mechanism
+//! really costs on SMP.
 //!
 //! Supporting modules:
 //!
 //! * [`protect`] — the protection core both detectors share: site table,
-//!   object registry, sampling decision, batch state and the hidden-word
-//!   protocol on alloc and free.
+//!   object registry, sampling decision and the hidden-word protocol on
+//!   alloc and free.
 //! * [`diag`] — site-tagged object registry; turns MMU traps into
 //!   `"dangling write at 0x… allocated at `g:malloc`, freed at
 //!   `free_all_but_head`"` reports.
@@ -55,9 +56,9 @@ pub mod os;
 pub use diag::{DanglingKind, DanglingReport, ObjectRecord, ObjectState, SiteId, SiteTable};
 pub use gc::GcReport;
 pub use pool_shadow::{DetectorConfig, FreedSpan, ShadowPool};
-pub use protect::{BatchConfig, Protector, SHADOW_WORD};
+pub use protect::{Protector, SHADOW_WORD};
 pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy};
 pub use shadow::{ShadowConfig, ShadowHeap};
 
 #[cfg(test)]
-mod batch_proptests;
+mod proptests;

@@ -19,7 +19,7 @@
 //! and the destroy and GC bookkeeping.
 
 use crate::diag::SiteId;
-use crate::protect::{runs_overlap, BatchConfig, CanonicalMemory, Protector};
+use crate::protect::{CanonicalMemory, Protector};
 use crate::sampling::SamplingConfig;
 pub use dangle_pool::FreedSpan;
 use dangle_pool::{PoolConfig, PoolError, PoolId, PoolSet};
@@ -43,7 +43,6 @@ impl CanonicalMemory for PoolMemory {
     type Error = PoolError;
     const ALLOC_SPAN: &'static str = "pool.alloc";
     const FREE_SPAN: &'static str = "pool.free";
-    const FLUSH_SPAN: &'static str = "pool.flush";
     const SHADOW_PAGES_COUNTER: Option<&'static str> = None;
 
     fn alloc(
@@ -71,10 +70,6 @@ impl CanonicalMemory for PoolMemory {
     /// Shadow runs come from the shared free list, multi-page runs too.
     fn take_run(&mut self, pages: usize) -> Option<PageNum> {
         self.pools.take_free_run(pages)
-    }
-
-    fn take_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)> {
-        self.pools.take_free_run_capped(max)
     }
 
     /// Notes a `FreeListHit`/`FreeListMiss` ring event and bumps the cached
@@ -113,13 +108,11 @@ impl CanonicalMemory for PoolMemory {
 
 /// Configuration of a [`ShadowPool`], and through it of the interpreter's
 /// `ShadowPoolBackend`. The default is the paper's configuration: page
-/// reuse on, no batching, no sampling.
+/// reuse on, no sampling.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DetectorConfig {
     /// The pool runtime.
     pub pool: PoolConfig,
-    /// Vectored-syscall batching (see [`BatchConfig`]).
-    pub batch: BatchConfig,
     /// Sampled protection (see [`SamplingConfig`]).
     pub sampling: SamplingConfig,
 }
@@ -165,7 +158,7 @@ impl ShadowPool {
             recycled_counter: None,
             fresh_counter: None,
         };
-        Protector::with_memory(mem, config.batch, config.sampling)
+        Protector::with_memory(mem, config.sampling)
     }
 
     /// `poolinit`. See [`PoolSet::create`].
@@ -273,9 +266,6 @@ impl ShadowPool {
     }
 
     fn destroy_inner(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        // Leftover extent pages were registered at build time, so the
-        // release below already covers them.
-        self.retire_scope(machine, pool)?;
         // Every shadow run is registered with its pool.
         if let Ok(shadow) = self.mem.pools.extra_pages(pool) {
             self.registry.forget_pages(shadow);
@@ -304,12 +294,6 @@ impl ShadowPool {
     /// pool, and donates them to the shared free list. Returns the number of
     /// pages reclaimed (0 if the span was not a candidate).
     pub fn reclaim_span(&mut self, pool: PoolId, span: FreedSpan) -> usize {
-        // A span whose protection is still pending (epoch mode) is not
-        // reclaimable yet: donating it could re-map the pages to live
-        // storage before the deferred mprotect lands.
-        if runs_overlap(&self.pending_protect, span.base, span.span) {
-            return 0;
-        }
         if !self.mem.pools.take_freed_span(pool, span) {
             return 0;
         }
@@ -329,10 +313,6 @@ mod tests {
     use crate::diag::DanglingKind;
     use dangle_heap::AllocError;
     use dangle_vmm::{CostModel, MachineConfig, Trap};
-
-    fn batched_with(batch: BatchConfig) -> ShadowPool {
-        ShadowPool::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
-    }
 
     fn setup() -> (Machine, ShadowPool) {
         (Machine::free_running(), ShadowPool::new())
@@ -469,112 +449,6 @@ mod tests {
         let pp = sp.create(16);
         sp.destroy(&mut m, pp).unwrap();
         assert!(matches!(sp.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(_))));
-    }
-
-    fn batched() -> (Machine, ShadowPool) {
-        let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
-        (Machine::free_running(), batched_with(batch))
-    }
-
-    #[test]
-    fn batched_pool_detects_like_legacy() {
-        let (mut m, mut sp) = batched();
-        let pp = sp.create(16);
-        let mut ptrs = Vec::new();
-        for _ in 0..12 {
-            let p = sp.alloc(&mut m, pp, 16).unwrap();
-            m.store_u64(p, 5).unwrap();
-            ptrs.push(p);
-        }
-        for &p in &ptrs[1..] {
-            sp.free(&mut m, pp, p).unwrap();
-        }
-        for &p in &ptrs[1..] {
-            let trap = m.load_u64(p).unwrap_err();
-            assert_eq!(sp.explain(&trap).unwrap().kind, DanglingKind::Read);
-        }
-        assert_eq!(m.load_u64(ptrs[0]).unwrap(), 5, "live object untouched");
-        // Double free still caught by the hidden-word read.
-        assert!(sp.free(&mut m, pp, ptrs[1]).is_err());
-        assert_eq!(sp.last_report().unwrap().kind, DanglingKind::DoubleFree);
-    }
-
-    #[test]
-    fn batched_pool_extents_cut_crossings_and_cycles() {
-        let n = 64;
-        let mut m_legacy = Machine::new();
-        let mut legacy = ShadowPool::new();
-        let p_legacy = legacy.create(16);
-        let mut m_batch = Machine::new();
-        let mut batch = batched_with(BatchConfig { enabled: true, ..BatchConfig::default() });
-        let p_batch = batch.create(16);
-        for _ in 0..n {
-            let a = legacy.alloc(&mut m_legacy, p_legacy, 16).unwrap();
-            m_legacy.store_u64(a, 1).unwrap();
-            let b = batch.alloc(&mut m_batch, p_batch, 16).unwrap();
-            m_batch.store_u64(b, 1).unwrap();
-        }
-        let sl = m_legacy.stats();
-        let sb = m_batch.stats();
-        assert!(
-            (sb.mremap_calls + sb.mmap_calls) * 2 < sl.mremap_calls + sl.mmap_calls,
-            "extents must at least halve alias crossings: {} vs {}",
-            sb.mremap_calls + sb.mmap_calls,
-            sl.mremap_calls + sl.mmap_calls
-        );
-        assert!(sb.ranges_batched > 0);
-        assert!(
-            m_batch.clock() <= m_legacy.clock(),
-            "batched {} must not exceed legacy {} cycles",
-            m_batch.clock(),
-            m_legacy.clock()
-        );
-        assert!(m_batch.telemetry().counter("shadow.extent_hits") > 0);
-    }
-
-    #[test]
-    fn batched_destroy_recycles_extent_leftovers() {
-        let (mut m, mut sp) = batched();
-        let p1 = sp.create(16);
-        for _ in 0..3 {
-            sp.alloc(&mut m, p1, 16).unwrap();
-        }
-        sp.destroy(&mut m, p1).unwrap();
-        // 1 canonical + 3 consumed shadow pages + any unconsumed extent
-        // pages all land on the shared free list.
-        assert!(sp.pools().free_page_count() >= 4);
-
-        // A second pool round-trips entirely on recycled VA.
-        let consumed = m.virt_pages_consumed();
-        let p2 = sp.create(16);
-        for _ in 0..3 {
-            sp.alloc(&mut m, p2, 16).unwrap();
-        }
-        sp.destroy(&mut m, p2).unwrap();
-        assert_eq!(m.virt_pages_consumed(), consumed, "full VA reuse in batched mode");
-    }
-
-    #[test]
-    fn batched_epoch_defers_then_flushes() {
-        let batch = BatchConfig { enabled: true, protect_epoch: Some(4) };
-        let mut m = Machine::free_running();
-        let mut sp = batched_with(batch);
-        let pp = sp.create(16);
-        let ptrs: Vec<_> = (0..4).map(|_| sp.alloc(&mut m, pp, 16).unwrap()).collect();
-        sp.free(&mut m, pp, ptrs[0]).unwrap();
-        sp.free(&mut m, pp, ptrs[1]).unwrap();
-        // Bounded window: stale reads slip through until the flush...
-        assert!(m.load_u64(ptrs[0]).is_ok());
-        // ...but a double free still traps (pre-flush on pending pages),
-        assert!(sp.free(&mut m, pp, ptrs[1]).is_err());
-        assert_eq!(sp.last_report().unwrap().kind, DanglingKind::DoubleFree);
-        // ...and the flush protected everything pending.
-        assert!(m.load_u64(ptrs[0]).is_err());
-
-        // Destroy always flushes before releasing pages.
-        sp.free(&mut m, pp, ptrs[2]).unwrap();
-        sp.destroy(&mut m, pp).unwrap();
-        assert!(m.load_u64(ptrs[2]).is_err());
     }
 
     #[test]

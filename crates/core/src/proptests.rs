@@ -1,0 +1,230 @@
+//! Random-trace tests of the protection core's one path: one alias syscall
+//! per allocation and one `mprotect` per free.
+//!
+//! Seeded allocation/free/probe/pooldestroy traces run through
+//! [`crate::ShadowPool`] and [`crate::ShadowHeap`] and are checked against
+//! a host-side model after every operation. A live object loads what was
+//! stored in its first and last words. A freed object traps on both, and
+//! the detector explains each trap as a dangling read. Every double free
+//! traps on the hidden-word read with a `DoubleFree` report. The pool
+//! detector must also pass [`dangle_pool::PoolSet::audit_frames`] after
+//! every operation: page recycling, in place or re-mapped, never lets two
+//! live pools share a physical frame. At the end, the registry's record of
+//! every object still tracked and the machine's trap total must match the
+//! model.
+
+use crate::diag::{DanglingKind, ObjectState};
+use crate::protect::{CanonicalMemory, Protector};
+use crate::{ShadowHeap, ShadowPool};
+use dangle_heap::{AllocError, Allocator, SysHeap};
+use dangle_pool::PoolError;
+use dangle_testkit::SeededRng as TestRng;
+use dangle_vmm::{Machine, VirtAddr};
+
+/// Sizes of the same-class bursts: three single-page classes and a
+/// multi-page object whose shadow run spans two or three pages.
+const SIZES: [usize; 4] = [16, 32, 64, 6000];
+
+/// One tracked object and whether the trace freed it.
+#[derive(Clone, Copy)]
+struct Obj {
+    addr: VirtAddr,
+    size: usize,
+    freed: bool,
+}
+
+impl Obj {
+    /// The object's first and last words, with the values stored there.
+    fn words(&self) -> [(VirtAddr, u64); 2] {
+        let last = self.addr.add(self.size as u64 - 8);
+        [(self.addr, self.addr.raw()), (last, !self.addr.raw())]
+    }
+
+    fn store(&self, m: &mut Machine) {
+        for (a, v) in self.words() {
+            m.store_u64(a, v).unwrap();
+        }
+    }
+}
+
+/// Loads both words of `o`. A live object yields what was stored; a freed
+/// one traps on each word, as a dangling read the detector explains.
+/// Counts the traps in `traps`.
+fn probe<M: CanonicalMemory>(
+    case: u64,
+    m: &mut Machine,
+    det: &Protector<M>,
+    o: &Obj,
+    traps: &mut u64,
+) {
+    for (a, v) in o.words() {
+        match m.load_u64(a) {
+            Ok(got) => {
+                assert!(!o.freed, "case {case}: freed object readable at {a}");
+                assert_eq!(got, v, "case {case}: live object at {a}");
+            }
+            Err(trap) => {
+                assert!(o.freed, "case {case}: live object trapped at {a}: {trap}");
+                let kind = det.explain(&trap).map(|r| r.kind);
+                assert_eq!(kind, Some(DanglingKind::Read), "case {case}: {a}");
+                *traps += 1;
+            }
+        }
+    }
+}
+
+/// Checks the outcome of freeing `o`, given as `Err(is_trap)` on failure.
+/// A first free succeeds; a double free traps on the hidden-word read and
+/// is reported as a `DoubleFree`.
+fn check_free<M: CanonicalMemory>(
+    case: u64,
+    det: &Protector<M>,
+    o: &mut Obj,
+    r: Result<(), bool>,
+    traps: &mut u64,
+) {
+    if o.freed {
+        assert_eq!(r, Err(true), "case {case}: double free of {} must trap", o.addr);
+        let kind = det.last_report().map(|r| r.kind);
+        assert_eq!(kind, Some(DanglingKind::DoubleFree), "case {case}: {}", o.addr);
+        *traps += 1;
+    } else {
+        assert_eq!(r, Ok(()), "case {case}: free of {}", o.addr);
+        o.freed = true;
+    }
+}
+
+/// Probes every object of `objs` and checks its registry record.
+fn final_sweep<M: CanonicalMemory>(
+    case: u64,
+    m: &mut Machine,
+    det: &Protector<M>,
+    objs: &[Obj],
+    traps: &mut u64,
+) {
+    for o in objs {
+        probe(case, m, det, o, traps);
+        let rec = det.object_at(o.addr).expect("tracked in the registry");
+        assert_eq!((rec.base, rec.size), (o.addr, o.size), "case {case}");
+        let freed = matches!(rec.state, ObjectState::Freed { .. });
+        assert_eq!(freed, o.freed, "case {case}: registry state of {}", o.addr);
+    }
+}
+
+#[test]
+fn shadow_pool_traces_match_the_model() {
+    for case in 0..24u64 {
+        let mut rng = TestRng::new(0xb17c_0de5 ^ (case.wrapping_mul(0x9e37_79b9)));
+        let mut m = Machine::new();
+        let mut sp = ShadowPool::new();
+        let mut pools = vec![sp.create(16)];
+        let mut destroyed = vec![false];
+        let mut objs: Vec<Vec<Obj>> = vec![Vec::new()];
+        let mut traps = 0;
+
+        for _ in 0..40 {
+            match rng.below(12) {
+                0 => {
+                    pools.push(sp.create(16));
+                    destroyed.push(false);
+                    objs.push(Vec::new());
+                }
+                1..=5 => {
+                    let pi = rng.below(pools.len() as u64) as usize;
+                    if destroyed[pi] {
+                        continue;
+                    }
+                    let size = SIZES[rng.below(4) as usize];
+                    let count = 4 + rng.below(12) as usize;
+                    for _ in 0..count {
+                        let addr = sp.alloc(&mut m, pools[pi], size).unwrap();
+                        let o = Obj { addr, size, freed: false };
+                        o.store(&mut m);
+                        objs[pi].push(o);
+                    }
+                }
+                6..=8 => {
+                    let pi = rng.below(pools.len() as u64) as usize;
+                    if destroyed[pi] || objs[pi].is_empty() {
+                        continue;
+                    }
+                    let oi = rng.below(objs[pi].len() as u64) as usize;
+                    let r = sp.free(&mut m, pools[pi], objs[pi][oi].addr);
+                    let r = r.map_err(|e| matches!(e, PoolError::Alloc(AllocError::Trap(_))));
+                    check_free(case, &sp, &mut objs[pi][oi], r, &mut traps);
+                }
+                9 | 10 => {
+                    let pi = rng.below(pools.len() as u64) as usize;
+                    if destroyed[pi] || objs[pi].is_empty() {
+                        continue;
+                    }
+                    let o = objs[pi][rng.below(objs[pi].len() as u64) as usize];
+                    probe(case, &mut m, &sp, &o, &mut traps);
+                }
+                _ => {
+                    let pi = rng.below(pools.len() as u64) as usize;
+                    if destroyed[pi] {
+                        continue;
+                    }
+                    sp.destroy(&mut m, pools[pi]).unwrap();
+                    destroyed[pi] = true;
+                    objs[pi].clear();
+                }
+            }
+            if let Err(e) = sp.pools().audit_frames(&m) {
+                panic!("case {case}: {e}");
+            }
+        }
+
+        // Destroyed pools' lists are empty: their objects are forgotten.
+        for list in &objs {
+            final_sweep(case, &mut m, &sp, list, &mut traps);
+        }
+        assert_eq!(m.stats().traps, traps, "case {case}: trap total");
+    }
+}
+
+#[test]
+fn shadow_heap_traces_match_the_model() {
+    for case in 0..16u64 {
+        let mut rng = TestRng::new(0x5ead_0001 + case * 0x9e37_79b9);
+        let mut m = Machine::new();
+        let mut heap = ShadowHeap::new(SysHeap::new());
+        let mut objs: Vec<Obj> = Vec::new();
+        let mut traps = 0;
+
+        for _ in 0..30 {
+            match rng.below(8) {
+                0..=4 => {
+                    let size = SIZES[rng.below(4) as usize];
+                    let count = 4 + rng.below(8) as usize;
+                    for _ in 0..count {
+                        let addr = heap.alloc(&mut m, size).unwrap();
+                        let o = Obj { addr, size, freed: false };
+                        o.store(&mut m);
+                        objs.push(o);
+                    }
+                }
+                5 | 6 => {
+                    if objs.is_empty() {
+                        continue;
+                    }
+                    let oi = rng.below(objs.len() as u64) as usize;
+                    let r = heap.free(&mut m, objs[oi].addr);
+                    let r = r.map_err(|e| matches!(e, AllocError::Trap(_)));
+                    check_free(case, &heap, &mut objs[oi], r, &mut traps);
+                }
+                _ => {
+                    if objs.is_empty() {
+                        continue;
+                    }
+                    let o = objs[rng.below(objs.len() as u64) as usize];
+                    probe(case, &mut m, &heap, &o, &mut traps);
+                }
+            }
+        }
+
+        final_sweep(case, &mut m, &heap, &objs, &mut traps);
+        assert_eq!(m.stats().traps, traps, "case {case}: trap total");
+    }
+}

@@ -7,48 +7,23 @@
 //! [`crate::ShadowPool`] to the pools of Automatic Pool Allocation
 //! (Insight 2). Both are a [`Protector`] over a different
 //! [`CanonicalMemory`]: the protector owns the site table, the object
-//! registry, the allocation counters, the sampling policy, the batch state
-//! (shadow extents and deferred protections) and the hidden-word protocol;
-//! the canonical memory supplies the storage, recycled shadow runs and the
-//! bookkeeping that differs between a heap and a pool set.
+//! registry, the allocation counters, the sampling policy and the
+//! hidden-word protocol; the canonical memory supplies the storage,
+//! recycled shadow runs and the bookkeeping that differs between a heap and
+//! a pool set. Every allocation pays one alias syscall and every free one
+//! `mprotect`, applied before the free returns.
 
 use crate::diag::{DanglingReport, ObjectRecord, ObjectRegistry, SiteId, SiteTable};
 use crate::sampling::{self, SampleDecision, SamplingConfig, SamplingPolicy};
 use dangle_heap::{header, AllocError, AllocStats};
 use dangle_telemetry::{Category, TrapReport};
 use dangle_vmm::{Machine, PageNum, Protection, Trap, VirtAddr, PAGE_MASK};
-use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 
 /// The hidden word prepended to every allocation (`sizeof(addr_t)`).
 pub const SHADOW_WORD: usize = 8;
 
 /// How many trailing ring events a [`TrapReport`] carries as context.
 pub const TRAP_CONTEXT_EVENTS: usize = 16;
-
-/// Upper bound on the pages a single shadow extent pre-aliases. Extents
-/// grow demand-proven (2, 4, 8, ... up to this cap), so a canonical page
-/// that only ever hosts one object never pays for an extent at all.
-const EXTENT_PAGES: usize = 16;
-
-/// Configuration of the vectored-syscall (batched) protection path. Off by
-/// default: the one-syscall-per-event path is the paper's §3.2
-/// presentation and stays the reference that the differential tests
-/// compare against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Master switch for the batched path (extents + coalesced protects).
-    pub enabled: bool,
-    /// `None` (the default): the protection of every free is flushed at
-    /// the end of that very `free` call, leaving the §3.2 detection window
-    /// unchanged. `Some(n)`: §3.4-style bounded window — protections are
-    /// coalesced across up to `n` frees and applied in one vectored
-    /// `mprotect`; a dangling use between a free and its flush goes
-    /// undetected (double frees are still caught — the detector flushes
-    /// before touching a hidden word on a pending page).
-    pub protect_epoch: Option<usize>,
-}
 
 /// Where a [`Protector`]'s objects really live: the allocator whose
 /// canonical blocks shadow pages alias, and the source of recycled shadow
@@ -57,15 +32,13 @@ pub struct BatchConfig {
 /// ([`crate::pool_shadow::PoolMemory`]).
 pub trait CanonicalMemory: Sized {
     /// What an allocation is made in: `()` for a heap, the pool for pools.
-    type Scope: Copy + Eq + Hash + Debug;
+    type Scope: Copy;
     /// The error every operation reports.
     type Error: From<AllocError> + From<Trap>;
-    /// Span names of the protected alloc, free and protection-flush paths.
+    /// Span names of the protected alloc and free paths.
     const ALLOC_SPAN: &'static str;
     /// See [`CanonicalMemory::ALLOC_SPAN`].
     const FREE_SPAN: &'static str;
-    /// See [`CanonicalMemory::ALLOC_SPAN`].
-    const FLUSH_SPAN: &'static str;
     /// Telemetry counter bumped by the shadow pages of every protected
     /// allocation, if the memory keeps one.
     const SHADOW_PAGES_COUNTER: Option<&'static str>;
@@ -100,9 +73,6 @@ pub trait CanonicalMemory: Sized {
 
     /// A recycled run of exactly `pages` contiguous shadow pages, if any.
     fn take_run(&mut self, pages: usize) -> Option<PageNum>;
-
-    /// A recycled run of at most `max` contiguous shadow pages, if any.
-    fn take_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)>;
 
     /// Notes that `pages` shadow pages at `base` were just mapped, from a
     /// recycled run or fresh.
@@ -144,76 +114,6 @@ pub trait CanonicalMemory: Sized {
     }
 }
 
-/// A bump extent of shadow pages pre-aliased to one canonical page:
-/// objects packed into the same canonical page receive adjacent shadow
-/// pages at zero syscall cost. `left == 0` with a matching `canon` records
-/// *proven demand* without any pre-paid pages — the first allocation on a
-/// canonical page always goes through the plain single-alias path, and an
-/// extent is only built once a second allocation shows the page is being
-/// packed.
-#[derive(Clone, Copy, Debug)]
-struct Extent {
-    /// Canonical page every page of this extent aliases.
-    canon: PageNum,
-    /// Next unconsumed shadow page.
-    next: PageNum,
-    /// Unconsumed pages remaining.
-    left: usize,
-    /// Size of the next extent built for `canon`: starts at 2 and doubles
-    /// each time an extent is fully consumed, capped at `EXTENT_PAGES`.
-    grow: usize,
-}
-
-/// Inserts the run `(base, len)` into `runs` — kept sorted by base and
-/// fully coalesced — merging with both neighbours when adjacent.
-pub(crate) fn merge_run(runs: &mut Vec<(PageNum, usize)>, base: PageNum, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let i = runs.partition_point(|&(b, _)| b < base);
-    let merges_prev = i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) == base;
-    let merges_next = i < runs.len() && base.add(len as u64) == runs[i].0;
-    match (merges_prev, merges_next) {
-        (true, true) => {
-            runs[i - 1].1 += len + runs[i].1;
-            runs.remove(i);
-        }
-        (true, false) => runs[i - 1].1 += len,
-        (false, true) => {
-            runs[i].0 = base;
-            runs[i].1 += len;
-        }
-        (false, false) => runs.insert(i, (base, len)),
-    }
-}
-
-/// Whether `[base, base + len)` intersects any run of a sorted, disjoint
-/// run list. Disjointness makes checking the last run starting below the
-/// query's end sufficient.
-pub(crate) fn runs_overlap(runs: &[(PageNum, usize)], base: PageNum, len: usize) -> bool {
-    let end = base.add(len as u64);
-    let i = runs.partition_point(|&(b, _)| b < end);
-    i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) > base
-}
-
-/// Points each of the `pages` shadow pages at `base` to the one canonical
-/// page `canon`: a plain `alias_fixed` for one page, one vectored call for
-/// more.
-fn alias_pages(
-    machine: &mut Machine,
-    canon: PageNum,
-    base: PageNum,
-    pages: usize,
-) -> Result<(), Trap> {
-    if pages == 1 {
-        return machine.alias_fixed(canon.base(), base.base(), 1);
-    }
-    let entries: Vec<_> = (0..pages as u64)
-        .map(|i| (canon.base(), base.add(i).base(), 1usize))
-        .collect();
-    machine.alias_fixed_batch(&entries)
-}
-
 /// The shadow-page protection core over the canonical memory `M`. See the
 /// [module docs](self); [`crate::ShadowHeap`] and [`crate::ShadowPool`]
 /// are its two instances.
@@ -227,27 +127,10 @@ pub struct Protector<M: CanonicalMemory> {
     /// Sampled-protection decision engine (inert unless its configuration
     /// enables it).
     sampling: SamplingPolicy,
-    batch: BatchConfig,
-    /// Bump extents of pre-aliased shadow pages, keyed by scope and size
-    /// class (batched mode only). Allocators carve canonical memory per
-    /// size class, so interleaved allocations of different classes advance
-    /// different canonical pages — one extent per class keeps each stream
-    /// amortising instead of thrashing.
-    extents: HashMap<(M::Scope, usize), Extent>,
-    /// Protection runs deferred by [`BatchConfig::protect_epoch`], sorted
-    /// and coalesced; global across scopes since `mprotect` ranges are pure
-    /// VA. Empty between frees in the default eager mode.
-    pub(crate) pending_protect: Vec<(PageNum, usize)>,
-    /// Frees accumulated since the last protection flush.
-    pending_frees: usize,
 }
 
 impl<M: CanonicalMemory> Protector<M> {
-    pub(crate) fn with_memory(
-        mem: M,
-        batch: BatchConfig,
-        sampling: SamplingConfig,
-    ) -> Protector<M> {
+    pub(crate) fn with_memory(mem: M, sampling: SamplingConfig) -> Protector<M> {
         Protector {
             mem,
             registry: ObjectRegistry::new(),
@@ -255,10 +138,6 @@ impl<M: CanonicalMemory> Protector<M> {
             stats: AllocStats::default(),
             last_report: None,
             sampling: SamplingPolicy::new(sampling),
-            batch,
-            extents: HashMap::new(),
-            pending_protect: Vec::new(),
-            pending_frees: 0,
         }
     }
 
@@ -381,14 +260,7 @@ impl<M: CanonicalMemory> Protector<M> {
         let canon = self.mem.alloc(machine, scope, total)?;
         let span = canon.span_pages(total);
         let canon_page = canon.page();
-        // Batched mode serves single-page objects from extents; everything
-        // else takes one shadow run of its own.
-        let shadow_base = if self.batch.enabled && span == 1 {
-            let class = header::class_index(total).unwrap_or(usize::MAX);
-            self.extent_page(machine, scope, canon_page, class)?
-        } else {
-            self.shadow_run(machine, scope, canon_page, span)?
-        };
+        let shadow_base = self.shadow_run(machine, scope, canon_page, span)?;
         if let Some(counter) = M::SHADOW_PAGES_COUNTER {
             machine.telemetry_mut().counter_add(counter, span as u64);
         }
@@ -427,108 +299,6 @@ impl<M: CanonicalMemory> Protector<M> {
         self.mem.note_shadow_run(machine, base, span, recycled);
         self.mem.register(scope, base, span)?;
         Ok(base.base())
-    }
-
-    /// Batched-mode shadow page for a single-page object on `canon`:
-    /// consumes the `(scope, class)` extent when it matches, re-points a
-    /// stale leftover run in one vectored call, builds a new extent once
-    /// demand on `canon` is proven, and otherwise falls back to a plain
-    /// single alias at exactly the legacy cost.
-    fn extent_page(
-        &mut self,
-        machine: &mut Machine,
-        scope: M::Scope,
-        canon: PageNum,
-        class: usize,
-    ) -> Result<VirtAddr, M::Error> {
-        let key = (scope, class);
-        let (page, ext) = match self.extents.get(&key).copied() {
-            // Hit: a pre-aliased page, zero syscalls.
-            Some(mut ext) if ext.canon == canon && ext.left > 0 => {
-                let page = ext.next;
-                ext.next = ext.next.add(1);
-                ext.left -= 1;
-                if ext.left == 0 {
-                    ext.grow = (ext.grow * 2).min(EXTENT_PAGES);
-                }
-                machine.telemetry_mut().counter_add("shadow.extent_hits", 1);
-                (page, ext)
-            }
-            // Demand proven: a second allocation landed on `canon`.
-            Some(ext) if ext.canon == canon => {
-                let (base, got) =
-                    self.build_extent(machine, scope, canon, ext.grow.clamp(2, EXTENT_PAGES))?;
-                (
-                    base,
-                    Extent {
-                        canon,
-                        next: base.add(1),
-                        left: got - 1,
-                        grow: ext.grow,
-                    },
-                )
-            }
-            // Stale leftover from another canonical page of this class:
-            // re-point the whole run at `canon` — the pages are already
-            // ours, so this recovers their VA for one vectored crossing.
-            Some(ext) if ext.left > 0 => {
-                alias_pages(machine, canon, ext.next, ext.left)?;
-                machine
-                    .telemetry_mut()
-                    .counter_add("shadow.extent_repoints", 1);
-                let rest = Extent {
-                    canon,
-                    next: ext.next.add(1),
-                    left: ext.left - 1,
-                    ..ext
-                };
-                (ext.next, rest)
-            }
-            // First touch of `canon`: plain alias at legacy cost, plus a
-            // zero-page demand marker.
-            other => {
-                let grow = other.map_or(2, |e| e.grow);
-                let base = self.shadow_run(machine, scope, canon, 1)?.page();
-                (
-                    base,
-                    Extent {
-                        canon,
-                        next: PageNum(0),
-                        left: 0,
-                        grow,
-                    },
-                )
-            }
-        };
-        self.extents.insert(key, ext);
-        Ok(page.base())
-    }
-
-    /// Builds a `want`-page extent aliasing `canon`: a recycled run is
-    /// re-pointed with one vectored call, otherwise fresh contiguous
-    /// aliases come from one vectored `mremap`. Returns the first page and
-    /// the number of pages actually built; the run is registered with
-    /// `scope` here, so releasing the scope releases leftover extent pages.
-    fn build_extent(
-        &mut self,
-        machine: &mut Machine,
-        scope: M::Scope,
-        canon: PageNum,
-        want: usize,
-    ) -> Result<(PageNum, usize), M::Error> {
-        let (base, got, recycled) = match self.mem.take_run_capped(want) {
-            Some((base, got)) => {
-                alias_pages(machine, canon, base, got)?;
-                (base, got, true)
-            }
-            None => {
-                let aliases = machine.mremap_alias_batch(&vec![(canon.base(), 1usize); want])?;
-                (aliases[0].page(), want, false)
-            }
-        };
-        self.mem.note_shadow_run(machine, base, got, recycled);
-        self.mem.register(scope, base, got)?;
-        Ok((base, got))
     }
 
     /// Frees the object at `addr` in `scope`, tagging the free with `site`.
@@ -574,12 +344,6 @@ impl<M: CanonicalMemory> Protector<M> {
             return self.mem.free(machine, scope, addr);
         }
         let hidden = addr.sub(SHADOW_WORD as u64);
-        // An epoch-deferred protection makes the hidden word of an
-        // already-freed object readable again; flushing first restores the
-        // §3.2 guarantee that the read below traps on a double free.
-        if runs_overlap(&self.pending_protect, hidden.page(), 1) {
-            self.flush_protects(machine)?;
-        }
         // §3.2: "this read operation will cause a run-time error if the
         // object has already been freed".
         let canon_page = match machine.load_u64(hidden) {
@@ -595,15 +359,7 @@ impl<M: CanonicalMemory> Protector<M> {
         let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
         let total = self.mem.size_of(machine, canon_hidden)?;
         let span = hidden.span_pages(total);
-        if self.batch.enabled {
-            merge_run(&mut self.pending_protect, hidden.page(), span);
-            self.pending_frees += 1;
-            if self.pending_frees >= self.batch.protect_epoch.unwrap_or(1) {
-                self.flush_protects(machine)?;
-            }
-        } else {
-            machine.mprotect(hidden.page().base(), span, Protection::None)?;
-        }
+        machine.mprotect(hidden.page().base(), span, Protection::None)?;
         machine
             .telemetry_mut()
             .counter_add("core.pages_protected", span as u64);
@@ -643,74 +399,5 @@ impl<M: CanonicalMemory> Protector<M> {
     ) -> Result<(), M::Error> {
         machine.telemetry_mut().counter_add("shadow.elided", 1);
         self.mem.free(machine, scope, addr)
-    }
-
-    /// Applies every pending deferred protection (see
-    /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a single
-    /// run — the same cost the legacy per-free call pays — or one vectored
-    /// `mprotect` for several. A no-op when nothing is pending; the
-    /// default eager mode calls this at the end of every free.
-    ///
-    /// # Errors
-    /// The trap of a failed `mprotect`.
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        self.pending_frees = 0;
-        if self.pending_protect.is_empty() {
-            return Ok(());
-        }
-        machine.span_enter(M::FLUSH_SPAN, Category::DetectorMetadata);
-        let runs = std::mem::take(&mut self.pending_protect);
-        let r = if let [(base, span)] = runs[..] {
-            machine.mprotect(base.base(), span, Protection::None)
-        } else {
-            let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
-            machine.mprotect_batch(&ranges, Protection::None)
-        };
-        if r.is_ok() {
-            let t = machine.telemetry_mut();
-            t.counter_add("shadow.protect_runs", runs.len() as u64);
-            for &(_, s) in &runs {
-                t.observe("shadow.run_len", s as u64);
-            }
-        }
-        machine.span_exit();
-        r
-    }
-
-    /// Prepares `scope` for releasing its pages: in batched mode, deferred
-    /// protections land first (their pages must not be re-mapped to live
-    /// storage before them) and the scope's extents are dropped.
-    ///
-    /// # Errors
-    /// The trap of a failed flush.
-    pub(crate) fn retire_scope(
-        &mut self,
-        machine: &mut Machine,
-        scope: M::Scope,
-    ) -> Result<(), Trap> {
-        if self.batch.enabled {
-            self.flush_protects(machine)?;
-            self.extents.retain(|&(s, _), _| s != scope);
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn freed_spans_stay_sorted_and_coalesced() {
-        let mut runs: Vec<(PageNum, usize)> = Vec::new();
-        merge_run(&mut runs, PageNum(10), 2);
-        merge_run(&mut runs, PageNum(20), 1);
-        merge_run(&mut runs, PageNum(12), 3); // merges below
-        merge_run(&mut runs, PageNum(15), 5); // bridges to 20
-        assert_eq!(runs, vec![(PageNum(10), 11)]);
-        assert!(runs_overlap(&runs, PageNum(20), 1));
-        assert!(!runs_overlap(&runs, PageNum(21), 4));
-        assert!(!runs_overlap(&runs, PageNum(5), 5));
-        assert!(runs_overlap(&runs, PageNum(5), 6));
     }
 }

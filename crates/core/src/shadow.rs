@@ -27,7 +27,7 @@
 //! memory and the threshold recycling.
 
 use crate::diag::SiteId;
-use crate::protect::{merge_run, runs_overlap, BatchConfig, CanonicalMemory, Protector, SHADOW_WORD};
+use crate::protect::{CanonicalMemory, Protector, SHADOW_WORD};
 use crate::sampling::SamplingConfig;
 use dangle_heap::{AllocError, AllocStats, Allocator, SysHeap};
 use dangle_telemetry::Category;
@@ -44,8 +44,6 @@ pub struct ShadowConfig {
     /// pointers is no longer guaranteed past that point — the paper argues
     /// the window (hours on 64-bit) makes this acceptable in practice.
     pub recycle_threshold_pages: Option<u64>,
-    /// Vectored-syscall batching (see [`BatchConfig`]).
-    pub batch: BatchConfig,
     /// GWP-ASan-style sampled protection (see [`SamplingConfig`]). Off by
     /// default: every allocation gets a shadow alias, as in the paper.
     pub sampling: SamplingConfig,
@@ -59,7 +57,7 @@ pub struct HeapMemory<A> {
     recycle_threshold_pages: Option<u64>,
     /// Shadow runs of freed objects, candidates for §3.4 recycling. Kept
     /// sorted by base and coalesced incrementally at every free, so
-    /// recycling and batched re-mapping are O(runs), not O(frees).
+    /// recycling is O(runs), not O(frees).
     freed_spans: Vec<(PageNum, usize)>,
     /// Recycled shadow runs ready for reuse via `alias_fixed`, sorted and
     /// coalesced like `freed_spans`.
@@ -71,7 +69,6 @@ impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
     type Error = AllocError;
     const ALLOC_SPAN: &'static str = "shadow.alloc";
     const FREE_SPAN: &'static str = "shadow.free";
-    const FLUSH_SPAN: &'static str = "shadow.flush";
     const SHADOW_PAGES_COUNTER: Option<&'static str> = Some("core.shadow_pages");
 
     fn alloc(&mut self, machine: &mut Machine, _: (), size: usize) -> Result<VirtAddr, AllocError> {
@@ -86,23 +83,18 @@ impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
         self.inner.size_of(machine, addr)
     }
 
-    /// Recycled runs serve single-page objects only; multi-page spans
-    /// always take a fresh `mremap` alias.
+    /// Takes the first page of the top recycled run. Recycled runs serve
+    /// single-page objects only; multi-page spans always take a fresh
+    /// `mremap` alias.
     fn take_run(&mut self, pages: usize) -> Option<PageNum> {
         if pages != 1 {
             return None;
         }
-        self.take_run_capped(1).map(|(base, _)| base)
-    }
-
-    /// Takes up to `max` pages from the front of the top recycled run.
-    fn take_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)> {
         let (base, len) = self.recycled.pop()?;
-        let take = len.min(max);
-        if take < len {
-            self.recycled.push((base.add(take as u64), len - take));
+        if len > 1 {
+            self.recycled.push((base.add(1), len - 1));
         }
-        Some((base, take))
+        Some(base)
     }
 
     fn note_shadow_run(&mut self, machine: &mut Machine, _: PageNum, pages: usize, recycled: bool) {
@@ -121,15 +113,34 @@ impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
     fn before_alloc(core: &mut ShadowHeap<A>, machine: &mut Machine) -> Result<(), AllocError> {
         let Some(threshold) = core.mem.recycle_threshold_pages else { return Ok(()) };
         if machine.virt_pages_consumed() >= threshold && core.mem.recycled.is_empty() {
-            // Deferred protections must land before their pages can be
-            // recycled and re-aliased to live storage.
             machine.span_enter("shadow.recycle", Category::PoolRecycling);
-            let flushed = core.flush_protects(machine);
             core.recycle_freed_pages();
             machine.span_exit();
-            flushed?;
         }
         Ok(())
+    }
+}
+
+/// Inserts the run `(base, len)` into `runs` — kept sorted by base and
+/// fully coalesced — merging with both neighbours when adjacent.
+fn merge_run(runs: &mut Vec<(PageNum, usize)>, base: PageNum, len: usize) {
+    if len == 0 {
+        return;
+    }
+    let i = runs.partition_point(|&(b, _)| b < base);
+    let merges_prev = i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) == base;
+    let merges_next = i < runs.len() && base.add(len as u64) == runs[i].0;
+    match (merges_prev, merges_next) {
+        (true, true) => {
+            runs[i - 1].1 += len + runs[i].1;
+            runs.remove(i);
+        }
+        (true, false) => runs[i - 1].1 += len,
+        (false, true) => {
+            runs[i].0 = base;
+            runs[i].1 += len;
+        }
+        (false, false) => runs.insert(i, (base, len)),
     }
 }
 
@@ -178,7 +189,7 @@ impl<A: Allocator> ShadowHeap<A> {
             freed_spans: Vec::new(),
             recycled: Vec::new(),
         };
-        Protector::with_memory(mem, config.batch, config.sampling)
+        Protector::with_memory(mem, config.sampling)
     }
 
     /// Allocates `size` bytes, tagging the allocation with `site` for
@@ -241,16 +252,11 @@ impl<A: Allocator> ShadowHeap<A> {
 
     /// §3.4 solution 1: hands the shadow runs of *freed* objects back for
     /// reuse, surrendering the detection guarantee for pointers into them.
-    /// Runs whose protection is still pending (epoch mode) stay back until
-    /// flushed. Returns the number of pages made reusable. The incremental
-    /// sorting of the freed runs makes this O(runs), not O(frees).
+    /// Returns the number of pages made reusable. The incremental sorting
+    /// of the freed runs makes this O(runs), not O(frees).
     pub fn recycle_freed_pages(&mut self) -> usize {
         let mut n = 0;
         for (base, span) in std::mem::take(&mut self.mem.freed_spans) {
-            if runs_overlap(&self.pending_protect, base, span) {
-                merge_run(&mut self.mem.freed_spans, base, span);
-                continue;
-            }
             self.registry.forget_range(base, span);
             n += span;
             merge_run(&mut self.mem.recycled, base, span);
@@ -549,121 +555,15 @@ mod tests {
         assert!(matches!(h.free(&mut m, a), Err(AllocError::Trap(_))));
     }
 
-    fn batched() -> (Machine, ShadowHeap) {
-        let cfg = ShadowConfig {
-            batch: BatchConfig { enabled: true, ..BatchConfig::default() },
-            ..ShadowConfig::default()
-        };
-        (Machine::free_running(), ShadowHeap::with_config(SysHeap::new(), cfg))
-    }
-
     #[test]
-    fn batched_mode_detects_like_legacy() {
-        let (mut m, mut h) = batched();
-        let mut ptrs = Vec::new();
-        for _ in 0..12 {
-            let p = h.alloc(&mut m, 16).unwrap();
-            m.store_u64(p, 7).unwrap();
-            ptrs.push(p);
-        }
-        for &p in &ptrs {
-            h.free(&mut m, p).unwrap();
-        }
-        for &p in &ptrs {
-            assert!(m.load_u64(p).is_err(), "dangling use trapped in batched mode");
-        }
-        // Double free still caught by the hidden-word read.
-        let err = h.free(&mut m, ptrs[0]).unwrap_err();
-        assert!(matches!(err, AllocError::Trap(_)));
-        assert_eq!(h.last_report().unwrap().kind, DanglingKind::DoubleFree);
-    }
-
-    #[test]
-    fn extents_cut_remap_crossings() {
-        let n = 64;
-        let mut m_legacy = Machine::new();
-        let mut legacy = ShadowHeap::new(SysHeap::new());
-        let mut m_batch = Machine::new();
-        let (_, mut batch) = batched();
-        for _ in 0..n {
-            let a = legacy.alloc(&mut m_legacy, 16).unwrap();
-            m_legacy.store_u64(a, 1).unwrap();
-            let b = batch.alloc(&mut m_batch, 16).unwrap();
-            m_batch.store_u64(b, 1).unwrap();
-        }
-        let sl = m_legacy.stats();
-        let sb = m_batch.stats();
-        assert_eq!(sl.mremap_calls, n, "legacy pays one mremap per allocation");
-        assert!(
-            sb.mremap_calls * 2 < sl.mremap_calls,
-            "extents must at least halve remap crossings: {} vs {}",
-            sb.mremap_calls,
-            sl.mremap_calls
-        );
-        assert!(sb.ranges_batched > 0);
-        assert!(
-            m_batch.clock() <= m_legacy.clock(),
-            "batched {} must not exceed legacy {} cycles",
-            m_batch.clock(),
-            m_legacy.clock()
-        );
-    }
-
-    #[test]
-    fn epoch_mode_defers_then_flushes_and_catches_double_free() {
-        let cfg = ShadowConfig {
-            batch: BatchConfig { enabled: true, protect_epoch: Some(4) },
-            ..ShadowConfig::default()
-        };
-        let mut m = Machine::free_running();
-        let mut h = ShadowHeap::with_config(SysHeap::new(), cfg);
-        let ptrs: Vec<_> = (0..4).map(|_| h.alloc(&mut m, 16).unwrap()).collect();
-        h.free(&mut m, ptrs[0]).unwrap();
-        h.free(&mut m, ptrs[1]).unwrap();
-        // Within the window the stale pointers still read silently — the
-        // documented bounded-window trade-off.
-        assert!(m.load_u64(ptrs[0]).is_ok());
-        // A double free inside the window is still caught: the detector
-        // flushes before reading the hidden word.
-        let err = h.free(&mut m, ptrs[1]).unwrap_err();
-        assert!(matches!(err, AllocError::Trap(_)));
-        assert_eq!(h.last_report().unwrap().kind, DanglingKind::DoubleFree);
-        // The flush protected everything pending.
-        assert!(m.load_u64(ptrs[0]).is_err());
-
-        // Four more frees flush on their own at the epoch boundary, in one
-        // vectored crossing when the runs are discontiguous.
-        let more: Vec<_> = (0..4).map(|_| h.alloc(&mut m, 16).unwrap()).collect();
-        let before = m.stats().mprotect_batch_calls;
-        for &p in &more {
-            h.free(&mut m, p).unwrap();
-        }
-        for &p in &more {
-            assert!(m.load_u64(p).is_err(), "protected after the epoch flush");
-        }
-        assert!(m.stats().mprotect_batch_calls >= before, "flush went through the batch path");
-        assert!(m.telemetry().counter("shadow.protect_runs") > 0);
-    }
-
-    #[test]
-    fn batched_recycling_reuses_runs() {
-        let cfg = ShadowConfig {
-            recycle_threshold_pages: Some(20),
-            batch: BatchConfig { enabled: true, ..BatchConfig::default() },
-            ..ShadowConfig::default()
-        };
-        let mut m = Machine::free_running();
-        let mut h = ShadowHeap::with_config(SysHeap::new(), cfg);
-        for _ in 0..200 {
-            let p = h.alloc(&mut m, 16).unwrap();
-            h.free(&mut m, p).unwrap();
-        }
-        assert!(
-            m.virt_pages_consumed() < 60,
-            "recycling must bound VA growth in batched mode, consumed {}",
-            m.virt_pages_consumed()
-        );
-        assert!(m.telemetry().counter("core.shadow_pages_recycled") > 0);
+    fn freed_spans_stay_sorted_and_coalesced() {
+        let mut runs: Vec<(PageNum, usize)> = Vec::new();
+        merge_run(&mut runs, PageNum(10), 2);
+        merge_run(&mut runs, PageNum(20), 1);
+        merge_run(&mut runs, PageNum(12), 3); // merges below
+        assert_eq!(runs, vec![(PageNum(10), 5), (PageNum(20), 1)]);
+        merge_run(&mut runs, PageNum(15), 5); // bridges to 20
+        assert_eq!(runs, vec![(PageNum(10), 11)]);
     }
 
     #[test]

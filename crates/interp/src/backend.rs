@@ -101,6 +101,19 @@ fn from_pool(e: PoolError) -> BackendError {
     }
 }
 
+/// The error of a `free` or `free_unchecked` of `addr`, on every scheme.
+/// A trap the detector attributes (a double free, with its `report`)
+/// stays a trap. Any other trap means `addr` named no live allocation, so
+/// it becomes [`BackendError::InvalidFree`], the error the schemes that
+/// check a header or a side table already return.
+fn free_error(addr: VirtAddr, err: BackendError, report: Option<String>) -> BackendError {
+    match err {
+        BackendError::Trap { trap, .. } if report.is_some() => BackendError::Trap { trap, report },
+        BackendError::Trap { .. } => BackendError::InvalidFree { addr },
+        other => other,
+    }
+}
+
 fn from_check(e: CheckError) -> BackendError {
     match e {
         CheckError::Trap(t) => BackendError::Trap { trap: t, report: None },
@@ -127,7 +140,10 @@ pub trait Backend {
     /// Frees `addr` (into `pool` when given and supported).
     ///
     /// # Errors
-    /// Double frees surface as detections where the scheme supports it.
+    /// A double free the scheme attributes surfaces as
+    /// [`BackendError::Trap`] with its report. A free of anything else that
+    /// is not a live allocation, a wild pointer included, is
+    /// [`BackendError::InvalidFree`] on every scheme.
     fn free(
         &mut self,
         machine: &mut Machine,
@@ -409,7 +425,7 @@ impl Backend for NativeBackend {
         addr: VirtAddr,
         _pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(from_alloc)
+        self.heap.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
 
     mmu_ops!();
@@ -495,7 +511,7 @@ impl Backend for PoolBackend {
         if self.dummy_syscalls {
             machine.dummy_syscall(); // stands in for mprotect
         }
-        self.pools.free(machine, p, addr).map_err(from_pool)
+        self.pools.free(machine, p, addr).map_err(|e| free_error(addr, from_pool(e), None))
     }
 
     fn pool_create(
@@ -536,7 +552,7 @@ impl ShadowBackend {
     }
 
     /// Creates the backend with an explicit detector configuration
-    /// (batching, sampling, §3.4 threshold recycling).
+    /// (sampling, §3.4 threshold recycling).
     pub fn with_config(config: ShadowConfig) -> ShadowBackend {
         ShadowBackend { heap: ShadowHeap::with_config(SysHeap::new(), config) }
     }
@@ -567,12 +583,9 @@ impl Backend for ShadowBackend {
         addr: VirtAddr,
         _pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(|e| match e {
-            AllocError::Trap(trap) => BackendError::Trap {
-                trap,
-                report: self.heap.last_report().map(|r| r.render(self.heap.sites())),
-            },
-            other => from_alloc(other),
+        self.heap.free(machine, addr).map_err(|e| {
+            let report = self.heap.last_report().map(|r| r.render(self.heap.sites()));
+            free_error(addr, from_alloc(e), report)
         })
     }
 
@@ -591,7 +604,7 @@ impl Backend for ShadowBackend {
         addr: VirtAddr,
         _pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        self.heap.free_unchecked(machine, addr).map_err(from_alloc)
+        self.heap.free_unchecked(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
 
     mmu_ops!();
@@ -621,7 +634,7 @@ impl ShadowPoolBackend {
     }
 
     /// Creates the backend with an explicit detector configuration (pool
-    /// runtime, batching, sampling).
+    /// runtime, sampling).
     pub fn with_config(config: DetectorConfig) -> ShadowPoolBackend {
         ShadowPoolBackend { detector: ShadowPool::with_config(config), global_pool: None }
     }
@@ -675,12 +688,9 @@ impl Backend for ShadowPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
         let p = self.pool_or_global(pool);
-        self.detector.free(machine, p, addr).map_err(|e| match e {
-            PoolError::Alloc(AllocError::Trap(trap)) => BackendError::Trap {
-                trap,
-                report: self.detector.last_report().map(|r| r.render(self.detector.sites())),
-            },
-            other => from_pool(other),
+        self.detector.free(machine, p, addr).map_err(|e| {
+            let report = self.detector.last_report().map(|r| r.render(self.detector.sites()));
+            free_error(addr, from_pool(e), report)
         })
     }
 
@@ -701,7 +711,9 @@ impl Backend for ShadowPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
         let p = self.pool_or_global(pool);
-        self.detector.free_unchecked(machine, p, addr).map_err(from_pool)
+        self.detector
+            .free_unchecked(machine, p, addr)
+            .map_err(|e| free_error(addr, from_pool(e), None))
     }
 
     fn pool_create(
@@ -773,7 +785,7 @@ impl Backend for ArenaBackend {
         addr: VirtAddr,
         _pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(from_alloc)
+        self.heap.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
 
     mmu_ops!();
@@ -826,7 +838,7 @@ macro_rules! checked_backend {
                 addr: VirtAddr,
                 _pool: Option<PoolHandle>,
             ) -> Result<(), BackendError> {
-                self.inner.free(machine, addr).map_err(from_alloc)
+                self.inner.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
             }
 
             fn load(
@@ -922,7 +934,7 @@ impl Backend for EFenceBackend {
         addr: VirtAddr,
         _pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
-        self.inner.free(machine, addr).map_err(from_alloc)
+        self.inner.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
 
     mmu_ops!();
@@ -1145,17 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_backends_detect_like_legacy() {
-        let batch = dangle_core::BatchConfig { enabled: true, ..Default::default() };
-        let heap = ShadowConfig { batch, ..ShadowConfig::default() };
-        let pool = DetectorConfig { batch, ..DetectorConfig::default() };
-        exercise(&mut ShadowBackend::with_config(heap), true);
-        exercise(&mut ShadowPoolBackend::with_config(pool), true);
-        exercise_bulk(&mut ShadowBackend::with_config(heap), true);
-        exercise_bulk(&mut ShadowPoolBackend::with_config(pool), true);
-    }
-
-    #[test]
     fn dummy_syscalls_are_counted() {
         let mut m = Machine::free_running();
         let mut b = PoolBackend::with_dummy_syscalls();
@@ -1254,7 +1255,7 @@ mod tests {
 
     /// Malformed frees and bad pool handles end in a typed error on every
     /// scheme, and leave the backend usable. A wild free names no object,
-    /// so no scheme attaches a dangling-pointer report to it.
+    /// so every scheme calls it an invalid free of that address.
     #[test]
     fn malformed_frees_return_typed_errors() {
         type Make = fn() -> Box<dyn Backend>;
@@ -1348,9 +1349,10 @@ mod tests {
                 let r = call(b.as_mut(), &mut m);
                 assert!(r.is_err(), "{}: {case} succeeded", b.name());
                 if case.contains("wild") {
-                    assert!(
-                        !matches!(r, Err(BackendError::Trap { report: Some(_), .. })),
-                        "{}: {case} carries a report: {r:?}",
+                    assert_eq!(
+                        r,
+                        Err(BackendError::InvalidFree { addr: WILD }),
+                        "{}: {case}",
                         b.name()
                     );
                 }

@@ -585,8 +585,7 @@ impl PoolSet {
     }
 
     /// Registers an extra (shadow) page with `pool`, to be recycled at
-    /// `pooldestroy`. Called by the dangling-pointer detector for every
-    /// shadow page it creates for an object of this pool.
+    /// `pooldestroy`: a one-page [`PoolSet::register_extra_run`].
     ///
     /// # Errors
     /// Pool-id errors as for [`PoolSet::alloc`].
@@ -596,10 +595,10 @@ impl PoolSet {
     }
 
     /// Registers a contiguous run of `len` extra (shadow) pages with
-    /// `pool` in one call. The batched detector creates shadow pages in
-    /// extent runs; registering the whole run at build time replaces `len`
-    /// per-page [`PoolSet::register_extra_page`] calls, and `pooldestroy`
-    /// still sorts and merges everything back into free-list runs.
+    /// `pool` in one call. The detector registers the shadow run of every
+    /// object it allocates in `pool` this way, one page for a small object
+    /// and several for a multi-page one; `pooldestroy` sorts and merges
+    /// everything back into free-list runs.
     ///
     /// # Errors
     /// Pool-id errors as for [`PoolSet::alloc`].
@@ -612,25 +611,6 @@ impl PoolSet {
         let p = self.pool_live(pool)?;
         p.extra_pages.extend((0..len as u64).map(|i| start.add(i)));
         Ok(())
-    }
-
-    /// Pops the lowest-based free run, truncated to at most `max` pages
-    /// (the remainder stays on the list). Unlike [`PoolSet::take_free_run`]
-    /// this never fails on fragmentation — any non-empty run satisfies it —
-    /// which is what the batched detector wants when feeding a shadow-page
-    /// extent from recycled VA.
-    pub fn take_free_run_capped(&mut self, max: usize) -> Option<(PageNum, usize)> {
-        if !self.config.reuse_pages || max == 0 {
-            return None;
-        }
-        let &(base, len) = self.free_runs.first()?;
-        let take = (len as usize).min(max);
-        if take == len as usize {
-            self.free_runs.remove(0);
-        } else {
-            self.free_runs[0] = (base.add(take as u64), len - take as u32);
-        }
-        Some((base, take))
     }
 
     /// Removes a previously registered extra page from `pool` without
@@ -1289,25 +1269,6 @@ mod tests {
         assert_eq!(ps.free_page_count(), 4);
         // The registered run came back fully coalesced.
         assert_eq!(ps.take_free_run(3), Some(PageNum(400)));
-    }
-
-    #[test]
-    fn take_free_run_capped_truncates_and_splits() {
-        let mut ps = PoolSet::new();
-        assert!(ps.take_free_run_capped(4).is_none(), "empty list");
-        for page in 500u64..506 {
-            ps.donate_page(PageNum(page));
-        }
-        // A 6-page run capped at 4 yields 4 and leaves 2.
-        assert_eq!(ps.take_free_run_capped(4), Some((PageNum(500), 4)));
-        assert_eq!(ps.free_page_count(), 2);
-        // Shorter-than-max runs come back whole.
-        assert_eq!(ps.take_free_run_capped(8), Some((PageNum(504), 2)));
-        assert_eq!(ps.free_page_count(), 0);
-        assert!(ps.take_free_run_capped(0).is_none());
-
-        let mut no_reuse = PoolSet::with_config(PoolConfig { reuse_pages: false });
-        assert!(no_reuse.take_free_run_capped(4).is_none());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct CostModel {
     pub syscall_munmap: u64,
     /// Per-page incremental cost of multi-page syscalls (PTE updates).
     pub syscall_per_page: u64,
-    /// Per-range incremental cost of vectored (batched) syscalls: argument
+    /// Per-range incremental cost of the vectored `munmap_batch`: argument
     /// validation and VMA lookup for each `(addr, len)` entry, in the style
     /// of `process_madvise`/io_uring submission entries. The batch still
     /// pays exactly one base (kernel entry/exit) charge.

@@ -34,11 +34,9 @@ pub struct MachineStats {
     pub phys_frames_in_use: u64,
     /// High-water mark of `phys_frames_in_use`.
     pub phys_frames_peak: u64,
-    /// Vectored `mprotect` crossings (each also counted in
-    /// `mprotect_calls`, so `total_syscalls` stays the crossing count).
-    pub mprotect_batch_calls: u64,
-    /// Total `(addr, len)` ranges submitted across *all* vectored syscalls
-    /// (mprotect/mmap/mremap/munmap batches).
+    /// Total `(addr, len)` ranges submitted across every
+    /// [`crate::Machine::munmap_batch`] call (each call also counts once in
+    /// `munmap_calls`, so `total_syscalls` stays the crossing count).
     pub ranges_batched: u64,
     /// Cross-core TLB-shootdown interrupts delivered: one per *remote*
     /// core per mapping-mutating syscall when more than one core is

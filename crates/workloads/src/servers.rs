@@ -95,9 +95,8 @@ impl Workload for Ghttpd {
 /// The keep-alive variant of [`Ghttpd`]: one pool per connection, many
 /// requests per connection, each allocating a header and a response buffer
 /// that live until the connection's pool dies wholesale. No individual
-/// frees — the allocation-side pattern shadow extents are built for, and
-/// the §4.3 server shape (few allocations, pool-scoped lifetimes) taken to
-/// the keep-alive limit.
+/// frees — the §4.3 server shape (few allocations, pool-scoped lifetimes)
+/// taken to the keep-alive limit.
 #[derive(Clone, Copy, Debug)]
 pub struct GhttpdKeepAlive {
     /// Connections served.

@@ -1,18 +1,15 @@
-//! The extensions' claims, asserted as tests at small workload scale:
-//! batched protection syscalls, the flight recorder and the radix page
-//! table. Every check depends only on the simulated clock or on identical
-//! results, so it is exact on any host. Host speed is measured by
-//! `perfbench/` alone. Lint elision, sampling and the multi-core machine
-//! keep their claims in `lint.rs`, `sampling.rs` and `concurrency.rs`, and the
-//! bytecode VM its equivalence with the AST walker in
-//! `crates/interp/tests/engines.rs`.
+//! The extensions' claims, asserted as tests at small workload scale: the
+//! flight recorder and the radix page table. Every check depends only on
+//! the simulated clock or on identical results, so it is exact on any
+//! host. Host speed is measured by `perfbench/` alone. Lint elision,
+//! sampling and the multi-core machine keep their claims in `lint.rs`,
+//! `sampling.rs` and `concurrency.rs`, and the bytecode VM its equivalence
+//! with the AST walker in `crates/interp/tests/engines.rs`.
 
-use dangle::core::{BatchConfig, DetectorConfig};
 use dangle::interp::backend::{Backend, BackendError, NativeBackend, ShadowPoolBackend};
 use dangle::telemetry::TelemetryConfig;
 use dangle::vmm::{Machine, MachineConfig, PageTableImpl};
 use dangle::workloads::apps::Gzip;
-use dangle::workloads::olden_trees::{Perimeter, TreeAdd};
 use dangle::workloads::servers::{Ftpd, Ghttpd, GhttpdKeepAlive};
 use dangle::workloads::{Workload, REQUEST_HISTOGRAM};
 
@@ -32,18 +29,6 @@ fn keepalive() -> GhttpdKeepAlive {
     GhttpdKeepAlive { connections: 4, requests_per_connection: 24, response_bytes: 2_000 }
 }
 
-/// Off (one syscall per protection event), eager batching, and batching
-/// with protects deferred across 8 frees.
-const BATCH_MODES: [BatchConfig; 3] = [
-    BatchConfig { enabled: false, protect_epoch: None },
-    BatchConfig { enabled: true, protect_epoch: None },
-    BatchConfig { enabled: true, protect_epoch: Some(8) },
-];
-
-fn batched(batch: BatchConfig) -> ShadowPoolBackend {
-    ShadowPoolBackend::with_config(DetectorConfig { batch, ..DetectorConfig::default() })
-}
-
 /// The trap report of a use-after-free on the first allocation of a fresh
 /// machine.
 fn injected_uaf_report(backend: &mut dyn Backend, config: MachineConfig) -> String {
@@ -55,50 +40,6 @@ fn injected_uaf_report(backend: &mut dyn Backend, config: MachineConfig) -> Stri
         panic!("use-after-free not trapped")
     };
     report.expect("trap must be attributed")
-}
-
-#[test]
-fn eager_batching_halves_kernel_crossings() {
-    // At these sizes: 836 crossings off, 306 eager, 302 with an 8-free epoch.
-    let workloads: [&dyn Workload; 4] =
-        [&ftpd(), &keepalive(), &TreeAdd { depth: 8, passes: 2 }, &Perimeter { levels: 5 }];
-    let (mut crossings, mut cycles) = ([0u64; 3], [0u64; 3]);
-    for w in workloads {
-        let runs = BATCH_MODES.map(|b| run_on(w, &mut batched(b), MachineConfig::default()));
-        let (off_sum, off) = &runs[0];
-        let mut row = [0u64; 3];
-        for (i, (sum, m)) in runs.iter().enumerate() {
-            assert_eq!(sum, off_sum, "{}: checksum under {:?}", w.name(), BATCH_MODES[i]);
-            let s = m.stats();
-            row[i] = s.mmap_calls + s.mremap_calls + s.mprotect_calls;
-            crossings[i] += row[i];
-            cycles[i] += m.clock();
-        }
-        assert_eq!(runs[1].1.stats().traps, off.stats().traps, "{}: traps", w.name());
-        assert!(row[1] <= row[0], "{}: eager batching added crossings {row:?}", w.name());
-    }
-    let [off, eager, epoch8] = crossings;
-    assert!(off >= 2 * eager, "batching must halve crossings: {off} -> {eager}");
-    assert!(epoch8 <= eager, "deferred protects must not add crossings: {crossings:?}");
-    assert!(cycles[1] <= cycles[0], "batching must not cost cycles: {cycles:?}");
-}
-
-#[test]
-fn batching_keeps_trap_reports_byte_identical() {
-    let config = MachineConfig::default();
-    let off = injected_uaf_report(&mut batched(BATCH_MODES[0]), config);
-    assert!(off.contains("dangling read"), "{off}");
-    assert_eq!(off, injected_uaf_report(&mut batched(BATCH_MODES[1]), config));
-
-    // Deferred protects leave a freed page readable until the epoch ends;
-    // the 8th free flushes all of them.
-    let mut m = Machine::with_config(config);
-    let mut b = batched(BATCH_MODES[2]);
-    let objs: Vec<_> = (0..8).map(|_| b.alloc(&mut m, 16, None).unwrap()).collect();
-    for &p in &objs {
-        b.free(&mut m, p, None).unwrap();
-    }
-    assert!(b.load(&mut m, objs[0], 8).unwrap_err().is_detection());
 }
 
 #[test]
