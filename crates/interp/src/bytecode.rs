@@ -47,119 +47,253 @@ pub const SLOT_NONE: u16 = u16::MAX;
 /// Marker for "no pool annotation" on `Malloc`/`Free`.
 pub const POOL_NONE: u16 = u16::MAX;
 
-/// One register-bytecode instruction.
+/// The binary-operator table, declared once: one row per MiniC operator.
 ///
-/// Slots index the current frame's value registers; `pool` operands index
-/// the frame's pool-descriptor registers; `target`s are instruction
-/// indexes within the same function. Every variant's `cost` is the number
-/// of coalesced AST burns charged (fuel, steps and clock) *before* the
-/// instruction's own effect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Insn {
-    /// `dst = val`.
-    Const { cost: u32, dst: u16, val: i64 },
-    /// `dst = src` (register move; also materializes call arguments).
-    Copy { cost: u32, dst: u16, src: u16 },
-    /// `dst = globals[idx]`.
-    GlobalGet { cost: u32, dst: u16, idx: u16 },
-    /// `globals[idx] = src`.
-    GlobalSet { cost: u32, idx: u16, src: u16 },
-    /// `dst = lhs <op> rhs` (Div/Rem trap on a zero divisor).
-    Bin { cost: u32, op: BinOp, dst: u16, lhs: u16, rhs: u16 },
-    /// `dst = lhs <op> imm` — a [`Insn::Bin`] whose right operand was an
-    /// integer literal, folded into the instruction so loops don't
-    /// re-materialize constants through `Const` every iteration. The
-    /// literal's AST burn is part of `cost`.
-    BinImm { cost: u32, op: BinOp, dst: u16, lhs: u16, imm: i64 },
-    /// Unconditional branch.
-    Jump { cost: u32, target: u32 },
-    /// Branch to `target` when `cond == 0`.
-    JumpIfZero { cost: u32, cond: u16, target: u32 },
-    /// Fused compare-and-branch: branch to `target` when
-    /// `lhs <op> rhs == 0`. Emitted when a condition's final binary op
-    /// feeds only the branch (its destination was a dead temporary);
-    /// Div/Rem still trap on a zero divisor first.
-    BrZero { cost: u32, op: BinOp, lhs: u16, rhs: u16, target: u32 },
-    /// [`Insn::BrZero`] with a literal right operand.
-    BrZeroImm { cost: u32, op: BinOp, lhs: u16, imm: i64, target: u32 },
-    /// Charge `cost` and do nothing else — flushes pending burns before a
-    /// jump-target label so costs never migrate across control-flow joins.
-    Tick { cost: u32 },
-    /// `dst = base + index * elem_size`; traps `NullDereference` when
-    /// `base == 0` (the AST's `Expr::Index` check order).
-    Index { cost: u32, dst: u16, base: u16, index: u16, elem_size: u32 },
-    /// `dst = *(base + offset)` through the backend (8-byte load); traps
-    /// `NullDereference` when `base == 0`.
-    LoadField { cost: u32, dst: u16, base: u16, offset: u32 },
-    /// `*(base + offset) = src` through the backend; traps on null base.
-    StoreField { cost: u32, base: u16, offset: u32, src: u16 },
-    /// `dst = alloc(size)` (+ calloc-style zero-init of `nfields` words),
-    /// from pool register `pool` unless `POOL_NONE`. `unchecked` carries
-    /// the dangle-lint elision stamp to `Backend::alloc_unchecked`.
-    Malloc { cost: u32, dst: u16, size: u32, nfields: u16, pool: u16, unchecked: bool },
-    /// Array form: `count` register holds the element count (range-checked
-    /// to `0..=1<<20` like the AST engine).
-    MallocArray {
-        cost: u32,
-        dst: u16,
-        count: u16,
-        elem_size: u32,
-        nfields: u16,
-        pool: u16,
-        unchecked: bool,
-    },
-    /// `free(src)` — a no-op when `src == 0`; `unchecked` routes to
-    /// `Backend::free_unchecked`.
-    Free { cost: u32, src: u16, pool: u16, unchecked: bool },
-    /// `pools[dst] = backend.pool_create(elem_size)`.
-    PoolCreate { cost: u32, dst: u16, elem_size: u32 },
-    /// `backend.pool_destroy(pools[pool])`.
-    PoolDestroy { cost: u32, pool: u16 },
-    /// `dst = call(sites[site])` — argument and pool-argument slot lists
-    /// live in the function's [`CallSite`] side table to keep `Insn`
-    /// small and `Copy`.
-    Call { cost: u32, dst: u16, site: u32 },
-    /// Return `src` (or 0 when `SLOT_NONE`) to the caller.
-    Ret { cost: u32, src: u16 },
-    /// Append `src` to the program output.
-    Print { cost: u32, src: u16 },
-    /// Raises `NullDereference` when `base == 0`, else `NotAPointer` —
-    /// compiled for dereferences of statically non-pointer expressions
-    /// (null literal, `int`, unknown struct), preserving the AST engine's
-    /// check order.
-    FailNotPtr { cost: u32, base: u16 },
-}
-
-impl Insn {
-    /// The coalesced-burn cost charged before this instruction executes.
-    pub fn cost(&self) -> u32 {
-        match self {
-            Insn::Const { cost, .. }
-            | Insn::Copy { cost, .. }
-            | Insn::GlobalGet { cost, .. }
-            | Insn::GlobalSet { cost, .. }
-            | Insn::Bin { cost, .. }
-            | Insn::BinImm { cost, .. }
-            | Insn::Jump { cost, .. }
-            | Insn::JumpIfZero { cost, .. }
-            | Insn::BrZero { cost, .. }
-            | Insn::BrZeroImm { cost, .. }
-            | Insn::Tick { cost }
-            | Insn::Index { cost, .. }
-            | Insn::LoadField { cost, .. }
-            | Insn::StoreField { cost, .. }
-            | Insn::Malloc { cost, .. }
-            | Insn::MallocArray { cost, .. }
-            | Insn::Free { cost, .. }
-            | Insn::PoolCreate { cost, .. }
-            | Insn::PoolDestroy { cost, .. }
-            | Insn::Call { cost, .. }
-            | Insn::Ret { cost, .. }
-            | Insn::Print { cost, .. }
-            | Insn::FailNotPtr { cost, .. } => *cost,
+/// A row names the operator's four opcodes and gives its value:
+///
+/// * the register form, named after its [`BinOp`]: `dst = lhs <op> rhs`;
+/// * the literal form, `dst = lhs <op> imm`: a right operand that was an
+///   integer literal, folded into the instruction so loops don't
+///   re-materialize constants through `Const` every iteration (the
+///   literal's AST burn is part of `cost`);
+/// * two fused compare-and-branch forms, which branch to `target` when
+///   `lhs <op> rhs` (or `lhs <op> imm`) is zero. The compiler emits them
+///   when a condition's final binary op feeds only the branch (its
+///   destination was a dead temporary);
+/// * the value, as a `Result` of the left operand `a` and the right
+///   operand `b`: wrapping arithmetic, 0/1 comparisons, non-short-circuit
+///   logicals, and `DivisionByZero` on a zero divisor, in every form.
+///
+/// `binary_ops!(m)` expands the macro `m` on the rows, and
+/// `binary_ops!(m! { args })` on `args` followed by the rows. [`Insn`],
+/// its constructors, `binary_forms!` and the VM's dispatch all expand
+/// from here, so each operator has its own opcode per form and the VM
+/// never matches on a [`BinOp`]. The AST engine's `binop` is the
+/// reference these values must equal (`tests/engines.rs`).
+macro_rules! binary_ops {
+    ($then:ident $(! { $($args:tt)* })?) => {
+        $then! {
+            $($($args)*)?
+            Add AddImm BrzAdd BrzAddImm = |a, b| Ok(a.wrapping_add(b));
+            Sub SubImm BrzSub BrzSubImm = |a, b| Ok(a.wrapping_sub(b));
+            Mul MulImm BrzMul BrzMulImm = |a, b| Ok(a.wrapping_mul(b));
+            Div DivImm BrzDiv BrzDivImm = |a, b| match b {
+                0 => Err($crate::RunError::DivisionByZero),
+                _ => Ok(a.wrapping_div(b)),
+            };
+            Rem RemImm BrzRem BrzRemImm = |a, b| match b {
+                0 => Err($crate::RunError::DivisionByZero),
+                _ => Ok(a.wrapping_rem(b)),
+            };
+            Lt LtImm BrzLt BrzLtImm = |a, b| Ok(i64::from(a < b));
+            Le LeImm BrzLe BrzLeImm = |a, b| Ok(i64::from(a <= b));
+            Gt GtImm BrzGt BrzGtImm = |a, b| Ok(i64::from(a > b));
+            Ge GeImm BrzGe BrzGeImm = |a, b| Ok(i64::from(a >= b));
+            Eq EqImm BrzEq BrzEqImm = |a, b| Ok(i64::from(a == b));
+            Ne NeImm BrzNe BrzNeImm = |a, b| Ok(i64::from(a != b));
+            And AndImm BrzAnd BrzAndImm = |a, b| Ok(i64::from(a != 0 && b != 0));
+            Or OrImm BrzOr BrzOrImm = |a, b| Ok(i64::from(a != 0 || b != 0));
         }
-    }
+    };
 }
+pub(crate) use binary_ops;
+
+/// Expands, in pattern position, to the or-pattern of one form of every
+/// operator in [`binary_ops!`], each alternative with the same fields:
+/// `binary_forms!(bin { dst, lhs, rhs, .. })` matches every register form,
+/// and `bin_imm`, `brz` and `brz_imm` select the literal and the two
+/// branch forms.
+macro_rules! binary_forms {
+    ($form:ident $fields:tt) => {
+        $crate::bytecode::binary_ops!(binary_forms! { @$form $fields })
+    };
+    (@bin $fields:tt $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = $value:expr;)*) => {
+        $($crate::bytecode::Insn::$bin $fields)|*
+    };
+    (@bin_imm $fields:tt $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = $value:expr;)*) => {
+        $($crate::bytecode::Insn::$bin_imm $fields)|*
+    };
+    (@brz $fields:tt $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = $value:expr;)*) => {
+        $($crate::bytecode::Insn::$brz $fields)|*
+    };
+    (@brz_imm $fields:tt $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = $value:expr;)*) => {
+        $($crate::bytecode::Insn::$brz_imm $fields)|*
+    };
+}
+pub(crate) use binary_forms;
+
+/// Expands [`Insn`] from the rows of [`binary_ops!`]: the instructions
+/// that are not binary operators, written out here, then four per row.
+macro_rules! define_insn {
+    ($($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = $value:expr;)*) => {
+        /// One register-bytecode instruction.
+        ///
+        /// Slots index the current frame's value registers; `pool` operands
+        /// index the frame's pool-descriptor registers; `target`s are
+        /// instruction indexes within the same function. Every variant's
+        /// `cost` is the number of coalesced AST burns charged (fuel, steps
+        /// and clock) *before* the instruction's own effect. Each binary
+        /// operator has four variants of its own, one per form of the
+        /// crate's operator table (`binary_ops!`).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Insn {
+            /// `dst = val`.
+            Const { cost: u32, dst: u16, val: i64 },
+            /// `dst = src` (register move; also materializes call arguments).
+            Copy { cost: u32, dst: u16, src: u16 },
+            /// `dst = globals[idx]`.
+            GlobalGet { cost: u32, dst: u16, idx: u16 },
+            /// `globals[idx] = src`.
+            GlobalSet { cost: u32, idx: u16, src: u16 },
+            /// Unconditional branch.
+            Jump { cost: u32, target: u32 },
+            /// Branch to `target` when `cond == 0`.
+            JumpIfZero { cost: u32, cond: u16, target: u32 },
+            /// Charge `cost` and do nothing else — flushes pending burns before a
+            /// jump-target label so costs never migrate across control-flow joins.
+            Tick { cost: u32 },
+            /// `dst = base + index * elem_size`; traps `NullDereference` when
+            /// `base == 0` (the AST's `Expr::Index` check order).
+            Index { cost: u32, dst: u16, base: u16, index: u16, elem_size: u32 },
+            /// `dst = *(base + offset)` through the backend (8-byte load); traps
+            /// `NullDereference` when `base == 0`.
+            LoadField { cost: u32, dst: u16, base: u16, offset: u32 },
+            /// `*(base + offset) = src` through the backend; traps on null base.
+            StoreField { cost: u32, base: u16, offset: u32, src: u16 },
+            /// `dst = alloc(size)` (+ calloc-style zero-init of `nfields` words),
+            /// from pool register `pool` unless `POOL_NONE`. `unchecked` carries
+            /// the dangle-lint elision stamp to `Backend::alloc_unchecked`.
+            Malloc { cost: u32, dst: u16, size: u32, nfields: u16, pool: u16, unchecked: bool },
+            /// Array form: `count` register holds the element count (range-checked
+            /// to `0..=1<<20` like the AST engine).
+            MallocArray {
+                cost: u32,
+                dst: u16,
+                count: u16,
+                elem_size: u32,
+                nfields: u16,
+                pool: u16,
+                unchecked: bool,
+            },
+            /// `free(src)` — a no-op when `src == 0`; `unchecked` routes to
+            /// `Backend::free_unchecked`.
+            Free { cost: u32, src: u16, pool: u16, unchecked: bool },
+            /// `pools[dst] = backend.pool_create(elem_size)`.
+            PoolCreate { cost: u32, dst: u16, elem_size: u32 },
+            /// `backend.pool_destroy(pools[pool])`.
+            PoolDestroy { cost: u32, pool: u16 },
+            /// `dst = call(sites[site])` — argument and pool-argument slot lists
+            /// live in the function's [`CallSite`] side table to keep `Insn`
+            /// small and `Copy`.
+            Call { cost: u32, dst: u16, site: u32 },
+            /// Return `src` (or 0 when `SLOT_NONE`) to the caller.
+            Ret { cost: u32, src: u16 },
+            /// Append `src` to the program output.
+            Print { cost: u32, src: u16 },
+            /// Raises `NullDereference` when `base == 0`, else `NotAPointer` —
+            /// compiled for dereferences of statically non-pointer expressions
+            /// (null literal, `int`, unknown struct), preserving the AST engine's
+            /// check order.
+            FailNotPtr { cost: u32, base: u16 },
+            $(
+                #[doc = concat!("`dst = lhs <op> rhs` for [`BinOp::", stringify!($bin), "`].")]
+                $bin { cost: u32, dst: u16, lhs: u16, rhs: u16 },
+                #[doc = concat!("`dst = lhs <op> imm` for [`BinOp::", stringify!($bin), "`].")]
+                $bin_imm { cost: u32, dst: u16, lhs: u16, imm: i64 },
+                #[doc = concat!(
+                    "Branch to `target` when `lhs <op> rhs == 0`, for [`BinOp::",
+                    stringify!($bin),
+                    "`]."
+                )]
+                $brz { cost: u32, lhs: u16, rhs: u16, target: u32 },
+                #[doc = concat!(
+                    "Branch to `target` when `lhs <op> imm == 0`, for [`BinOp::",
+                    stringify!($bin),
+                    "`]."
+                )]
+                $brz_imm { cost: u32, lhs: u16, imm: i64, target: u32 },
+            )*
+        }
+
+        impl Insn {
+            /// The coalesced-burn cost charged before this instruction executes.
+            pub fn cost(&self) -> u32 {
+                match self {
+                    Insn::Const { cost, .. }
+                    | Insn::Copy { cost, .. }
+                    | Insn::GlobalGet { cost, .. }
+                    | Insn::GlobalSet { cost, .. }
+                    | Insn::Jump { cost, .. }
+                    | Insn::JumpIfZero { cost, .. }
+                    | Insn::Tick { cost }
+                    | Insn::Index { cost, .. }
+                    | Insn::LoadField { cost, .. }
+                    | Insn::StoreField { cost, .. }
+                    | Insn::Malloc { cost, .. }
+                    | Insn::MallocArray { cost, .. }
+                    | Insn::Free { cost, .. }
+                    | Insn::PoolCreate { cost, .. }
+                    | Insn::PoolDestroy { cost, .. }
+                    | Insn::Call { cost, .. }
+                    | Insn::Ret { cost, .. }
+                    | Insn::Print { cost, .. }
+                    | Insn::FailNotPtr { cost, .. }
+                    $(
+                        | Insn::$bin { cost, .. }
+                        | Insn::$bin_imm { cost, .. }
+                        | Insn::$brz { cost, .. }
+                        | Insn::$brz_imm { cost, .. }
+                    )* => *cost,
+                }
+            }
+
+            /// The operator of a binary-operator instruction, in any form.
+            pub fn operator(&self) -> Option<BinOp> {
+                match self {
+                    $(
+                        Insn::$bin { .. }
+                        | Insn::$bin_imm { .. }
+                        | Insn::$brz { .. }
+                        | Insn::$brz_imm { .. } => Some(BinOp::$bin),
+                    )*
+                    _ => None,
+                }
+            }
+
+            /// `dst = lhs <op> rhs`: the register form of `op`.
+            pub fn bin(op: BinOp, cost: u32, dst: u16, lhs: u16, rhs: u16) -> Insn {
+                match op {
+                    $(BinOp::$bin => Insn::$bin { cost, dst, lhs, rhs },)*
+                }
+            }
+
+            /// `dst = lhs <op> imm`: the literal form of `op`.
+            pub fn bin_imm(op: BinOp, cost: u32, dst: u16, lhs: u16, imm: i64) -> Insn {
+                match op {
+                    $(BinOp::$bin => Insn::$bin_imm { cost, dst, lhs, imm },)*
+                }
+            }
+
+            /// Branch to `target` when `lhs <op> rhs == 0`.
+            pub fn brz(op: BinOp, cost: u32, lhs: u16, rhs: u16, target: u32) -> Insn {
+                match op {
+                    $(BinOp::$bin => Insn::$brz { cost, lhs, rhs, target },)*
+                }
+            }
+
+            /// Branch to `target` when `lhs <op> imm == 0`.
+            pub fn brz_imm(op: BinOp, cost: u32, lhs: u16, imm: i64, target: u32) -> Insn {
+                match op {
+                    $(BinOp::$bin => Insn::$brz_imm { cost, lhs, imm, target },)*
+                }
+            }
+        }
+    };
+}
+binary_ops!(define_insn);
+
+// The dispatch loop copies one instruction per step.
+const _: () = assert!(std::mem::size_of::<Insn>() <= 24);
 
 /// A call site's operand lists, referenced by [`Insn::Call`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -253,6 +387,7 @@ impl BcFunc {
         );
         for (pc, insn) in self.code.iter().enumerate() {
             let _ = write!(out, "  {pc:3}: [+{}] ", insn.cost());
+            let op = insn.operator().map_or(String::new(), |op| format!("{op:?}"));
             let line = match *insn {
                 Insn::Const { dst, val, .. } => format!("const {} <- {val}", self.slot(dst)),
                 Insn::Copy { dst, src, .. } => {
@@ -264,28 +399,9 @@ impl BcFunc {
                 Insn::GlobalSet { idx, src, .. } => {
                     format!("gset g{idx} <- {}", self.slot(src))
                 }
-                Insn::Bin { op, dst, lhs, rhs, .. } => format!(
-                    "bin.{op:?} {} <- {}, {}",
-                    self.slot(dst),
-                    self.slot(lhs),
-                    self.slot(rhs)
-                ),
-                Insn::BinImm { op, dst, lhs, imm, .. } => format!(
-                    "bin.{op:?} {} <- {}, #{imm}",
-                    self.slot(dst),
-                    self.slot(lhs)
-                ),
                 Insn::Jump { target, .. } => format!("jump {target}"),
                 Insn::JumpIfZero { cond, target, .. } => {
                     format!("jz {} -> {target}", self.slot(cond))
-                }
-                Insn::BrZero { op, lhs, rhs, target, .. } => format!(
-                    "brz.{op:?} {}, {} -> {target}",
-                    self.slot(lhs),
-                    self.slot(rhs)
-                ),
-                Insn::BrZeroImm { op, lhs, imm, target, .. } => {
-                    format!("brz.{op:?} {}, #{imm} -> {target}", self.slot(lhs))
                 }
                 Insn::Tick { .. } => "tick".into(),
                 Insn::Index { dst, base, index, elem_size, .. } => format!(
@@ -349,6 +465,21 @@ impl BcFunc {
                 Insn::Ret { src, .. } => format!("ret {}", self.slot(src)),
                 Insn::Print { src, .. } => format!("print {}", self.slot(src)),
                 Insn::FailNotPtr { base, .. } => format!("fail.notptr {}", self.slot(base)),
+                binary_forms!(bin { dst, lhs, rhs, .. }) => format!(
+                    "bin.{op} {} <- {}, {}",
+                    self.slot(dst),
+                    self.slot(lhs),
+                    self.slot(rhs)
+                ),
+                binary_forms!(bin_imm { dst, lhs, imm, .. }) => {
+                    format!("bin.{op} {} <- {}, #{imm}", self.slot(dst), self.slot(lhs))
+                }
+                binary_forms!(brz { lhs, rhs, target, .. }) => {
+                    format!("brz.{op} {}, {} -> {target}", self.slot(lhs), self.slot(rhs))
+                }
+                binary_forms!(brz_imm { lhs, imm, target, .. }) => {
+                    format!("brz.{op} {}, #{imm} -> {target}", self.slot(lhs))
+                }
             };
             out.push_str(&line);
             out.push('\n');

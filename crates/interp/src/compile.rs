@@ -34,7 +34,7 @@
 //! declaration in program order, and call-arity mismatches — both are
 //! run-time errors under the AST engine on every path that reaches them.
 
-use crate::bytecode::{BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
+use crate::bytecode::{binary_forms, BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
 use dangle_apa::ast::{Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
 use std::collections::HashMap;
 use std::error::Error;
@@ -218,8 +218,8 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
             match &mut self.code[at] {
                 Insn::Jump { target: t, .. }
                 | Insn::JumpIfZero { target: t, .. }
-                | Insn::BrZero { target: t, .. }
-                | Insn::BrZeroImm { target: t, .. } => *t = target,
+                | binary_forms!(brz { target: t, .. })
+                | binary_forms!(brz_imm { target: t, .. }) => *t = target,
                 other => unreachable!("patched non-jump {other:?}"),
             }
         }
@@ -295,22 +295,22 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
         let temps_from = self.cur_temp;
         let (c, _) = self.expr_value(cond)?;
         if self.code.len() > mark && c >= temps_from {
-            match *self.code.last().expect("non-empty past mark") {
-                Insn::Bin { cost, op, dst, lhs, rhs } if dst == c => {
-                    self.code.pop();
-                    let cost = cost + self.take_pending();
-                    let at = self.emit(Insn::BrZero { cost, op, lhs, rhs, target: 0 });
-                    self.patches.push((at, label));
-                    return Ok(());
+            let last = *self.code.last().expect("non-empty past mark");
+            let fused = match (last.operator(), last) {
+                (Some(op), binary_forms!(bin { cost, dst, lhs, rhs })) if dst == c => {
+                    Some(Insn::brz(op, cost + self.pending, lhs, rhs, 0))
                 }
-                Insn::BinImm { cost, op, dst, lhs, imm } if dst == c => {
-                    self.code.pop();
-                    let cost = cost + self.take_pending();
-                    let at = self.emit(Insn::BrZeroImm { cost, op, lhs, imm, target: 0 });
-                    self.patches.push((at, label));
-                    return Ok(());
+                (Some(op), binary_forms!(bin_imm { cost, dst, lhs, imm })) if dst == c => {
+                    Some(Insn::brz_imm(op, cost + self.pending, lhs, imm, 0))
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(branch) = fused {
+                self.code.pop();
+                self.pending = 0;
+                let at = self.emit(branch);
+                self.patches.push((at, label));
+                return Ok(());
             }
         }
         self.jump_if_zero(c, label);
@@ -474,12 +474,12 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 if let Expr::Int(imm) = **rhs {
                     self.pending += 1;
                     let cost = self.take_pending();
-                    self.emit(Insn::BinImm { cost, op: *op, dst, lhs: l, imm });
+                    self.emit(Insn::bin_imm(*op, cost, dst, l, imm));
                     return Ok(Sty::Int);
                 }
                 let (r, _) = self.expr_value(rhs)?;
                 let cost = self.take_pending();
-                self.emit(Insn::Bin { cost, op: *op, dst, lhs: l, rhs: r });
+                self.emit(Insn::bin(*op, cost, dst, l, r));
                 Ok(Sty::Int)
             }
             Expr::Call { callee, args, pool_args, .. } => {

@@ -337,6 +337,38 @@ fn abort_frames(machine: &mut Machine, depth: u32) {
     machine.telemetry_mut().mark_stale_calls(depth as usize);
 }
 
+/// Evaluates a binary operator: wrapping arithmetic, 0/1 comparisons,
+/// non-short-circuit logicals, `DivisionByZero` on a zero divisor. The
+/// AST engine's semantics, and the reference the bytecode's per-operator
+/// opcodes must equal (`tests/engines.rs`).
+fn binop(op: BinOp, a: i64, b: i64) -> Result<i64, RunError> {
+    Ok(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div => {
+            if b == 0 {
+                return Err(RunError::DivisionByZero);
+            }
+            a.wrapping_div(b)
+        }
+        BinOp::Rem => {
+            if b == 0 {
+                return Err(RunError::DivisionByZero);
+            }
+            a.wrapping_rem(b)
+        }
+        BinOp::Lt => i64::from(a < b),
+        BinOp::Le => i64::from(a <= b),
+        BinOp::Gt => i64::from(a > b),
+        BinOp::Ge => i64::from(a >= b),
+        BinOp::Eq => i64::from(a == b),
+        BinOp::Ne => i64::from(a != b),
+        BinOp::And => i64::from(a != 0 && b != 0),
+        BinOp::Or => i64::from(a != 0 || b != 0),
+    })
+}
+
 impl<'p> Interp<'p, '_, '_> {
     fn burn(&mut self) -> Result<(), RunError> {
         if self.fuel == 0 {
@@ -462,32 +494,7 @@ impl<'p> Interp<'p, '_, '_> {
             Expr::Binary { op, lhs, rhs } => {
                 let (a, _) = self.eval(lhs, frame)?;
                 let (b, _) = self.eval(rhs, frame)?;
-                let v = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(RunError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            return Err(RunError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinOp::Lt => i64::from(a < b),
-                    BinOp::Le => i64::from(a <= b),
-                    BinOp::Gt => i64::from(a > b),
-                    BinOp::Ge => i64::from(a >= b),
-                    BinOp::Eq => i64::from(a == b),
-                    BinOp::Ne => i64::from(a != b),
-                    BinOp::And => i64::from(a != 0 && b != 0),
-                    BinOp::Or => i64::from(a != 0 || b != 0),
-                };
-                Ok((v, Sty::Int))
+                Ok((binop(*op, a, b)?, Sty::Int))
             }
             Expr::Call { callee, args, pool_args, .. } => {
                 let func = *self

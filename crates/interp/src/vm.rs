@@ -13,14 +13,16 @@
 //! Frames are contiguous windows of one shared value stack (and one pool
 //! stack); slot accesses are plain indexed loads, which is where the
 //! engine's host-throughput win over the `HashMap`-per-access tree
-//! walker comes from. Fuel is the only per-instruction counter: the
-//! machine clock is ticked at flush points, not per instruction (see the
-//! [`bytecode`](crate::bytecode) module's *Cost accounting*).
+//! walker comes from. Every instruction is one arm of one `match`: each
+//! binary operator's four forms have arms of their own, expanded from the
+//! operator table, so no instruction dispatches twice. Fuel is the only
+//! per-instruction counter: the machine clock is ticked at flush points,
+//! not per instruction (see the [`bytecode`](crate::bytecode) module's
+//! *Cost accounting*).
 
 use crate::backend::{Backend, BackendError, PoolHandle};
-use crate::bytecode::{BcProgram, Insn, POOL_NONE, SLOT_NONE};
+use crate::bytecode::{binary_forms, binary_ops, BcProgram, Insn, POOL_NONE, SLOT_NONE};
 use crate::{RunError, RunOutcome, MAX_CALL_DEPTH};
-use dangle_apa::ast::BinOp;
 use dangle_telemetry::Category;
 use dangle_vmm::{Machine, VirtAddr};
 
@@ -104,12 +106,12 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
                         return Err(format!("{}: global {idx} out of range", f.name));
                     }
                 }
-                Insn::Bin { dst, lhs, rhs, .. } => {
+                binary_forms!(bin { dst, lhs, rhs, .. }) => {
                     slot(dst, "bin dst")?;
                     slot(lhs, "bin lhs")?;
                     slot(rhs, "bin rhs")?;
                 }
-                Insn::BinImm { dst, lhs, .. } => {
+                binary_forms!(bin_imm { dst, lhs, .. }) => {
                     slot(dst, "binimm dst")?;
                     slot(lhs, "binimm lhs")?;
                 }
@@ -118,12 +120,12 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
                     slot(cond, "jz cond")?;
                     target(t)?;
                 }
-                Insn::BrZero { lhs, rhs, target: t, .. } => {
+                binary_forms!(brz { lhs, rhs, target: t, .. }) => {
                     slot(lhs, "brz lhs")?;
                     slot(rhs, "brz rhs")?;
                     target(t)?;
                 }
-                Insn::BrZeroImm { lhs, target: t, .. } => {
+                binary_forms!(brz_imm { lhs, target: t, .. }) => {
                     slot(lhs, "brz lhs")?;
                     target(t)?;
                 }
@@ -256,36 +258,51 @@ pub fn run_compiled(
     Ok(RunOutcome { output: vm.output, steps_used: fuel - vm.fuel })
 }
 
-/// Evaluates a binary operator — semantics identical to the AST engine's
-/// (wrapping arithmetic, 0/1 comparisons, non-short-circuit logicals,
-/// `DivisionByZero` on a zero divisor).
-#[inline(always)]
-fn binop(op: BinOp, a: i64, b: i64) -> Result<i64, RunError> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(RunError::DivisionByZero);
-            }
-            a.wrapping_div(b)
+/// Expands to one `match $insn` holding the `$arms` given and four arms
+/// per row of the operator table, one per form, each computing its own
+/// operator inline: a binary instruction costs one dispatch, like every
+/// other.
+macro_rules! dispatch {
+    ($vm:ident, $insn:ident, $base:ident, $pc:ident, { $($arms:tt)* }
+     $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = |$a:ident, $b:ident| $value:expr;)*) => {
+        match $insn {
+            $($arms)*
+            $(
+                Insn::$bin { cost, dst, lhs, rhs } => {
+                    $vm.charge(cost)?;
+                    let $a = $vm.get($base + lhs as usize);
+                    let $b = $vm.get($base + rhs as usize);
+                    let v: Result<i64, RunError> = $value;
+                    $vm.set($base + dst as usize, v?);
+                }
+                Insn::$bin_imm { cost, dst, lhs, imm } => {
+                    $vm.charge(cost)?;
+                    let $a = $vm.get($base + lhs as usize);
+                    let $b = imm;
+                    let v: Result<i64, RunError> = $value;
+                    $vm.set($base + dst as usize, v?);
+                }
+                Insn::$brz { cost, lhs, rhs, target } => {
+                    $vm.charge(cost)?;
+                    let $a = $vm.get($base + lhs as usize);
+                    let $b = $vm.get($base + rhs as usize);
+                    let v: Result<i64, RunError> = $value;
+                    if v? == 0 {
+                        $pc = target as usize;
+                    }
+                }
+                Insn::$brz_imm { cost, lhs, imm, target } => {
+                    $vm.charge(cost)?;
+                    let $a = $vm.get($base + lhs as usize);
+                    let $b = imm;
+                    let v: Result<i64, RunError> = $value;
+                    if v? == 0 {
+                        $pc = target as usize;
+                    }
+                }
+            )*
         }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(RunError::DivisionByZero);
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::Lt => i64::from(a < b),
-        BinOp::Le => i64::from(a <= b),
-        BinOp::Gt => i64::from(a > b),
-        BinOp::Ge => i64::from(a >= b),
-        BinOp::Eq => i64::from(a == b),
-        BinOp::Ne => i64::from(a != b),
-        BinOp::And => i64::from(a != 0 && b != 0),
-        BinOp::Or => i64::from(a != 0 || b != 0),
-    })
+    };
 }
 
 impl Vm<'_, '_, '_> {
@@ -354,7 +371,9 @@ impl Vm<'_, '_, '_> {
             debug_assert!(pc < code.len());
             let insn = unsafe { *code.get_unchecked(pc) };
             pc += 1;
-            match insn {
+            // One flat `match`: the arms below, plus the operator table's
+            // four forms per operator.
+            binary_ops!(dispatch! { self, insn, base, pc, {
                 Insn::Const { cost, dst, val } => {
                     self.charge(cost)?;
                     self.set(base + dst as usize, val);
@@ -379,19 +398,6 @@ impl Vm<'_, '_, '_> {
                         *self.globals.get_unchecked_mut(idx as usize) = v;
                     }
                 }
-                Insn::Bin { cost, op, dst, lhs, rhs } => {
-                    self.charge(cost)?;
-                    let a = self.get(base + lhs as usize);
-                    let b = self.get(base + rhs as usize);
-                    let v = binop(op, a, b)?;
-                    self.set(base + dst as usize, v);
-                }
-                Insn::BinImm { cost, op, dst, lhs, imm } => {
-                    self.charge(cost)?;
-                    let a = self.get(base + lhs as usize);
-                    let v = binop(op, a, imm)?;
-                    self.set(base + dst as usize, v);
-                }
                 Insn::Jump { cost, target } => {
                     self.charge(cost)?;
                     pc = target as usize;
@@ -399,21 +405,6 @@ impl Vm<'_, '_, '_> {
                 Insn::JumpIfZero { cost, cond, target } => {
                     self.charge(cost)?;
                     if self.get(base + cond as usize) == 0 {
-                        pc = target as usize;
-                    }
-                }
-                Insn::BrZero { cost, op, lhs, rhs, target } => {
-                    self.charge(cost)?;
-                    let a = self.get(base + lhs as usize);
-                    let b = self.get(base + rhs as usize);
-                    if binop(op, a, b)? == 0 {
-                        pc = target as usize;
-                    }
-                }
-                Insn::BrZeroImm { cost, op, lhs, imm, target } => {
-                    self.charge(cost)?;
-                    let a = self.get(base + lhs as usize);
-                    if binop(op, a, imm)? == 0 {
                         pc = target as usize;
                     }
                 }
@@ -582,7 +573,7 @@ impl Vm<'_, '_, '_> {
                         RunError::NotAPointer
                     });
                 }
-            }
+            }});
         }
     }
 

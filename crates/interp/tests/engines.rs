@@ -558,6 +558,88 @@ fn compile_error_surfaces_through_engine_selector() {
     assert_eq!(err, RunError::UndefinedVariable("nope".into()));
 }
 
+// ---- operators at edge values ----------------------------------------------
+
+/// Each binary operator's MiniC spelling and the name its instructions
+/// disassemble with.
+const OPERATORS: [(&str, &str); 13] = [
+    ("+", "Add"),
+    ("-", "Sub"),
+    ("*", "Mul"),
+    ("/", "Div"),
+    ("%", "Rem"),
+    ("<", "Lt"),
+    ("<=", "Le"),
+    (">", "Gt"),
+    (">=", "Ge"),
+    ("==", "Eq"),
+    ("!=", "Ne"),
+    ("&&", "And"),
+    ("||", "Or"),
+];
+
+/// Declares the register operands `i64::MIN`, -1, 0, 1 and `i64::MAX`.
+/// MiniC has no negative literals (`-x` parses as `0 - x`), so the
+/// negative ones are computed at run time.
+const EDGE_DECLS: &str = "var min: int = 0 - 9223372036854775807 - 1; var neg: int = 0 - 1; \
+    var zero: int = 0; var one: int = 1; var max: int = 9223372036854775807;";
+const EDGE_REGISTERS: [&str; 5] = ["min", "neg", "zero", "one", "max"];
+/// Literal right operands, which cannot be negative.
+const EDGE_LITERALS: [&str; 4] = ["0", "1", "2", "9223372036854775807"];
+
+#[test]
+fn every_operator_agrees_at_edge_values_in_every_form() {
+    // Each operator in its four forms: a register and a literal right
+    // operand, each as a value and as a branch condition (the fused
+    // compare-and-branch forms), over operands the random programs, which
+    // draw only small literals, never reach. A zero divisor ends its run,
+    // so each one gets a run of its own.
+    for (op, name) in OPERATORS {
+        for (sigil, rhss) in [('%', &EDGE_REGISTERS[..]), ('#', &EDGE_LITERALS[..])] {
+            let mut outputs = Vec::new();
+            for branch in [false, true] {
+                let stmt = |l: &str, r: &str| match branch {
+                    true => format!("if ({l} {op} {r}) {{ print(1); }} else {{ print(0); }}"),
+                    false => format!("print({l} {op} {r});"),
+                };
+                let form = format!("{}.{name} ", if branch { "brz" } else { "bin" });
+                let (zeros, rest): (Vec<&str>, Vec<&str>) = rhss
+                    .iter()
+                    .partition(|&&r| matches!(op, "/" | "%") && matches!(r, "zero" | "0"));
+                // (statements, the operands of one of them, divides by zero)
+                let mut runs = vec![(
+                    rest.iter().flat_map(|r| EDGE_REGISTERS.map(|l| stmt(l, r))).collect(),
+                    (EDGE_REGISTERS[0], rest[0]),
+                    false,
+                )];
+                for r in zeros {
+                    runs.extend(EDGE_REGISTERS.map(|l| (stmt(l, r), (l, r), true)));
+                }
+                for (stmts, (l, r), divides_by_zero) in runs {
+                    let src = format!("fn main() {{ {EDGE_DECLS} {stmts} }}");
+                    let ctx = format!("{form}with `{sigil}` operands\n{src}");
+                    let prog = parse(&src).unwrap();
+                    let listing = compile(&prog).unwrap().disassemble();
+                    let operands = format!("%{l}, {sigil}{r}");
+                    assert!(
+                        listing.lines().any(|x| x.contains(&form) && x.contains(&operands)),
+                        "{ctx}: no `{form}` on `{operands}` in\n{listing}"
+                    );
+                    let ast = assert_agree(&prog, || Box::new(NativeBackend::new()), FUEL, &ctx);
+                    if divides_by_zero {
+                        assert_eq!(ast.result, Err(RunError::DivisionByZero), "{ctx}");
+                    } else {
+                        outputs.push(ast.result.expect(&ctx).output);
+                    }
+                }
+            }
+            // A branch is taken exactly when the value form is nonzero.
+            let taken: Vec<i64> = outputs[0].iter().map(|&v| i64::from(v != 0)).collect();
+            assert_eq!(taken, outputs[1], "{name} with `{sigil}` operands: branch and value");
+        }
+    }
+}
+
 // ---- aborted runs ----------------------------------------------------------
 
 /// A trap report without what depends on the machine's earlier work: the
@@ -733,10 +815,11 @@ fn figure_one_pooled_disassembly_is_pinned() {
 
 #[test]
 fn keepalive_checksum_disassembly_is_pinned() {
-    // The benchmark's hot inner loop: the whole `acc = (acc*31 + i) %
-    // 65536` body must stay register-resident (no loads, no calls), with
-    // the loop carrying only two jumps — the shape the 10x host-throughput
-    // claim rests on.
+    // The hot inner loop of perfbench's keepalive-vm workload, where most
+    // of its executed instructions are: the whole `acc = (acc*31 + i) %
+    // 65536` body stays register-resident (no loads, no calls), the loop
+    // carries two jumps, and each binary op is one instruction of its
+    // operator's own. A diff here moves that workload's host speed.
     let src = corpus::ghttpd_keepalive(2, 2);
     let bc = compile(&parse(&src).unwrap()).unwrap();
     let f = bc.funcs.iter().find(|f| f.name == "checksum").unwrap();

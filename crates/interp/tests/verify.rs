@@ -7,11 +7,14 @@
 //! [`RunError::InvalidBytecode`] naming it, before any fuel is burnt or
 //! the machine or the backend is touched.
 
+use dangle_apa::ast::BinOp;
 use dangle_apa::{parse, pool_allocate};
 use dangle_interp::backend::ShadowPoolBackend;
 use dangle_interp::bytecode::{BcFunc, BcProgram, Insn, POOL_NONE, SLOT_NONE};
 use dangle_interp::{compile, run_compiled, RunError};
 use dangle_vmm::Machine;
+use std::collections::HashSet;
+use std::mem::discriminant;
 
 const FUEL: u64 = 1_000_000;
 
@@ -105,11 +108,7 @@ fn slot_operands(insn: &mut Insn) -> Vec<&mut u16> {
         Insn::Call { dst, .. } => vec![dst],
         Insn::Copy { dst, src, .. } => vec![dst, src],
         Insn::GlobalSet { src, .. } | Insn::Print { src, .. } | Insn::Free { src, .. } => vec![src],
-        Insn::Bin { dst, lhs, rhs, .. } => vec![dst, lhs, rhs],
-        Insn::BinImm { dst, lhs, .. } => vec![dst, lhs],
         Insn::JumpIfZero { cond, .. } => vec![cond],
-        Insn::BrZero { lhs, rhs, .. } => vec![lhs, rhs],
-        Insn::BrZeroImm { lhs, .. } => vec![lhs],
         Insn::Index { dst, base, index, .. } => vec![dst, base, index],
         Insn::LoadField { dst, base, .. } => vec![dst, base],
         Insn::StoreField { base, src, .. } => vec![base, src],
@@ -121,6 +120,58 @@ fn slot_operands(insn: &mut Insn) -> Vec<&mut u16> {
         | Insn::Tick { .. }
         | Insn::PoolCreate { .. }
         | Insn::PoolDestroy { .. } => vec![],
+        Insn::Add { dst, lhs, rhs, .. }
+        | Insn::Sub { dst, lhs, rhs, .. }
+        | Insn::Mul { dst, lhs, rhs, .. }
+        | Insn::Div { dst, lhs, rhs, .. }
+        | Insn::Rem { dst, lhs, rhs, .. }
+        | Insn::Lt { dst, lhs, rhs, .. }
+        | Insn::Le { dst, lhs, rhs, .. }
+        | Insn::Gt { dst, lhs, rhs, .. }
+        | Insn::Ge { dst, lhs, rhs, .. }
+        | Insn::Eq { dst, lhs, rhs, .. }
+        | Insn::Ne { dst, lhs, rhs, .. }
+        | Insn::And { dst, lhs, rhs, .. }
+        | Insn::Or { dst, lhs, rhs, .. } => vec![dst, lhs, rhs],
+        Insn::AddImm { dst, lhs, .. }
+        | Insn::SubImm { dst, lhs, .. }
+        | Insn::MulImm { dst, lhs, .. }
+        | Insn::DivImm { dst, lhs, .. }
+        | Insn::RemImm { dst, lhs, .. }
+        | Insn::LtImm { dst, lhs, .. }
+        | Insn::LeImm { dst, lhs, .. }
+        | Insn::GtImm { dst, lhs, .. }
+        | Insn::GeImm { dst, lhs, .. }
+        | Insn::EqImm { dst, lhs, .. }
+        | Insn::NeImm { dst, lhs, .. }
+        | Insn::AndImm { dst, lhs, .. }
+        | Insn::OrImm { dst, lhs, .. } => vec![dst, lhs],
+        Insn::BrzAdd { lhs, rhs, .. }
+        | Insn::BrzSub { lhs, rhs, .. }
+        | Insn::BrzMul { lhs, rhs, .. }
+        | Insn::BrzDiv { lhs, rhs, .. }
+        | Insn::BrzRem { lhs, rhs, .. }
+        | Insn::BrzLt { lhs, rhs, .. }
+        | Insn::BrzLe { lhs, rhs, .. }
+        | Insn::BrzGt { lhs, rhs, .. }
+        | Insn::BrzGe { lhs, rhs, .. }
+        | Insn::BrzEq { lhs, rhs, .. }
+        | Insn::BrzNe { lhs, rhs, .. }
+        | Insn::BrzAnd { lhs, rhs, .. }
+        | Insn::BrzOr { lhs, rhs, .. } => vec![lhs, rhs],
+        Insn::BrzAddImm { lhs, .. }
+        | Insn::BrzSubImm { lhs, .. }
+        | Insn::BrzMulImm { lhs, .. }
+        | Insn::BrzDivImm { lhs, .. }
+        | Insn::BrzRemImm { lhs, .. }
+        | Insn::BrzLtImm { lhs, .. }
+        | Insn::BrzLeImm { lhs, .. }
+        | Insn::BrzGtImm { lhs, .. }
+        | Insn::BrzGeImm { lhs, .. }
+        | Insn::BrzEqImm { lhs, .. }
+        | Insn::BrzNeImm { lhs, .. }
+        | Insn::BrzAndImm { lhs, .. }
+        | Insn::BrzOrImm { lhs, .. } => vec![lhs],
     }
 }
 
@@ -213,18 +264,82 @@ fn global_index_out_of_range() {
 fn jump_target_out_of_range() {
     for pick in [
         |i: &Insn| matches!(i, Insn::Jump { .. }),
-        |i: &Insn| matches!(i, Insn::BrZeroImm { .. }),
+        |i: &Insn| matches!(i, Insn::BrzLtImm { .. }),
     ] {
         let mut prog = base();
         let main = func(&mut prog, "main");
         let len = main.code.len() as u32;
         let pc = find(main, pick);
         match &mut main.code[pc] {
-            Insn::Jump { target, .. } | Insn::BrZeroImm { target, .. } => *target = len,
+            Insn::Jump { target, .. } | Insn::BrzLtImm { target, .. } => *target = len,
             _ => unreachable!(),
         }
         assert_rejected(&prog, &format!("jump target {len} out of {len}"));
     }
+}
+
+#[test]
+fn every_binary_form_is_verified() {
+    // Each operator's four forms in turn take the place of `main`'s
+    // `bin.Add %t0 <- %t1, %i` (the register and literal forms) or of its
+    // loop condition `brz.Lt %i, #3 -> 11` (the branch forms). Each placed
+    // form verifies; then each of its slot operands, and each branch
+    // form's target, goes out of range.
+    let prog = base();
+    let main = prog.funcs.iter().position(|f| f.name == "main").unwrap();
+    let code = &prog.funcs[main].code;
+    let (nslots, len) = (prog.funcs[main].nslots, code.len() as u32);
+    let bin_pc = find(&prog.funcs[main], |i| matches!(i, Insn::Add { .. }));
+    let Insn::Add { cost, dst, lhs, rhs } = code[bin_pc] else { unreachable!() };
+    let brz_pc = find(&prog.funcs[main], |i| matches!(i, Insn::BrzLtImm { .. }));
+    let Insn::BrzLtImm { cost: bcost, lhs: cond, imm, target } = code[brz_pc] else {
+        unreachable!()
+    };
+    let mut forms = HashSet::new();
+    for op in [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::And,
+        BinOp::Or,
+    ] {
+        let branch_to = |t: u32| {
+            [Insn::brz(op, bcost, cond, lhs, t), Insn::brz_imm(op, bcost, cond, imm, t)]
+        };
+        let placed = [
+            (bin_pc, Insn::bin(op, cost, dst, lhs, rhs)),
+            (bin_pc, Insn::bin_imm(op, cost, dst, lhs, 7)),
+            (brz_pc, branch_to(target)[0]),
+            (brz_pc, branch_to(target)[1]),
+        ];
+        for (pc, form) in placed {
+            assert_eq!(form.operator(), Some(op), "{form:?}");
+            forms.insert(discriminant(&form));
+            let mut good = prog.clone();
+            good.funcs[main].code[pc] = form;
+            let res = run_compiled(&good, &mut Machine::new(), &mut ShadowPoolBackend::new(), 1000);
+            assert!(!matches!(res, Err(RunError::InvalidBytecode(_))), "{form:?}: {res:?}");
+            for k in 0..slot_operands(&mut form.clone()).len() {
+                let mut bad = good.clone();
+                *slot_operands(&mut bad.funcs[main].code[pc]).swap_remove(k) = nslots;
+                assert_rejected(&bad, &format!("slot {nslots} out of {nslots}"));
+            }
+        }
+        for form in branch_to(len) {
+            let mut bad = prog.clone();
+            bad.funcs[main].code[brz_pc] = form;
+            assert_rejected(&bad, &format!("jump target {len} out of {len}"));
+        }
+    }
+    assert_eq!(forms.len(), 13 * 4, "every operator has four forms of its own");
 }
 
 #[test]

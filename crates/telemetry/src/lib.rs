@@ -89,12 +89,18 @@ pub struct Telemetry {
     /// The flight recorder; `Some` only when `config.tracing`.
     tracer: Option<SpanTracer>,
     /// Shadow call stack maintained by the MiniC interpreter (function
-    /// names, outermost first). Feeds alloc/free/use provenance in
-    /// [`TrapReport`]s; always on when the sink is enabled.
+    /// names, outermost first): the first `depth` entries. Feeds
+    /// alloc/free/use provenance in [`TrapReport`]s; always on when the
+    /// sink is enabled. Entries past `depth` are popped frames whose
+    /// storage the next pushes overwrite, so a warm stack allocates
+    /// nothing per call.
     calls: Vec<String>,
-    /// Frames on top of `calls` that an aborted run left for its trap
-    /// report; the next run drops them first.
-    stale_calls: usize,
+    /// Live frames of `calls`.
+    depth: u32,
+    /// Frames on top of the stack that an aborted run left for its trap
+    /// report; the next run drops them first. Two `u32`s take the room
+    /// one `usize` took, so the sink that `Machine` embeds keeps its size.
+    stale_calls: u32,
     /// The `event.<kind>` counter of each [`EventKind`], by
     /// [`EventKind::index`], as its registry index plus one; 0 until the
     /// kind is first recorded, so counters register in the order they
@@ -121,6 +127,7 @@ impl Telemetry {
             metrics: MetricsRegistry::new(),
             tracer,
             calls: Vec::new(),
+            depth: 0,
             stale_calls: 0,
             event_counters: [0; EventKind::COUNT],
         }
@@ -164,12 +171,20 @@ impl Telemetry {
     }
 
     /// Pushes a function name onto the shadow call stack (the MiniC
-    /// interpreter calls this on entry to every function).
+    /// interpreter calls this on entry to every function). The name is
+    /// copied into a popped frame's storage when there is one.
     pub fn push_call(&mut self, name: &str) {
         if !self.config.enabled {
             return;
         }
-        self.calls.push(name.to_string());
+        match self.calls.get_mut(self.depth as usize) {
+            Some(frame) => {
+                frame.clear();
+                frame.push_str(name);
+            }
+            None => self.calls.push(name.to_string()),
+        }
+        self.depth += 1;
     }
 
     /// Pops the shadow call stack (interpreter function exit).
@@ -177,12 +192,12 @@ impl Telemetry {
         if !self.config.enabled {
             return;
         }
-        self.calls.pop();
+        self.depth = self.depth.saturating_sub(1);
     }
 
     /// The current shadow call stack, outermost first.
     pub fn call_stack(&self) -> &[String] {
-        &self.calls
+        &self.calls[..self.depth as usize]
     }
 
     /// Marks the top `n` frames of the shadow call stack as left behind
@@ -190,13 +205,15 @@ impl Telemetry {
     /// the run still carries the faulting stack, until
     /// [`Telemetry::drop_stale_calls`].
     pub fn mark_stale_calls(&mut self, n: usize) {
-        self.stale_calls = (self.stale_calls + n).min(self.calls.len());
+        let stale = (self.stale_calls as usize).saturating_add(n).min(self.depth as usize);
+        // At most `depth`, so the cast is lossless.
+        self.stale_calls = stale as u32;
     }
 
     /// Pops the frames [`Telemetry::mark_stale_calls`] marked (the
     /// interpreter calls this as each run starts).
     pub fn drop_stale_calls(&mut self) {
-        self.calls.truncate(self.calls.len().saturating_sub(self.stale_calls));
+        self.depth = self.depth.saturating_sub(self.stale_calls);
         self.stale_calls = 0;
     }
 
@@ -311,6 +328,24 @@ mod tests {
         let mut off = Telemetry::new(TelemetryConfig::disabled());
         off.push_call("main");
         assert!(off.call_stack().is_empty());
+    }
+
+    #[test]
+    fn pushes_reuse_popped_frames() {
+        let mut t = Telemetry::default();
+        t.push_call("main");
+        t.push_call("a_long_handler_name");
+        t.pop_call();
+        let storage = t.calls[1].as_ptr();
+        t.push_call("short");
+        assert_eq!(t.call_stack(), ["main", "short"]);
+        assert_eq!(t.calls[1].as_ptr(), storage, "the popped frame's storage is reused");
+        t.pop_call();
+        t.pop_call();
+        t.pop_call();
+        assert!(t.call_stack().is_empty(), "popping an empty stack is a no-op");
+        t.push_call("again");
+        assert_eq!(t.call_stack(), ["again"]);
     }
 
     #[test]

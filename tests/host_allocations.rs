@@ -1,15 +1,19 @@
-//! Host heap allocations of the detector's pool lifecycle.
+//! Host heap allocations of the detector's pool lifecycle and of a MiniC
+//! keep-alive connection.
 //!
 //! The paper's production configuration pays for detection once per pool:
 //! `poolinit`, a shadow alias per object, `PROT_NONE` per free and a
 //! `pooldestroy` that recycles every page. After a warm-up, none of that
 //! should allocate on the host: the pool set recycles destroyed pools'
 //! storage and keeps its destroy buffers, the syscalls validate in place
-//! and the event counters are cached. This binary installs a counting
-//! global allocator, so it holds one test, and counts only on that test's
-//! thread.
+//! and the event counters are cached. A connection run by the bytecode VM
+//! adds its MiniC calls, whose shadow-call-stack frames reuse the popped
+//! frames' storage. This binary installs a counting global allocator and
+//! counts only on the thread of the test that switched counting on.
 
+use dangle_apa::{corpus, lint_with_mode, parse, pool_allocate, stamp_unchecked, LintMode};
 use dangle_interp::backend::{Backend, ShadowPoolBackend};
+use dangle_interp::{compile, run_compiled, BcProgram};
 use dangle_vmm::{Machine, MachineConfig, VirtAddr, PAGE_SIZE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,4 +122,46 @@ fn pool_lifecycles_make_no_host_allocations_after_warm_up() {
             "{name}: {allocations} host allocations in {LIFECYCLES} pool lifecycles"
         );
     }
+}
+
+/// `ghttpd_keepalive` serving one connection of `requests` requests,
+/// through the toolchain perfbench's keepalive-vm runs: pool allocation,
+/// the interprocedural lint's elision stamps, then bytecode.
+fn keepalive_connection(requests: u64) -> BcProgram {
+    let prog = parse(&corpus::ghttpd_keepalive(1, requests)).expect("corpus program parses");
+    let (mut pooled, analysis) = pool_allocate(&prog);
+    stamp_unchecked(&mut pooled, &lint_with_mode(&prog, &analysis, LintMode::Inter));
+    compile(&pooled).expect("corpus program compiles")
+}
+
+#[test]
+fn warm_keepalive_connections_make_at_most_three_host_allocations() {
+    // Each connection is one `run_compiled` of `main` plus two MiniC calls
+    // per request, on one machine with default telemetry, so every call
+    // pushes a shadow-call-stack frame. What allocates is the run's value
+    // stack, pool-register stack and output.
+    const WARM_UP: usize = 50;
+    const CONNECTIONS: usize = 1_000;
+    let prog = keepalive_connection(10);
+    let mut machine = Machine::new();
+    let mut backend = ShadowPoolBackend::new();
+    let mut connect = |machine: &mut Machine| {
+        let out = run_compiled(&prog, machine, &mut backend, 10_000_000).expect("connection runs");
+        assert_eq!(out.output.len(), 2, "one print per connection, then the total");
+    };
+    for _ in 0..WARM_UP {
+        connect(&mut machine);
+    }
+    let allocations = allocations_in(|| {
+        for _ in 0..CONNECTIONS {
+            connect(&mut machine);
+        }
+    });
+    // Three per connection, plus one per hundred connections for the
+    // amortised growth of the pool set's tombstone list, which gains an
+    // entry for each of a connection's pools.
+    assert!(
+        allocations <= 3 * CONNECTIONS as u64 + CONNECTIONS as u64 / 100,
+        "{allocations} host allocations in {CONNECTIONS} warm connections"
+    );
 }
