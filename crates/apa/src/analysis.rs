@@ -223,21 +223,6 @@ impl<'p> Builder<'p> {
     /// Declared type of `name` in the current function (params shadow
     /// globals; conflicting shadowed declarations answer pointer-ish).
     fn var_type(&self, name: &str) -> Option<Type> {
-        fn decls(stmts: &[Stmt], name: &str, out: &mut Vec<Type>) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { name: n, ty, .. } if n == name => {
-                        out.push(ty.clone())
-                    }
-                    Stmt::If { then, els, .. } => {
-                        decls(then, name, out);
-                        decls(els, name, out);
-                    }
-                    Stmt::While { body, .. } => decls(body, name, out),
-                    _ => {}
-                }
-            }
-        }
         if let Some(f) = self.prog.func(&self.current_func) {
             for (p, ty) in &f.params {
                 if p == name {
@@ -245,12 +230,15 @@ impl<'p> Builder<'p> {
                 }
             }
             let mut found = Vec::new();
-            decls(&f.body, name, &mut found);
-            if !found.is_empty() {
-                if found.iter().any(Type::is_ptr) {
-                    return found.into_iter().find(Type::is_ptr);
+            visit_stmts(&f.body, &mut |s| {
+                if let Stmt::VarDecl { name: n, ty, .. } = s {
+                    if n == name {
+                        found.push(ty);
+                    }
                 }
-                return found.into_iter().next();
+            });
+            if let Some(ty) = found.iter().find(|ty| ty.is_ptr()).or(found.first()) {
+                return Some((*ty).clone());
             }
         }
         self.prog.globals.iter().find(|(g, _)| g == name).map(|(_, ty)| ty.clone())
@@ -423,71 +411,19 @@ impl<'p> Builder<'p> {
 /// Which functions contain `malloc`/`free` sites of each class (direct
 /// needs, before call-graph propagation).
 fn direct_needs(prog: &Program, site_class: &HashMap<u32, usize>, free_class: &HashMap<u32, usize>) -> HashMap<String, HashSet<usize>> {
-    fn walk_expr(e: &Expr, out: &mut Vec<u32>) {
-        match e {
-            Expr::Malloc { site, .. } => out.push(*site),
-            Expr::MallocArray { site, count, .. } => {
-                out.push(*site);
-                walk_expr(count, out);
-            }
-            Expr::Index { base, index } => {
-                walk_expr(base, out);
-                walk_expr(index, out);
-            }
-            Expr::Field { base, .. } => walk_expr(base, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, out)),
-            _ => {}
-        }
-    }
-    fn walk(stmts: &[Stmt], mallocs: &mut Vec<u32>, frees: &mut Vec<u32>) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, mallocs),
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Field { base, .. } = lhs {
-                        walk_expr(base, mallocs);
-                    }
-                    walk_expr(rhs, mallocs);
-                }
-                Stmt::Free { expr, site, .. } => {
-                    frees.push(*site);
-                    walk_expr(expr, mallocs);
-                }
-                Stmt::If { cond, then, els } => {
-                    walk_expr(cond, mallocs);
-                    walk(then, mallocs, frees);
-                    walk(els, mallocs, frees);
-                }
-                Stmt::While { cond, body } => {
-                    walk_expr(cond, mallocs);
-                    walk(body, mallocs, frees);
-                }
-                Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                    walk_expr(e, mallocs)
-                }
-                _ => {}
-            }
-        }
-    }
     let mut needs: HashMap<String, HashSet<usize>> = HashMap::new();
     for f in &prog.funcs {
-        let (mut mallocs, mut frees) = (Vec::new(), Vec::new());
-        walk(&f.body, &mut mallocs, &mut frees);
         let entry = needs.entry(f.name.clone()).or_default();
-        for m in mallocs {
-            if let Some(&c) = site_class.get(&m) {
-                entry.insert(c);
+        visit_exprs(&f.body, &mut |e| {
+            if let Expr::Malloc { site, .. } | Expr::MallocArray { site, .. } = e {
+                entry.extend(site_class.get(site));
             }
-        }
-        for fr in frees {
-            if let Some(&c) = free_class.get(&fr) {
-                entry.insert(c);
+        });
+        visit_stmts(&f.body, &mut |s| {
+            if let Stmt::Free { site, .. } = s {
+                entry.extend(free_class.get(site));
             }
-        }
+        });
     }
     needs
 }
@@ -495,55 +431,15 @@ fn direct_needs(prog: &Program, site_class: &HashMap<u32, usize>, free_class: &H
 /// Call graph: function -> callees (direct calls only; MiniC has no
 /// function pointers).
 pub fn call_graph(prog: &Program) -> HashMap<String, HashSet<String>> {
-    fn walk_expr(e: &Expr, out: &mut HashSet<String>) {
-        match e {
-            Expr::Call { callee, args, .. } => {
-                out.insert(callee.clone());
-                args.iter().for_each(|a| walk_expr(a, out));
-            }
-            Expr::MallocArray { count, .. } => walk_expr(count, out),
-            Expr::Index { base, index } => {
-                walk_expr(base, out);
-                walk_expr(index, out);
-            }
-            Expr::Field { base, .. } => walk_expr(base, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            _ => {}
-        }
-    }
-    fn walk(stmts: &[Stmt], out: &mut HashSet<String>) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, out),
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Field { base, .. } = lhs {
-                        walk_expr(base, out);
-                    }
-                    walk_expr(rhs, out);
-                }
-                Stmt::Free { expr, .. } => walk_expr(expr, out),
-                Stmt::If { cond, then, els } => {
-                    walk_expr(cond, out);
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While { cond, body } => {
-                    walk_expr(cond, out);
-                    walk(body, out);
-                }
-                Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => walk_expr(e, out),
-                _ => {}
-            }
-        }
-    }
     prog.funcs
         .iter()
         .map(|f| {
             let mut callees = HashSet::new();
-            walk(&f.body, &mut callees);
+            visit_exprs(&f.body, &mut |e| {
+                if let Expr::Call { callee, .. } = e {
+                    callees.insert(callee.clone());
+                }
+            });
             (f.name.clone(), callees)
         })
         .collect()
@@ -580,63 +476,14 @@ pub fn analyze(prog: &Program) -> Analysis {
     sites.sort_unstable();
     // Map site -> struct size for elem hints.
     let mut site_size: HashMap<u32, usize> = HashMap::new();
-    {
-        fn walk_expr(e: &Expr, prog: &Program, out: &mut HashMap<u32, usize>) {
-            match e {
-                Expr::Malloc { site, struct_name, .. } => {
-                    let sz = prog.struct_def(struct_name).map_or(8, StructDef::size);
-                    out.insert(*site, sz);
-                }
-                Expr::MallocArray { site, struct_name, count, .. } => {
-                    let sz = prog.struct_def(struct_name).map_or(8, StructDef::size);
-                    out.insert(*site, sz);
-                    walk_expr(count, prog, out);
-                }
-                Expr::Index { base, index } => {
-                    walk_expr(base, prog, out);
-                    walk_expr(index, prog, out);
-                }
-                Expr::Field { base, .. } => walk_expr(base, prog, out),
-                Expr::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs, prog, out);
-                    walk_expr(rhs, prog, out);
-                }
-                Expr::Call { args, .. } => {
-                    args.iter().for_each(|a| walk_expr(a, prog, out))
-                }
-                _ => {}
+    for f in &prog.funcs {
+        visit_exprs(&f.body, &mut |e| {
+            if let Expr::Malloc { site, struct_name, .. }
+            | Expr::MallocArray { site, struct_name, .. } = e
+            {
+                site_size.insert(*site, prog.struct_def(struct_name).map_or(8, StructDef::size));
             }
-        }
-        fn walk(stmts: &[Stmt], prog: &Program, out: &mut HashMap<u32, usize>) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, prog, out),
-                    Stmt::Assign { lhs, rhs } => {
-                        if let LValue::Field { base, .. } = lhs {
-                            walk_expr(base, prog, out);
-                        }
-                        walk_expr(rhs, prog, out);
-                    }
-                    Stmt::Free { expr, .. } => walk_expr(expr, prog, out),
-                    Stmt::If { cond, then, els } => {
-                        walk_expr(cond, prog, out);
-                        walk(then, prog, out);
-                        walk(els, prog, out);
-                    }
-                    Stmt::While { cond, body } => {
-                        walk_expr(cond, prog, out);
-                        walk(body, prog, out);
-                    }
-                    Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                        walk_expr(e, prog, out)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for f in &prog.funcs {
-            walk(&f.body, prog, &mut site_size);
-        }
+        });
     }
     for site in sites {
         let obj = b.site_obj[&site];

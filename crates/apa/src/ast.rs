@@ -307,60 +307,84 @@ impl Program {
 
     /// Total number of `malloc` sites (site ids are `0..n`).
     pub fn count_malloc_sites(&self) -> u32 {
-        fn walk_expr(e: &Expr, n: &mut u32) {
-            match e {
-                Expr::Malloc { site, .. } => *n = (*n).max(site + 1),
-                Expr::MallocArray { site, count, .. } => {
-                    *n = (*n).max(site + 1);
-                    walk_expr(count, n);
-                }
-                Expr::Index { base, index } => {
-                    walk_expr(base, n);
-                    walk_expr(index, n);
-                }
-                Expr::Field { base, .. } => walk_expr(base, n),
-                Expr::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs, n);
-                    walk_expr(rhs, n);
-                }
-                Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, n)),
-                _ => {}
-            }
-        }
-        fn walk_stmts(stmts: &[Stmt], n: &mut u32) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, n),
-                    Stmt::VarDecl { init: None, .. } => {}
-                    Stmt::Assign { lhs, rhs } => {
-                        if let LValue::Field { base, .. } = lhs {
-                            walk_expr(base, n);
-                        }
-                        walk_expr(rhs, n);
-                    }
-                    Stmt::Free { expr, .. } => walk_expr(expr, n),
-                    Stmt::If { cond, then, els } => {
-                        walk_expr(cond, n);
-                        walk_stmts(then, n);
-                        walk_stmts(els, n);
-                    }
-                    Stmt::While { cond, body } => {
-                        walk_expr(cond, n);
-                        walk_stmts(body, n);
-                    }
-                    Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                        walk_expr(e, n)
-                    }
-                    _ => {}
-                }
-            }
-        }
         let mut n = 0;
         for f in &self.funcs {
-            walk_stmts(&f.body, &mut n);
+            visit_exprs(&f.body, &mut |e| {
+                if let Expr::Malloc { site, .. } | Expr::MallocArray { site, .. } = e {
+                    n = n.max(site + 1);
+                }
+            });
         }
         n
     }
+}
+
+impl Expr {
+    /// Calls `f` on this expression and then on each subexpression, in
+    /// pre-order (operands left to right).
+    pub fn visit<'p>(&'p self, f: &mut impl FnMut(&'p Expr)) {
+        f(self);
+        match self {
+            Expr::MallocArray { count, .. } => count.visit(f),
+            Expr::Index { base, index } => {
+                base.visit(f);
+                index.visit(f);
+            }
+            Expr::Field { base, .. } => base.visit(f),
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.visit(f);
+                rhs.visit(f);
+            }
+            Expr::Call { args, .. } => args.iter().for_each(|a| a.visit(f)),
+            Expr::Int(_) | Expr::Null | Expr::Var(_) | Expr::Malloc { .. } => {}
+        }
+    }
+}
+
+impl Stmt {
+    /// The statement's own top-level expressions, in program order: an
+    /// assignment's field base before its right-hand side, and an
+    /// `if`/`while` condition, but nothing inside a nested block.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (first, second) = match self {
+            Stmt::VarDecl { init, .. } | Stmt::Return(init) => (init.as_ref(), None),
+            Stmt::Assign { lhs, rhs } => match lhs {
+                LValue::Field { base, .. } => (Some(base), Some(rhs)),
+                LValue::Var(_) => (Some(rhs), None),
+            },
+            Stmt::Free { expr: e, .. }
+            | Stmt::If { cond: e, .. }
+            | Stmt::While { cond: e, .. }
+            | Stmt::Print(e)
+            | Stmt::ExprStmt(e) => (Some(e), None),
+            Stmt::PoolInit { .. } | Stmt::PoolDestroy { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// Calls `f` on every statement of `stmts`, nested blocks included, in
+/// program pre-order: a statement before the blocks it contains, and an
+/// `if`'s then block before its else block.
+pub fn visit_stmts<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            Stmt::If { then, els, .. } => {
+                visit_stmts(then, f);
+                visit_stmts(els, f);
+            }
+            Stmt::While { body, .. } => visit_stmts(body, f),
+            _ => {}
+        }
+    }
+}
+
+/// Calls `f` on every expression of `stmts` and on each of its
+/// subexpressions, in program pre-order: a statement's own expressions
+/// ([`Stmt::exprs`]) before those of its nested blocks.
+pub fn visit_exprs<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Expr)) {
+    visit_stmts(stmts, &mut |s| s.exprs().for_each(|e| e.visit(f)));
 }
 
 #[cfg(test)]
@@ -424,5 +448,28 @@ mod tests {
             }],
         };
         assert_eq!(p.count_malloc_sites(), 2);
+    }
+
+    #[test]
+    fn visitors_walk_in_program_pre_order() {
+        let p = crate::parse::parse(
+            "fn main() {
+                 var a: int = 1;
+                 if (a < 2) { var b: int = a + 3; } else { print(4); }
+                 while (a) { a = 5; }
+             }",
+        )
+        .unwrap();
+        let body = &p.funcs[0].body;
+        let mut stmts = 0;
+        visit_stmts(body, &mut |_| stmts += 1);
+        assert_eq!(stmts, 6);
+        let mut leaves = Vec::new();
+        visit_exprs(body, &mut |e| match e {
+            Expr::Int(v) => leaves.push(v.to_string()),
+            Expr::Var(v) => leaves.push(v.clone()),
+            _ => {}
+        });
+        assert_eq!(leaves, ["1", "a", "2", "a", "3", "4", "a", "5"]);
     }
 }

@@ -8,7 +8,7 @@
 //! fixpoint and widened if the iteration budget runs out.
 
 use crate::analysis::call_graph;
-use crate::ast::Program;
+use crate::ast::{visit_stmts, Program, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// SCC-condensed call graph in bottom-up order.
@@ -80,7 +80,11 @@ impl CallGraph {
         let mut direct: HashMap<String, HashSet<u32>> = HashMap::new();
         for f in &prog.funcs {
             let mut sites = HashSet::new();
-            collect_free_sites(&f.body, &mut sites);
+            visit_stmts(&f.body, &mut |s| {
+                if let Stmt::Free { site, .. } = s {
+                    sites.insert(*site);
+                }
+            });
             direct.insert(f.name.clone(), sites);
         }
         // Propagate along SCCs bottom-up; within an SCC iterate to fixpoint
@@ -164,23 +168,6 @@ impl Tarjan<'_> {
             }
             scc.reverse();
             self.sccs.push(scc);
-        }
-    }
-}
-
-fn collect_free_sites(stmts: &[crate::ast::Stmt], out: &mut HashSet<u32>) {
-    use crate::ast::Stmt;
-    for s in stmts {
-        match s {
-            Stmt::Free { site, .. } => {
-                out.insert(*site);
-            }
-            Stmt::If { then, els, .. } => {
-                collect_free_sites(then, out);
-                collect_free_sites(els, out);
-            }
-            Stmt::While { body, .. } => collect_free_sites(body, out),
-            _ => {}
         }
     }
 }

@@ -740,89 +740,38 @@ fn stamp_expr(e: &mut Expr, r: &LintReport) {
 /// Pre-pass: every free site starts `ProvablySafe` and is only ever
 /// demoted; record its function and span for diagnostics.
 fn collect_free_sites(prog: &Program, r: &mut LintReport) {
-    fn walk(stmts: &[Stmt], func: &str, r: &mut LintReport) {
-        for s in stmts {
-            match s {
-                Stmt::Free { site, span, .. } => {
-                    r.verdicts.insert(*site, Verdict::ProvablySafe);
-                    r.site_info.insert(*site, (func.to_string(), *span));
-                }
-                Stmt::If { then, els, .. } => {
-                    walk(then, func, r);
-                    walk(els, func, r);
-                }
-                Stmt::While { body, .. } => walk(body, func, r),
-                _ => {}
-            }
-        }
-    }
     for f in &prog.funcs {
-        walk(&f.body, &f.name, r);
-    }
-}
-
-/// Collects every callee mentioned anywhere in an expression (MiniC has no
-/// short-circuit evaluation, so all subexpressions execute).
-fn collect_calls(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Call { callee, args, .. } => {
-            out.push(callee.clone());
-            args.iter().for_each(|a| collect_calls(a, out));
-        }
-        Expr::MallocArray { count, .. } => collect_calls(count, out),
-        Expr::Index { base, index } => {
-            collect_calls(base, out);
-            collect_calls(index, out);
-        }
-        Expr::Field { base, .. } => collect_calls(base, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_calls(lhs, out);
-            collect_calls(rhs, out);
-        }
-        _ => {}
+        visit_stmts(&f.body, &mut |s| {
+            if let Stmt::Free { site, span, .. } = s {
+                r.verdicts.insert(*site, Verdict::ProvablySafe);
+                r.site_info.insert(*site, (f.name.clone(), *span));
+            }
+        });
     }
 }
 
 fn contains_return(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Return(_) => true,
-        Stmt::If { then, els, .. } => contains_return(then) || contains_return(els),
-        Stmt::While { body, .. } => contains_return(body),
-        _ => false,
-    })
+    let mut found = false;
+    visit_stmts(stmts, &mut |s| found |= matches!(s, Stmt::Return(_)));
+    found
 }
 
 /// Callees that definitely execute when the block's top level runs:
 /// calls in straight-line statements and in `if`/`while` conditions
 /// (conditions are always evaluated at least once), stopping at the first
-/// statement after which execution becomes conditional.
+/// statement after which execution becomes conditional. MiniC has no
+/// short-circuit evaluation, so every call in such an expression runs.
 fn definite_callees(stmts: &[Stmt]) -> Vec<String> {
     let mut out = Vec::new();
     for s in stmts {
-        match s {
-            Stmt::VarDecl { init: Some(e), .. }
-            | Stmt::Print(e)
-            | Stmt::ExprStmt(e)
-            | Stmt::Return(Some(e))
-            | Stmt::Free { expr: e, .. } => collect_calls(e, &mut out),
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    collect_calls(base, &mut out);
+        for e in s.exprs() {
+            e.visit(&mut |e| {
+                if let Expr::Call { callee, .. } = e {
+                    out.push(callee.clone());
                 }
-                collect_calls(rhs, &mut out);
-            }
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => {
-                collect_calls(cond, &mut out)
-            }
-            _ => {}
+            });
         }
-        let diverts = match s {
-            Stmt::Return(_) => true,
-            Stmt::If { then, els, .. } => contains_return(then) || contains_return(els),
-            Stmt::While { body, .. } => contains_return(body),
-            _ => false,
-        };
-        if diverts {
+        if contains_return(std::slice::from_ref(s)) {
             break;
         }
     }

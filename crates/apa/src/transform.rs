@@ -173,18 +173,7 @@ mod tests {
 
     fn count_stmts(stmts: &[Stmt], pred: &dyn Fn(&Stmt) -> bool) -> usize {
         let mut n = 0;
-        for s in stmts {
-            if pred(s) {
-                n += 1;
-            }
-            match s {
-                Stmt::If { then, els, .. } => {
-                    n += count_stmts(then, pred) + count_stmts(els, pred);
-                }
-                Stmt::While { body, .. } => n += count_stmts(body, pred),
-                _ => {}
-            }
-        }
+        visit_stmts(stmts, &mut |s| n += usize::from(pred(s)));
         n
     }
 

@@ -247,19 +247,6 @@ fn check_free_sites(
     require_pools: bool,
     errors: &mut Vec<ValidateError>,
 ) {
-    fn walk<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
-        for s in stmts {
-            match s {
-                Stmt::Free { .. } => f(s),
-                Stmt::If { then, els, .. } => {
-                    walk(then, f);
-                    walk(els, f);
-                }
-                Stmt::While { body, .. } => walk(body, f),
-                _ => {}
-            }
-        }
-    }
     let analysis = if require_pools {
         None
     } else {
@@ -270,7 +257,7 @@ fn check_free_sites(
     }
     let mut seen: HashMap<u32, Span> = HashMap::new();
     for func in &prog.funcs {
-        walk(&func.body, &mut |s| {
+        visit_stmts(&func.body, &mut |s| {
             let Stmt::Free { expr, site, span, .. } = s else { return };
             if let Some(first) = seen.insert(*site, *span) {
                 errors.push(ValidateError {
@@ -299,54 +286,6 @@ fn check_free_sites(
     }
 }
 
-/// Walks every statement of a body, visiting each contained expression.
-fn walk_exprs<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Expr)) {
-    fn expr<'p>(e: &'p Expr, f: &mut impl FnMut(&'p Expr)) {
-        f(e);
-        match e {
-            Expr::MallocArray { count, .. } => expr(count, f),
-            Expr::Index { base, index } => {
-                expr(base, f);
-                expr(index, f);
-            }
-            Expr::Field { base, .. } => expr(base, f),
-            Expr::Binary { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    expr(a, f);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { init: Some(e), .. } => expr(e, f),
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    expr(base, f);
-                }
-                expr(rhs, f);
-            }
-            Stmt::Free { expr: e, .. } => expr(e, f),
-            Stmt::If { cond, then, els } => {
-                expr(cond, f);
-                walk_exprs(then, f);
-                walk_exprs(els, f);
-            }
-            Stmt::While { cond, body } => {
-                expr(cond, f);
-                walk_exprs(body, f);
-            }
-            Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => expr(e, f),
-            _ => {}
-        }
-    }
-}
-
 /// Transitive fixpoint of `(function, param index)` pairs where the
 /// function may free its parameter through a free site the analysis could
 /// not class — i.e. the freed pointer's alias class contains no allocation
@@ -365,20 +304,7 @@ fn classless_param_frees(
                 f.params.iter().position(|(p, _)| p == name)
             };
             let mut found: Vec<usize> = Vec::new();
-            fn frees<'p>(stmts: &'p [Stmt], g: &mut impl FnMut(&'p Stmt)) {
-                for s in stmts {
-                    match s {
-                        Stmt::Free { .. } => g(s),
-                        Stmt::If { then, els, .. } => {
-                            frees(then, g);
-                            frees(els, g);
-                        }
-                        Stmt::While { body, .. } => frees(body, g),
-                        _ => {}
-                    }
-                }
-            }
-            frees(&f.body, &mut |s| {
+            visit_stmts(&f.body, &mut |s| {
                 let Stmt::Free { expr: Expr::Var(v), site, .. } = s else { return };
                 if !a.free_class.contains_key(site) {
                     if let Some(i) = param_idx(v) {
@@ -386,7 +312,7 @@ fn classless_param_frees(
                     }
                 }
             });
-            walk_exprs(&f.body, &mut |e| {
+            visit_exprs(&f.body, &mut |e| {
                 let Expr::Call { callee, args, .. } = e else { return };
                 for (j, arg) in args.iter().enumerate() {
                     let Expr::Var(v) = arg else { continue };
@@ -423,7 +349,7 @@ fn check_calls_into_classless_frees(
         return;
     }
     for f in &prog.funcs {
-        walk_exprs(&f.body, &mut |e| {
+        visit_exprs(&f.body, &mut |e| {
             let Expr::Call { callee, args, span, .. } = e else { return };
             for (j, arg) in args.iter().enumerate() {
                 if matches!(arg, Expr::Null) {

@@ -212,18 +212,8 @@ impl ObjectRegistry {
     }
 
     /// Registers a new live object whose payload starts at `base` (shadow
-    /// address) and spans `size` bytes; `span` lists the shadow pages,
-    /// starting with the page containing the detector's hidden word.
-    pub fn insert(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId, span: &[PageNum]) {
-        let idx = self.new_slot(base, size, alloc_site);
-        for &p in span {
-            self.map_page(p, idx);
-        }
-    }
-
-    /// [`ObjectRegistry::insert`] for a *contiguous* run of shadow pages
-    /// (`start`, `start+1`, ..). Shadow spans are always contiguous, so the
-    /// hot alloc paths use this to avoid materializing a page list.
+    /// address) and spans `size` bytes, on the `span` contiguous shadow
+    /// pages from `start`, the page containing the detector's hidden word.
     pub fn insert_range(
         &mut self,
         base: VirtAddr,
@@ -286,7 +276,7 @@ impl ObjectRegistry {
 
     /// Attaches the full call stack at allocation time to the most
     /// recently inserted object. Detector alloc paths call this right
-    /// after `insert`/`insert_range` when a shadow call stack is live.
+    /// after `insert_range` when a shadow call stack is live.
     pub fn note_alloc_stack(&mut self, stack: &[String]) {
         if let Some(slot) = self.alloc_stacks.get_mut(self.last) {
             slot.clear();
@@ -296,7 +286,7 @@ impl ObjectRegistry {
 
     /// Marks the most recently inserted object as probabilistically
     /// sampled (see [`ObjectRecord::sampled`]). Detector alloc paths call
-    /// this right after `insert`/`insert_range` when the sampling policy's
+    /// this right after `insert_range` when the sampling policy's
     /// draw — not a deterministic rule — chose protection.
     pub fn note_sampled(&mut self, sampled: bool) {
         if let Some(rec) = self.records.get_mut(self.last) {
@@ -304,15 +294,8 @@ impl ObjectRegistry {
         }
     }
 
-    /// Marks the object at `base` freed.
-    pub fn mark_freed(&mut self, base: VirtAddr, free_site: SiteId) {
-        if let Some(&idx) = self.by_page.get(&base.page()) {
-            self.records[idx].state = ObjectState::Freed { free_site };
-        }
-    }
-
-    /// [`ObjectRegistry::mark_freed`], also recording the full call stack
-    /// at free time.
+    /// Marks the object at `base` freed, recording the full call stack at
+    /// free time (empty when no shadow call stack is live).
     pub fn mark_freed_traced(&mut self, base: VirtAddr, free_site: SiteId, stack: &[String]) {
         if let Some(&idx) = self.by_page.get(&base.page()) {
             self.records[idx].state = ObjectState::Freed { free_site };
@@ -399,7 +382,7 @@ mod tests {
     fn registry_lookup_by_any_page_of_span() {
         let mut r = ObjectRegistry::new();
         let base = PageNum(10).base().add(100);
-        r.insert(base, 8000, SiteId(1), &[PageNum(10), PageNum(11)]);
+        r.insert_range(base, 8000, SiteId(1), PageNum(10), 2);
         assert!(r.lookup(PageNum(10).base().add(4000)).is_some());
         assert!(r.lookup(PageNum(11).base()).is_some());
         assert!(r.lookup(PageNum(12).base()).is_none());
@@ -409,8 +392,8 @@ mod tests {
     fn explain_classifies_kinds() {
         let mut r = ObjectRegistry::new();
         let base = PageNum(5).base().add(8);
-        r.insert(base, 16, SiteId(2), &[PageNum(5)]);
-        r.mark_freed(base, SiteId(3));
+        r.insert_range(base, 16, SiteId(2), PageNum(5), 1);
+        r.mark_freed_traced(base, SiteId(3), &[]);
 
         let read_trap = Trap::Protection {
             addr: base,
@@ -445,8 +428,8 @@ mod tests {
     #[test]
     fn forget_pages_removes_entries() {
         let mut r = ObjectRegistry::new();
-        r.insert(PageNum(1).base(), 8, SiteId(0), &[PageNum(1)]);
-        r.insert(PageNum(2).base(), 8, SiteId(0), &[PageNum(2)]);
+        r.insert_range(PageNum(1).base(), 8, SiteId(0), PageNum(1), 1);
+        r.insert_range(PageNum(2).base(), 8, SiteId(0), PageNum(2), 1);
         assert_eq!(r.tracked_pages(), 2);
         r.forget_pages(&[PageNum(1)]);
         assert_eq!(r.tracked_pages(), 1);
@@ -454,20 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn range_apis_match_slice_apis() {
+    fn forget_range_matches_forget_pages() {
         let mut by_slice = ObjectRegistry::new();
         let mut by_range = ObjectRegistry::new();
         let base = PageNum(20).base().add(8);
-        by_slice.insert(base, 9000, SiteId(4), &[PageNum(20), PageNum(21), PageNum(22)]);
+        by_slice.insert_range(base, 9000, SiteId(4), PageNum(20), 3);
         by_range.insert_range(base, 9000, SiteId(4), PageNum(20), 3);
-        for pg in 20..23 {
-            assert_eq!(
-                by_slice.lookup(PageNum(pg).base()),
-                by_range.lookup(PageNum(pg).base())
-            );
-        }
-        assert_eq!(by_slice.tracked_pages(), by_range.tracked_pages());
-
         by_slice.forget_pages(&[PageNum(20), PageNum(21)]);
         by_range.forget_range(PageNum(20), 2);
         assert_eq!(by_slice.tracked_pages(), by_range.tracked_pages());

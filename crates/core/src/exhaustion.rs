@@ -8,10 +8,10 @@
 //! virtual pages (2^47/(2^12 · 10^6 · 86,400))".
 //!
 //! This module reproduces that calculation exactly and generalizes it
-//! ([`time_to_exhaustion`]), and provides [`VaBudget`] — the "reuse after a
-//! threshold" policy (solution 1) driven off live machine statistics.
+//! ([`time_to_exhaustion`]). The "reuse after a threshold" policy
+//! (solution 1) is [`crate::ShadowConfig::recycle_threshold_pages`].
 
-use dangle_vmm::{Machine, PAGE_SHIFT};
+use dangle_vmm::PAGE_SHIFT;
 use std::time::Duration;
 
 /// User virtual-address budget the paper assumes for 64-bit Linux (bytes).
@@ -43,46 +43,9 @@ pub fn paper_adversarial_hours() -> f64 {
     time_to_exhaustion(VA_BYTES_64BIT, 1_000_000).as_secs_f64() / 3600.0
 }
 
-/// Solution 1 of §3.4 as a policy object: recycle when consumption crosses a
-/// threshold (either an absolute page budget or a fraction of the machine's
-/// configured VA).
-#[derive(Clone, Copy, Debug)]
-pub struct VaBudget {
-    /// Recycle once this many virtual pages have been handed out.
-    pub threshold_pages: u64,
-}
-
-impl VaBudget {
-    /// A budget that triggers at `fraction` of the machine's configured
-    /// virtual-page budget.
-    ///
-    /// # Panics
-    /// Panics if `fraction` is not in `(0, 1]`.
-    pub fn fraction_of(machine: &Machine, fraction: f64) -> VaBudget {
-        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0,1]");
-        VaBudget {
-            threshold_pages: (machine.config().virt_pages as f64 * fraction) as u64,
-        }
-    }
-
-    /// Whether the machine has crossed the recycling threshold.
-    pub fn should_recycle(&self, machine: &Machine) -> bool {
-        machine.virt_pages_consumed() >= self.threshold_pages
-    }
-
-    /// Fraction of the threshold consumed so far (may exceed 1).
-    pub fn utilization(&self, machine: &Machine) -> f64 {
-        if self.threshold_pages == 0 {
-            return 1.0;
-        }
-        machine.virt_pages_consumed() as f64 / self.threshold_pages as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dangle_vmm::MachineConfig;
 
     #[test]
     fn paper_nine_hour_figure() {
@@ -110,25 +73,5 @@ mod tests {
     #[test]
     fn zero_rate_never_exhausts() {
         assert_eq!(time_to_exhaustion(VA_BYTES_64BIT, 0), Duration::MAX);
-    }
-
-    #[test]
-    fn budget_triggers_at_threshold() {
-        let mut m = Machine::with_config(MachineConfig {
-            virt_pages: 100,
-            ..MachineConfig::default()
-        });
-        let b = VaBudget::fraction_of(&m, 0.1); // 10 pages
-        assert!(!b.should_recycle(&m));
-        m.mmap(10).unwrap();
-        assert!(b.should_recycle(&m));
-        assert!(b.utilization(&m) >= 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn bad_fraction_panics() {
-        let m = Machine::new();
-        let _ = VaBudget::fraction_of(&m, 0.0);
     }
 }

@@ -8,15 +8,18 @@
 //! 1. only the *virtual addresses* (and their page-table entries) are being
 //!    reclaimed — physical memory was already recycled at `poolfree` — so
 //!    the collector can run rarely (hours apart, under light load);
-//! 2. the runtime's **dynamic pool points-to graph** says which pools can
-//!    hold pointers into the pools being collected, so only a subset of the
-//!    heap is scanned.
+//! 2. a dynamic pool points-to graph would say which pools can hold
+//!    pointers into the pools being collected, so only a subset of the
+//!    heap need be scanned.
 //!
-//! The algorithm here: compute the set of pools transitively reachable from
-//! the requested seed pools via the points-to graph, conservatively scan
-//! every word of every canonical page of those pools (plus caller-provided
-//! roots) for anything that looks like a pointer into a freed object's
-//! shadow span, and reclaim every span no such word references.
+//! This runtime records no such graph: nothing observes which pool a
+//! stored pointer targets. So the seed pools only choose the *candidate*
+//! spans, and the scan covers the canonical pages of **every** live pool.
+//! The algorithm here: collect the freed shadow spans of the requested
+//! seed pools, conservatively scan every word of every canonical page of
+//! every live pool (plus caller-provided roots) for anything that looks
+//! like a pointer into one of those spans, and reclaim every span no such
+//! word references.
 //!
 //! Scanning canonical pages rather than a list of live objects is what
 //! makes the scan see *every* object: shadow pages alias the canonical
@@ -35,7 +38,7 @@ use std::collections::HashSet;
 /// What one collection accomplished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Pools whose canonical pages were scanned.
+    /// Pools whose canonical pages were scanned: every live pool.
     pub pools_scanned: usize,
     /// 8-byte words examined.
     pub words_scanned: u64,
@@ -47,8 +50,9 @@ pub struct GcReport {
     pub spans_retained: usize,
 }
 
-/// Runs a conservative collection over `seed_pools` (or every live pool if
-/// empty), with `roots` as additional conservative root words (register /
+/// Runs a conservative collection of the freed spans of `seed_pools` (or
+/// of every live pool if empty), scanning every live pool's canonical
+/// pages with `roots` as additional conservative root words (register /
 /// global values in the real system).
 ///
 /// Scanning costs are charged to the machine's clock at one memory access
@@ -61,31 +65,16 @@ pub fn collect(
 ) -> GcReport {
     let mut report = GcReport::default();
 
-    // 1. Closure over the dynamic pool points-to graph.
-    let mut pools: Vec<PoolId> = if seed_pools.is_empty() {
-        detector.pools().live_pools()
-    } else {
-        seed_pools.to_vec()
-    };
-    let mut seen: HashSet<PoolId> = pools.iter().copied().collect();
-    let mut i = 0;
-    while i < pools.len() {
-        if let Ok(edges) = detector.pools().pool_edges(pools[i]) {
-            for &e in edges {
-                if seen.insert(e) {
-                    pools.push(e);
-                }
-            }
-        }
-        i += 1;
-    }
-    pools.retain(|&p| !detector.pools().is_destroyed(p).unwrap_or(true));
+    // 1. Every live pool is scanned; the live seed pools supply the
+    //    candidates.
+    let pools = detector.pools().live_pools();
     report.pools_scanned = pools.len();
+    let seeds = pools.iter().filter(|p| seed_pools.is_empty() || seed_pools.contains(p));
 
-    // 2. Candidate spans: freed shadow pages of the scanned pools.
+    // 2. Candidate spans: freed shadow pages of the seed pools.
     let mut candidates: Vec<(PoolId, FreedSpan)> = Vec::new();
     let mut candidate_pages: HashSet<PageNum> = HashSet::new();
-    for &p in &pools {
+    for &p in seeds {
         for &span in detector.freed_spans(p) {
             for k in 0..span.span as u64 {
                 candidate_pages.insert(span.base.add(k));
@@ -99,7 +88,7 @@ pub fn collect(
     }
 
     // 3. Conservative scan: roots plus every word of every canonical page
-    //    of the scanned pools.
+    //    of every live pool.
     let mut referenced: HashSet<PageNum> = HashSet::new();
     let note = |word: u64, referenced: &mut HashSet<PageNum>| {
         let page = VirtAddr(word).page();
@@ -228,19 +217,43 @@ mod tests {
     }
 
     #[test]
-    fn seed_pools_follow_points_to_edges() {
+    fn seed_pools_choose_the_candidate_spans() {
         let mut m = Machine::free_running();
         let mut sp = ShadowPool::new();
         let global = sp.create(16);
         let other = sp.create(16);
-        sp.note_pool_edge(global, other);
         let x = sp.alloc(&mut m, other, 16).unwrap();
         sp.free(&mut m, other, x).unwrap();
 
-        // Collecting from `global` must reach `other` through the edge.
+        // Collecting `global` scans both pools but leaves `other`'s span.
         let report = collect(&mut m, &mut sp, &[global], &[]);
         assert_eq!(report.pools_scanned, 2);
+        assert_eq!(report.spans_reclaimed, 0);
+        let report = collect(&mut m, &mut sp, &[other], &[]);
         assert_eq!(report.spans_reclaimed, 1);
+    }
+
+    #[test]
+    fn retains_spans_referenced_from_another_live_pool() {
+        let mut m = Machine::free_running();
+        let mut sp = ShadowPool::new();
+        let global = sp.create(16);
+        let other = sp.create(16);
+        let x = sp.alloc(&mut m, global, 16).unwrap();
+        let holder = sp.alloc(&mut m, other, 16).unwrap();
+        m.store_u64(holder, x.raw()).unwrap(); // `other` points into `global`
+        sp.free(&mut m, global, x).unwrap();
+
+        let report = collect(&mut m, &mut sp, &[global], &[]);
+        assert_eq!(report.pools_scanned, 2, "{report:?}");
+        assert_eq!(report.spans_reclaimed, 0, "{report:?}");
+        assert_eq!(report.spans_retained, 1);
+        // The next `global` allocation takes another page, so the pointer
+        // `other` holds still traps.
+        let y = sp.alloc(&mut m, global, 16).unwrap();
+        assert_ne!(y.page(), x.page());
+        let stale = m.load_u64(holder).unwrap();
+        assert!(m.load_u64(VirtAddr(stale)).is_err());
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //!   `"dangling write at 0x… allocated at `g:malloc`, freed at
 //!   `free_all_but_head`"` reports.
 //! * [`exhaustion`] — the §3.4 address-space lifetime analysis (the 9-hour
-//!   calculation) and the threshold recycling policy (solution 1).
-//! * [`gc`] — the §3.4 conservative pool GC (solution 2), guided by the
-//!   dynamic pool points-to graph.
+//!   calculation). The threshold recycling policy (solution 1) is
+//!   [`ShadowConfig::recycle_threshold_pages`].
+//! * [`gc`] — the §3.4 conservative pool GC (solution 2), which scans
+//!   every live pool: no dynamic pool points-to graph is recorded.
 //! * [`sampling`] — GWP-ASan-style budget-aware 1-in-N sampled protection
 //!   (off by default; `N = 1` is an identity with the full detector).
 //! * `os` (feature `os`) — a real Linux backend demonstrating Insight 1

@@ -23,7 +23,7 @@ use crate::protect::{CanonicalMemory, Protector};
 use crate::sampling::SamplingConfig;
 pub use dangle_pool::FreedSpan;
 use dangle_pool::{PoolConfig, PoolError, PoolId, PoolSet};
-use dangle_telemetry::{Category, CounterHandle, EventKind};
+use dangle_telemetry::Category;
 use dangle_vmm::{Machine, PageNum, VirtAddr};
 
 /// The canonical memory of a [`ShadowPool`]: the pool runtime, whose
@@ -32,10 +32,6 @@ use dangle_vmm::{Machine, PageNum, VirtAddr};
 #[derive(Debug)]
 pub struct PoolMemory {
     pools: PoolSet,
-    /// Cached telemetry handles for the per-alloc counters, resolved on
-    /// first use so the hot path skips the by-name registry lookup.
-    recycled_counter: Option<CounterHandle>,
-    fresh_counter: Option<CounterHandle>,
 }
 
 impl CanonicalMemory for PoolMemory {
@@ -72,8 +68,7 @@ impl CanonicalMemory for PoolMemory {
         self.pools.take_free_run(pages)
     }
 
-    /// Notes a `FreeListHit`/`FreeListMiss` ring event and bumps the cached
-    /// `pool.pages_recycled`/`pool.pages_fresh` counter.
+    /// Tallied like the pools' canonical runs (see [`PoolSet::note_run`]).
     fn note_shadow_run(
         &mut self,
         machine: &mut Machine,
@@ -81,20 +76,7 @@ impl CanonicalMemory for PoolMemory {
         pages: usize,
         recycled: bool,
     ) {
-        let event = if recycled {
-            EventKind::FreeListHit { pages: pages as u32 }
-        } else {
-            EventKind::FreeListMiss { pages: pages as u32 }
-        };
-        machine.note_event(base.base(), event);
-        let t = machine.telemetry_mut();
-        if !t.enabled() {
-            return;
-        }
-        let slot = if recycled { &mut self.recycled_counter } else { &mut self.fresh_counter };
-        let name = if recycled { "pool.pages_recycled" } else { "pool.pages_fresh" };
-        let h = *slot.get_or_insert_with(|| t.metrics_mut().counter_handle(name));
-        t.metrics_mut().add(h, pages as u64);
+        self.pools.note_run(machine, base, pages, recycled);
     }
 
     fn register(&mut self, pool: PoolId, base: PageNum, pages: usize) -> Result<(), PoolError> {
@@ -153,11 +135,7 @@ impl ShadowPool {
 
     /// Creates a detector with an explicit configuration.
     pub fn with_config(config: DetectorConfig) -> ShadowPool {
-        let mem = PoolMemory {
-            pools: PoolSet::with_config(config.pool),
-            recycled_counter: None,
-            fresh_counter: None,
-        };
+        let mem = PoolMemory { pools: PoolSet::with_config(config.pool) };
         Protector::with_memory(mem, config.sampling)
     }
 
@@ -276,12 +254,6 @@ impl ShadowPool {
     /// The underlying pool runtime (read-only).
     pub fn pools(&self) -> &PoolSet {
         &self.mem.pools
-    }
-
-    /// Records a dynamic pool points-to edge (see
-    /// [`PoolSet::note_pool_edge`]).
-    pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {
-        self.mem.pools.note_pool_edge(from, to);
     }
 
     /// Freed shadow spans of `pool` — GC candidates.
@@ -456,7 +428,7 @@ mod tests {
         let (mut m, mut sp) = setup();
         let pp = sp.create(0);
         let p = sp.alloc(&mut m, pp, 10_000).unwrap();
-        m.fill(p, 0xab, 10_000).unwrap();
+        m.memset(p, 0xab, 10_000).unwrap();
         sp.free(&mut m, pp, p).unwrap();
         assert!(m.load_u8(p.add(9_000)).is_err(), "tail page protected too");
     }

@@ -12,12 +12,17 @@
 //! live pools share a physical frame. At the end, the registry's record of
 //! every object still tracked and the machine's trap total must match the
 //! model.
+//!
+//! A third trace drives the §3.4 collector ([`crate::gc::collect`]) over
+//! two to four pools whose objects point at each other, and checks that
+//! every freed object a live object still points to keeps trapping after
+//! the collection and after the shared free list is drained.
 
 use crate::diag::{DanglingKind, ObjectState};
 use crate::protect::{CanonicalMemory, Protector};
-use crate::{ShadowHeap, ShadowPool};
+use crate::{gc, ShadowHeap, ShadowPool};
 use dangle_heap::{AllocError, Allocator, SysHeap};
-use dangle_pool::PoolError;
+use dangle_pool::{PoolError, PoolId};
 use dangle_testkit::SeededRng as TestRng;
 use dangle_vmm::{Machine, VirtAddr};
 
@@ -226,5 +231,92 @@ fn shadow_heap_traces_match_the_model() {
 
         final_sweep(case, &mut m, &heap, &objs, &mut traps);
         assert_eq!(m.stats().traps, traps, "case {case}: trap total");
+    }
+}
+
+/// One object of the collector trace: its pool (an index into the trace's
+/// pools), whether it was freed, and, per word, the object whose address
+/// the trace stored there last.
+struct Node {
+    pool: usize,
+    addr: VirtAddr,
+    freed: bool,
+    points_to: Vec<Option<usize>>,
+}
+
+fn alloc_node(
+    m: &mut Machine,
+    sp: &mut ShadowPool,
+    pools: &[PoolId],
+    pool: usize,
+    size: usize,
+) -> Node {
+    let addr = sp.alloc(m, pools[pool], size).unwrap();
+    Node { pool, addr, freed: false, points_to: vec![None; size / 8] }
+}
+
+/// Every pointer a live node holds is still in its word, and loads
+/// through it trap exactly when its target was freed.
+fn check_pointers(case: u64, m: &mut Machine, nodes: &[Node]) {
+    for holder in nodes.iter().filter(|n| !n.freed) {
+        for (w, target) in holder.points_to.iter().enumerate() {
+            let Some(t) = *target else { continue };
+            let word = holder.addr.add(8 * w as u64);
+            assert_eq!(m.load_u64(word).unwrap(), nodes[t].addr.raw(), "case {case}: {word}");
+            let traps = m.load_u64(nodes[t].addr).is_err();
+            assert_eq!(traps, nodes[t].freed, "case {case}: load through {word}");
+        }
+    }
+}
+
+#[test]
+fn gc_never_reclaims_a_span_a_live_object_points_to() {
+    for case in 0..24u64 {
+        let mut rng = TestRng::new(0x6c0_11ec7 ^ case.wrapping_mul(0x9e37_79b9));
+        let mut m = Machine::new();
+        let mut sp = ShadowPool::new();
+        let pools: Vec<PoolId> = (0..2 + rng.below(3)).map(|_| sp.create(16)).collect();
+        let mut nodes: Vec<Node> = Vec::new();
+
+        for _ in 0..40 {
+            let live: Vec<usize> = (0..nodes.len()).filter(|&i| !nodes[i].freed).collect();
+            match rng.below(10) {
+                0..=2 => {
+                    let pool = rng.below(pools.len() as u64) as usize;
+                    let size = SIZES[rng.below(4) as usize];
+                    for _ in 0..2 + rng.below(6) {
+                        nodes.push(alloc_node(&mut m, &mut sp, &pools, pool, size));
+                    }
+                }
+                3..=5 if !live.is_empty() => {
+                    let h = live[rng.below(live.len() as u64) as usize];
+                    let t = live[rng.below(live.len() as u64) as usize];
+                    let w = rng.below(nodes[h].points_to.len() as u64) as usize;
+                    m.store_u64(nodes[h].addr.add(8 * w as u64), nodes[t].addr.raw()).unwrap();
+                    nodes[h].points_to[w] = Some(t);
+                }
+                6 | 7 if !live.is_empty() => {
+                    let n = &mut nodes[live[rng.below(live.len() as u64) as usize]];
+                    sp.free(&mut m, pools[n.pool], n.addr).unwrap();
+                    n.freed = true;
+                }
+                8 | 9 => {
+                    let mask = 1 + rng.below((1 << pools.len()) - 1);
+                    let seeds: Vec<PoolId> =
+                        (0..pools.len()).filter(|i| mask >> i & 1 == 1).map(|i| pools[i]).collect();
+                    gc::collect(&mut m, &mut sp, &seeds, &[]);
+                    while sp.pools().free_page_count() > 0 {
+                        let pool = rng.below(pools.len() as u64) as usize;
+                        nodes.push(alloc_node(&mut m, &mut sp, &pools, pool, 16));
+                    }
+                    check_pointers(case, &mut m, &nodes);
+                }
+                _ => {}
+            }
+            if let Err(e) = sp.pools().audit_frames(&m) {
+                panic!("case {case}: {e}");
+            }
+        }
+        check_pointers(case, &mut m, &nodes);
     }
 }

@@ -57,8 +57,11 @@ pub struct SamplingConfig {
     pub seed: u64,
     /// Token cap per size class, or `None` for unlimited.
     pub class_tokens: Option<u32>,
-    /// Token cap per allocation site (alias-class proxy), or `None` for
-    /// unlimited.
+    /// Token cap per allocation site, or `None` for unlimited. Only
+    /// callers of the detectors' `alloc_at` name a site: `Backend::alloc`
+    /// carries none, so every MiniC and workload allocation reaches the
+    /// policy as `SiteId::UNKNOWN`, and in those runs this cap is one
+    /// bucket shared by every allocation.
     pub site_tokens: Option<u32>,
     /// Refill all buckets to their caps every this many candidate
     /// allocations; `0` disables refill.

@@ -30,6 +30,7 @@ use crate::diag::SiteId;
 use crate::protect::{CanonicalMemory, Protector, SHADOW_WORD};
 use crate::sampling::SamplingConfig;
 use dangle_heap::{AllocError, AllocStats, Allocator, SysHeap};
+use dangle_pool::insert_run;
 use dangle_telemetry::Category;
 use dangle_vmm::{Machine, PageNum, VirtAddr, PAGE_MASK};
 #[cfg(test)]
@@ -104,7 +105,7 @@ impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
     }
 
     fn note_freed(&mut self, _: (), base: PageNum, pages: usize) {
-        merge_run(&mut self.freed_spans, base, pages);
+        insert_run(&mut self.freed_spans, base, pages);
     }
 
     /// §3.4 threshold recycling: once virtual-page consumption crosses the
@@ -118,29 +119,6 @@ impl<A: Allocator> CanonicalMemory for HeapMemory<A> {
             machine.span_exit();
         }
         Ok(())
-    }
-}
-
-/// Inserts the run `(base, len)` into `runs` — kept sorted by base and
-/// fully coalesced — merging with both neighbours when adjacent.
-fn merge_run(runs: &mut Vec<(PageNum, usize)>, base: PageNum, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let i = runs.partition_point(|&(b, _)| b < base);
-    let merges_prev = i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) == base;
-    let merges_next = i < runs.len() && base.add(len as u64) == runs[i].0;
-    match (merges_prev, merges_next) {
-        (true, true) => {
-            runs[i - 1].1 += len + runs[i].1;
-            runs.remove(i);
-        }
-        (true, false) => runs[i - 1].1 += len,
-        (false, true) => {
-            runs[i].0 = base;
-            runs[i].1 += len;
-        }
-        (false, false) => runs.insert(i, (base, len)),
     }
 }
 
@@ -259,14 +237,9 @@ impl<A: Allocator> ShadowHeap<A> {
         for (base, span) in std::mem::take(&mut self.mem.freed_spans) {
             self.registry.forget_range(base, span);
             n += span;
-            merge_run(&mut self.mem.recycled, base, span);
+            insert_run(&mut self.mem.recycled, base, span);
         }
         n
-    }
-
-    /// Number of recycled shadow pages currently available for reuse.
-    pub fn recycled_available(&self) -> usize {
-        self.mem.recycled.iter().map(|&(_, len)| len).sum()
     }
 
     /// The wrapped allocator.
@@ -553,17 +526,6 @@ mod tests {
         assert_eq!(m.load_u64(b).unwrap(), 2);
         // Double free through the buddy allocator's header is also caught.
         assert!(matches!(h.free(&mut m, a), Err(AllocError::Trap(_))));
-    }
-
-    #[test]
-    fn freed_spans_stay_sorted_and_coalesced() {
-        let mut runs: Vec<(PageNum, usize)> = Vec::new();
-        merge_run(&mut runs, PageNum(10), 2);
-        merge_run(&mut runs, PageNum(20), 1);
-        merge_run(&mut runs, PageNum(12), 3); // merges below
-        assert_eq!(runs, vec![(PageNum(10), 5), (PageNum(20), 1)]);
-        merge_run(&mut runs, PageNum(15), 5); // bridges to 20
-        assert_eq!(runs, vec![(PageNum(10), 11)]);
     }
 
     #[test]

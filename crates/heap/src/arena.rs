@@ -38,11 +38,6 @@ impl ArenaHeap {
         }
     }
 
-    /// Number of arenas.
-    pub fn arena_count(&self) -> usize {
-        self.arenas.len()
-    }
-
     /// One arena (read-only, for stats and tests).
     pub fn arena(&self, i: usize) -> &SysHeap {
         &self.arenas[i]

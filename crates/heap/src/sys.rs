@@ -252,7 +252,7 @@ mod tests {
         }
         for round in 0..50 {
             let t = h.alloc(&mut m, 16 + round * 8).unwrap();
-            m.fill(t, 0xff, 16).unwrap();
+            m.memset(t, 0xff, 16).unwrap();
             h.free(&mut m, t).unwrap();
         }
         for (i, b) in (0..128u64).enumerate() {

@@ -35,7 +35,7 @@
 //! run-time errors under the AST engine on every path that reaches them.
 
 use crate::bytecode::{binary_forms, BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
-use dangle_apa::ast::{Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
+use dangle_apa::ast::{visit_stmts, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -169,10 +169,11 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
         // Reserve a stable slot for every `var` name, in first-occurrence
         // order, so temporaries form a contiguous suffix.
         let mut reserved = HashMap::new();
-        collect_decls(&func.body, &mut |name: &'p str| {
-            if !vars.contains_key(name) && !reserved.contains_key(name) {
-                reserved.insert(name, slot_names.len() as u16);
-                slot_names.push(name.to_string());
+        visit_stmts(&func.body, &mut |s| {
+            let Stmt::VarDecl { name, .. } = s else { return };
+            if !vars.contains_key(name.as_str()) && !reserved.contains_key(name.as_str()) {
+                reserved.insert(name.as_str(), slot_names.len() as u16);
+                slot_names.push(name.clone());
             }
         });
         let mut pools = HashMap::new();
@@ -673,22 +674,6 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 self.emit(Insn::PoolDestroy { cost, pool: reg });
                 Ok(())
             }
-        }
-    }
-}
-
-/// Walks `stmts` invoking `f` on every `var` declaration name, in program
-/// order (the slot-reservation order).
-fn collect_decls<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p str)) {
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { name, .. } => f(name),
-            Stmt::If { then, els, .. } => {
-                collect_decls(then, f);
-                collect_decls(els, f);
-            }
-            Stmt::While { body, .. } => collect_decls(body, f),
-            _ => {}
         }
     }
 }

@@ -238,20 +238,6 @@ fn collect_names<'p>(prog: &'p Program, names: &mut HashMap<&'p str, Rc<str>>) {
     fn add<'p>(names: &mut HashMap<&'p str, Rc<str>>, n: &'p str) {
         names.entry(n).or_insert_with(|| Rc::from(n));
     }
-    fn walk<'p>(names: &mut HashMap<&'p str, Rc<str>>, stmts: &'p [Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { name, .. } => add(names, name),
-                Stmt::PoolInit { pool, .. } => add(names, pool),
-                Stmt::If { then, els, .. } => {
-                    walk(names, then);
-                    walk(names, els);
-                }
-                Stmt::While { body, .. } => walk(names, body),
-                _ => {}
-            }
-        }
-    }
     for (g, _) in &prog.globals {
         add(names, g);
     }
@@ -262,7 +248,11 @@ fn collect_names<'p>(prog: &'p Program, names: &mut HashMap<&'p str, Rc<str>>) {
         for p in &f.pool_params {
             add(names, p);
         }
-        walk(names, &f.body);
+        visit_stmts(&f.body, &mut |s| match s {
+            Stmt::VarDecl { name, .. } => add(names, name),
+            Stmt::PoolInit { pool, .. } => add(names, pool),
+            _ => {}
+        });
     }
 }
 

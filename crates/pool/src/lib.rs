@@ -39,11 +39,6 @@
 //! round of its own when re-mapped. The frames go back to the machine at
 //! destroy instead of at reuse. A single-core machine pays no shootdowns,
 //! so it keeps released pages mapped until they are reused.
-//!
-//! The runtime also maintains the *dynamic pool points-to graph* the paper's
-//! §3.4 mentions ([`PoolSet::note_pool_edge`]): which pools hold pointers
-//! into which other pools. `dangle-core`'s conservative pool GC uses it to
-//! scan only the long-lived pools.
 
 use dangle_heap::header::{self, HEADER_SIZE, SIZE_CLASSES};
 use dangle_heap::{AllocError, AllocStats};
@@ -156,9 +151,6 @@ struct Pool {
     freed: Vec<FreedSpan>,
     /// First-fit list of freed large runs: `(pages, block_base)`.
     large_free: Vec<(usize, VirtAddr)>,
-    /// Pools this pool's objects hold pointers into (dynamic pool
-    /// points-to graph, §3.4).
-    points_to: Vec<PoolId>,
     stats: AllocStats,
 }
 
@@ -183,7 +175,6 @@ impl Pool {
         empty(&mut self.extra_pages);
         empty(&mut self.freed);
         empty(&mut self.large_free);
-        empty(&mut self.points_to);
         self.stats = AllocStats::default();
     }
 }
@@ -227,12 +218,12 @@ pub struct PoolSet {
     /// makes release a binary search that merges with *both* neighbours,
     /// where the previous append-only list could only merge with the
     /// most recently released run and fragmented over time.
-    free_runs: Vec<(PageNum, u32)>,
+    free_runs: Vec<(PageNum, usize)>,
     /// The runs `destroy` unmaps, kept so a destroy allocates nothing.
     unmap: Vec<(VirtAddr, usize)>,
     config: PoolConfig,
-    /// Cached telemetry handles for the `acquire_run` hot path (resolved
-    /// lazily on first use instead of by name on every call).
+    /// Cached telemetry handles of [`PoolSet::note_run`] (resolved lazily
+    /// on first use instead of by name on every call).
     recycled_counter: Option<dangle_telemetry::CounterHandle>,
     fresh_counter: Option<dangle_telemetry::CounterHandle>,
 }
@@ -290,50 +281,14 @@ impl PoolSet {
         if !self.config.reuse_pages || n == 0 {
             return None;
         }
-        let i = self.free_runs.iter().position(|&(_, len)| len as usize >= n)?;
+        let i = self.free_runs.iter().position(|&(_, len)| len >= n)?;
         let (base, len) = self.free_runs[i];
-        if len as usize == n {
+        if len == n {
             self.free_runs.remove(i);
         } else {
-            self.free_runs[i] = (base.add(n as u64), len - n as u32);
+            self.free_runs[i] = (base.add(n as u64), len - n);
         }
         Some(base)
-    }
-
-    /// Pushes a run of `len` pages starting at `base` onto the shared free
-    /// list. The list is kept sorted by base and fully coalesced: the run
-    /// is binary-searched into place and merged with *both* neighbours
-    /// when adjacent.
-    fn release_run(&mut self, base: PageNum, len: u32) {
-        if !self.config.reuse_pages || len == 0 {
-            return;
-        }
-        let i = self.free_runs.partition_point(|&(b, _)| b < base);
-        debug_assert!(
-            i == 0 || self.free_runs[i - 1].0.add(self.free_runs[i - 1].1 as u64) <= base,
-            "released run overlaps a free run below it"
-        );
-        debug_assert!(
-            i == self.free_runs.len() || base.add(len as u64) <= self.free_runs[i].0,
-            "released run overlaps a free run above it"
-        );
-        let merges_prev =
-            i > 0 && self.free_runs[i - 1].0.add(self.free_runs[i - 1].1 as u64) == base;
-        let merges_next =
-            i < self.free_runs.len() && base.add(len as u64) == self.free_runs[i].0;
-        match (merges_prev, merges_next) {
-            (true, true) => {
-                let next_len = self.free_runs[i].1;
-                self.free_runs[i - 1].1 += len + next_len;
-                self.free_runs.remove(i);
-            }
-            (true, false) => self.free_runs[i - 1].1 += len,
-            (false, true) => {
-                self.free_runs[i].0 = base;
-                self.free_runs[i].1 += len;
-            }
-            (false, false) => self.free_runs.insert(i, (base, len)),
-        }
     }
 
     /// Releases a set of pages: sorts, coalesces consecutive pages into
@@ -350,10 +305,10 @@ impl PoolSet {
         pages.sort_unstable();
         pages.dedup();
         let multi_core = machine.core_count() > 1;
-        let (mut run_base, mut run_len) = (pages[0], 0u32);
+        let (mut run_base, mut run_len) = (pages[0], 0);
         for &pg in pages.iter() {
             if pg != run_base.add(run_len as u64) {
-                self.release_run(run_base, run_len);
+                insert_run(&mut self.free_runs, run_base, run_len);
                 (run_base, run_len) = (pg, 0);
             }
             run_len += 1;
@@ -364,7 +319,7 @@ impl PoolSet {
                 }
             }
         }
-        self.release_run(run_base, run_len);
+        insert_run(&mut self.free_runs, run_base, run_len);
         pages.len() as u64
     }
 
@@ -377,40 +332,36 @@ impl PoolSet {
         if let Some(base) = self.take_free_run(n) {
             if !machine.is_private_rw(base.base(), n) {
                 if let Err(trap) = machine.mmap_fixed(base.base(), n) {
-                    self.release_run(base, n as u32);
+                    insert_run(&mut self.free_runs, base, n);
                     return Err(trap.into());
                 }
             }
-            machine.note_event(base.base(), EventKind::FreeListHit { pages: n as u32 });
-            let t = machine.telemetry_mut();
-            if t.enabled() {
-                let h = match self.recycled_counter {
-                    Some(h) => h,
-                    None => {
-                        let h = t.metrics_mut().counter_handle("pool.pages_recycled");
-                        self.recycled_counter = Some(h);
-                        h
-                    }
-                };
-                t.metrics_mut().add(h, n as u64);
-            }
+            self.note_run(machine, base, n, true);
             return Ok(base.base());
         }
         let fresh = machine.mmap(n)?;
-        machine.note_event(fresh, EventKind::FreeListMiss { pages: n as u32 });
-        let t = machine.telemetry_mut();
-        if t.enabled() {
-            let h = match self.fresh_counter {
-                Some(h) => h,
-                None => {
-                    let h = t.metrics_mut().counter_handle("pool.pages_fresh");
-                    self.fresh_counter = Some(h);
-                    h
-                }
-            };
-            t.metrics_mut().add(h, n as u64);
-        }
+        self.note_run(machine, fresh.page(), n, false);
         Ok(fresh)
+    }
+
+    /// Tallies a run of `pages` pages at `base` that was just handed out:
+    /// a `FreeListHit` event and the `pool.pages_recycled` counter when it
+    /// came off the shared free list, a `FreeListMiss` event and
+    /// `pool.pages_fresh` when it was freshly mapped. The pool runtime
+    /// tallies its canonical runs; a detector tallies the shadow runs it
+    /// maps for objects in the pools.
+    pub fn note_run(&mut self, machine: &mut Machine, base: PageNum, pages: usize, recycled: bool) {
+        let n = pages as u32;
+        let (event, handle, name) = if recycled {
+            let hit = EventKind::FreeListHit { pages: n };
+            (hit, &mut self.recycled_counter, "pool.pages_recycled")
+        } else {
+            (EventKind::FreeListMiss { pages: n }, &mut self.fresh_counter, "pool.pages_fresh")
+        };
+        machine.note_event(base.base(), event);
+        let metrics = machine.telemetry_mut().metrics_mut();
+        let h = *handle.get_or_insert_with(|| metrics.counter_handle(name));
+        metrics.add(h, pages as u64);
     }
 
     fn acquire_page(&mut self, machine: &mut Machine) -> Result<VirtAddr, PoolError> {
@@ -584,16 +535,6 @@ impl PoolSet {
         Ok(())
     }
 
-    /// Registers an extra (shadow) page with `pool`, to be recycled at
-    /// `pooldestroy`: a one-page [`PoolSet::register_extra_run`].
-    ///
-    /// # Errors
-    /// Pool-id errors as for [`PoolSet::alloc`].
-    pub fn register_extra_page(&mut self, pool: PoolId, page: PageNum) -> Result<(), PoolError> {
-        self.pool_live(pool)?.extra_pages.push(page);
-        Ok(())
-    }
-
     /// Registers a contiguous run of `len` extra (shadow) pages with
     /// `pool` in one call. The detector registers the shadow run of every
     /// object it allocates in `pool` this way, one page for a small object
@@ -662,29 +603,9 @@ impl PoolSet {
     /// Pushes a page onto the shared free list directly. Used by the §3.4
     /// conservative GC when it proves a shadow page unreferenced.
     pub fn donate_page(&mut self, page: PageNum) {
-        self.release_run(page, 1);
-    }
-
-    /// Records that an object in `from` was observed to hold a pointer into
-    /// `to` (dynamic pool points-to graph, §3.4).
-    pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {
-        if from == to {
-            return;
+        if self.config.reuse_pages {
+            insert_run(&mut self.free_runs, page, 1);
         }
-        if let Ok(p) = self.pool_live(from) {
-            if !p.points_to.contains(&to) {
-                p.points_to.push(to);
-            }
-        }
-    }
-
-    /// The pools `pool` is known to point into.
-    ///
-    /// # Errors
-    /// [`PoolError::Unknown`] for a bad id, [`PoolError::Destroyed`] for a
-    /// destroyed pool (it holds no objects, so no pointers either).
-    pub fn pool_edges(&self, pool: PoolId) -> Result<&[PoolId], PoolError> {
-        Ok(&self.pool(pool)?.points_to)
     }
 
     /// Whether `pool` has been destroyed.
@@ -716,7 +637,7 @@ impl PoolSet {
 
     /// Number of pages currently waiting on the shared free list.
     pub fn free_page_count(&self) -> usize {
-        self.free_runs.iter().map(|&(_, len)| len as usize).sum()
+        self.free_runs.iter().map(|&(_, len)| len).sum()
     }
 
     /// Ids of all live (not destroyed) pools.
@@ -790,6 +711,41 @@ impl PoolSet {
     }
 }
 
+/// Inserts the run of `len` pages at `base` into `runs`, a list of
+/// `(base, len)` runs kept sorted by base and fully coalesced (no two
+/// entries adjacent): the run is binary-searched into place and merged
+/// with *both* neighbours when adjacent. The run must not overlap one
+/// already listed. Serves the shared free list here and the detector's
+/// freed and recycled shadow runs.
+pub fn insert_run(runs: &mut Vec<(PageNum, usize)>, base: PageNum, len: usize) {
+    if len == 0 {
+        return;
+    }
+    let i = runs.partition_point(|&(b, _)| b < base);
+    debug_assert!(
+        i == 0 || runs[i - 1].0.add(runs[i - 1].1 as u64) <= base,
+        "inserted run overlaps a run below it"
+    );
+    debug_assert!(
+        i == runs.len() || base.add(len as u64) <= runs[i].0,
+        "inserted run overlaps a run above it"
+    );
+    let merges_prev = i > 0 && runs[i - 1].0.add(runs[i - 1].1 as u64) == base;
+    let merges_next = i < runs.len() && base.add(len as u64) == runs[i].0;
+    match (merges_prev, merges_next) {
+        (true, true) => {
+            runs[i - 1].1 += len + runs[i].1;
+            runs.remove(i);
+        }
+        (true, false) => runs[i - 1].1 += len,
+        (false, true) => {
+            runs[i].0 = base;
+            runs[i].1 += len;
+        }
+        (false, false) => runs.insert(i, (base, len)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,9 +776,8 @@ mod tests {
         assert!(matches!(ps.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(_))));
         assert!(matches!(ps.free(&mut m, pp, a), Err(PoolError::Destroyed(_))));
         assert!(matches!(ps.destroy(&mut m, pp), Err(PoolError::Destroyed(_))));
-        assert!(matches!(ps.register_extra_page(pp, a.page()), Err(PoolError::Destroyed(_))));
+        assert!(matches!(ps.register_extra_run(pp, a.page(), 1), Err(PoolError::Destroyed(_))));
         assert!(matches!(ps.pool_stats(pp), Err(PoolError::Destroyed(_))));
-        assert!(matches!(ps.pool_edges(pp), Err(PoolError::Destroyed(_))));
         assert!(matches!(ps.pool_pages(pp), Err(PoolError::Destroyed(_))));
         assert!(ps.is_destroyed(pp).unwrap());
         // The tombstone is one pointer wide, and its id is never reused.
@@ -835,13 +790,11 @@ mod tests {
     fn a_destroyed_pools_storage_is_reused_empty() {
         let (mut m, mut ps) = setup();
         let old = ps.create(16);
-        let other = ps.create(8);
         let a = ps.alloc(&mut m, old, 16).unwrap();
         ps.alloc(&mut m, old, 3 * PAGE_SIZE).unwrap();
         ps.free(&mut m, old, a).unwrap();
-        ps.register_extra_page(old, PageNum(900)).unwrap();
+        ps.register_extra_run(old, PageNum(900), 1).unwrap();
         ps.note_freed_span(old, FreedSpan { base: PageNum(900), span: 1 });
-        ps.note_pool_edge(old, other);
         let capacity = ps.pools[old.0 as usize].as_ref().unwrap().pages.capacity();
         ps.destroy(&mut m, old).unwrap();
 
@@ -852,7 +805,6 @@ mod tests {
         assert!(ps.pool_pages(new).unwrap().is_empty());
         assert!(ps.extra_pages(new).unwrap().is_empty());
         assert!(ps.freed_spans(new).is_empty());
-        assert!(ps.pool_edges(new).unwrap().is_empty());
         assert_eq!(ps.pool_stats(new).unwrap().allocs, 0);
         // The old pool's class state is gone: the first block is carved
         // from a page the new pool acquires, not popped off a free list.
@@ -865,9 +817,7 @@ mod tests {
     fn a_large_pools_lists_shrink_before_reuse() {
         let (mut m, mut ps) = setup();
         let big = ps.create(8);
-        for i in 0..4 * SPARE_LIST_KEEP as u64 {
-            ps.register_extra_page(big, PageNum(10_000 + i)).unwrap();
-        }
+        ps.register_extra_run(big, PageNum(10_000), 4 * SPARE_LIST_KEEP).unwrap();
         ps.destroy(&mut m, big).unwrap();
         let new = ps.create(8);
         let p = ps.pools[new.0 as usize].as_ref().unwrap();
@@ -1003,7 +953,7 @@ mod tests {
         let p1 = ps.create(16);
         let a = ps.alloc(&mut m, p1, 16).unwrap();
         let shadow = m.mremap_alias(a, 1).unwrap();
-        ps.register_extra_page(p1, shadow.page()).unwrap();
+        ps.register_extra_run(p1, shadow.page(), 1).unwrap();
         let keep = ps.create(16);
         ps.alloc(&mut m, keep, 16).unwrap(); // the second and last frame
         ps.destroy(&mut m, p1).unwrap();
@@ -1026,7 +976,7 @@ mod tests {
         let p1 = ps.create(16);
         let a = ps.alloc(&mut m, p1, 16).unwrap();
         let shadow = m.mremap_alias(a, 1).unwrap();
-        ps.register_extra_page(p1, shadow.page()).unwrap();
+        ps.register_extra_run(p1, shadow.page(), 1).unwrap();
         let private = ps.alloc(&mut m, p1, 1024).unwrap(); // a page of its own
         let (ipis, munmaps) = (m.stats().shootdown_ipis, m.stats().munmap_calls);
         ps.destroy(&mut m, p1).unwrap();
@@ -1051,7 +1001,7 @@ mod tests {
         let a = ps.alloc(&mut m, p1, 16).unwrap();
         // Simulate a detector shadow page aliasing a's frame.
         let shadow = m.mremap_alias(a, 1).unwrap();
-        ps.register_extra_page(p1, shadow.page()).unwrap();
+        ps.register_extra_run(p1, shadow.page(), 1).unwrap();
         ps.destroy(&mut m, p1).unwrap();
 
         // Both pages are recycled; they must not share a frame afterwards.
@@ -1118,7 +1068,7 @@ mod tests {
         let (mut m, mut ps) = setup();
         let pp = ps.create(0);
         let big = ps.alloc(&mut m, pp, 3 * PAGE_SIZE).unwrap();
-        m.fill(big, 0xee, 3 * PAGE_SIZE).unwrap();
+        m.memset(big, 0xee, 3 * PAGE_SIZE).unwrap();
         ps.free(&mut m, pp, big).unwrap();
         let again = ps.alloc(&mut m, pp, 2 * PAGE_SIZE).unwrap();
         assert_eq!(again, big, "large run reused within the pool");
@@ -1134,18 +1084,6 @@ mod tests {
         assert_eq!(ps.size_of(&mut m, a).unwrap(), 123);
         ps.free(&mut m, pp, a).unwrap();
         assert!(ps.size_of(&mut m, a).is_err());
-    }
-
-    #[test]
-    fn pool_edges_recorded_once() {
-        let (_m, mut ps) = setup();
-        let a = ps.create(8);
-        let b = ps.create(8);
-        ps.note_pool_edge(a, b);
-        ps.note_pool_edge(a, b);
-        ps.note_pool_edge(a, a); // self edges ignored
-        assert_eq!(ps.pool_edges(a).unwrap(), &[b]);
-        assert!(ps.pool_edges(b).unwrap().is_empty());
     }
 
     #[test]
@@ -1185,6 +1123,17 @@ mod tests {
         assert!(ps.take_free_run(3).is_none(), "only 2 contiguous left");
         assert!(ps.take_free_run(2).is_some());
         assert_eq!(ps.free_page_count(), 0);
+    }
+
+    #[test]
+    fn inserted_runs_stay_sorted_and_coalesced() {
+        let mut runs: Vec<(PageNum, usize)> = Vec::new();
+        insert_run(&mut runs, PageNum(10), 2);
+        insert_run(&mut runs, PageNum(20), 1);
+        insert_run(&mut runs, PageNum(12), 3); // merges below
+        assert_eq!(runs, vec![(PageNum(10), 5), (PageNum(20), 1)]);
+        insert_run(&mut runs, PageNum(15), 5); // bridges to 20
+        assert_eq!(runs, vec![(PageNum(10), 11)]);
     }
 
     #[test]
@@ -1393,7 +1342,7 @@ mod randomized {
                         live[pi].push((p, size, seed));
                         if shadow_rng.below(3) == 0 {
                             let shadow = m.mremap_alias(p, 1).unwrap();
-                            ps.register_extra_page(pools[pi], shadow.page()).unwrap();
+                            ps.register_extra_run(pools[pi], shadow.page(), 1).unwrap();
                             if shadow_rng.below(2) == 0 {
                                 m.mprotect(shadow, 1, Protection::None).unwrap();
                             }

@@ -20,9 +20,10 @@
 //! * [`Artifact`] — the `BENCH_<name>.json` export layer used by every
 //!   bench binary; subsequent perf PRs regress against these files.
 //!
-//! The whole crate is dependency-free (hand-rolled [`json`] layer) and
-//! near-zero cost when disabled: [`Telemetry::record`] is a single branch
-//! when [`TelemetryConfig::enabled`] is false.
+//! The whole crate is dependency-free (hand-rolled [`json`] layer). The
+//! sink is always on: it records on the host side and charges no
+//! *simulated* cycle, so it never moves the paper's clock. Only the span
+//! tracer ([`TelemetryConfig::tracing`]) is optional.
 
 pub mod artifact;
 pub mod json;
@@ -47,9 +48,6 @@ pub use span::{Category, Charge, SpanId, SpanTracer};
 /// struct's `Copy` bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch. When false, [`Telemetry::record`] and counter updates
-    /// return after one branch — the no-op sink of the design notes.
-    pub enabled: bool,
     /// Capacity of the event ring (events kept for trap context).
     pub ring_capacity: usize,
     /// Span tracing + cycle attribution (the flight recorder). Off by
@@ -62,16 +60,11 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { enabled: true, ring_capacity: 256, tracing: false }
+        TelemetryConfig { ring_capacity: 256, tracing: false }
     }
 }
 
 impl TelemetryConfig {
-    /// A configuration with everything off — the no-op sink.
-    pub fn disabled() -> Self {
-        TelemetryConfig { enabled: false, ring_capacity: 0, tracing: false }
-    }
-
     /// The default configuration with the flight recorder on.
     pub fn traced() -> Self {
         TelemetryConfig { tracing: true, ..TelemetryConfig::default() }
@@ -83,17 +76,15 @@ impl TelemetryConfig {
 /// through `machine.telemetry_mut()`.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
-    config: TelemetryConfig,
     ring: EventRing,
     metrics: MetricsRegistry,
-    /// The flight recorder; `Some` only when `config.tracing`.
+    /// The flight recorder; `Some` only when [`TelemetryConfig::tracing`].
     tracer: Option<SpanTracer>,
     /// Shadow call stack maintained by the MiniC interpreter (function
     /// names, outermost first): the first `depth` entries. Feeds
-    /// alloc/free/use provenance in [`TrapReport`]s; always on when the
-    /// sink is enabled. Entries past `depth` are popped frames whose
-    /// storage the next pushes overwrite, so a warm stack allocates
-    /// nothing per call.
+    /// alloc/free/use provenance in [`TrapReport`]s. Entries past `depth`
+    /// are popped frames whose storage the next pushes overwrite, so a
+    /// warm stack allocates nothing per call.
     calls: Vec<String>,
     /// Live frames of `calls`.
     depth: u32,
@@ -119,11 +110,9 @@ impl Telemetry {
     /// Builds a sink; the ring is allocated once here (recording never
     /// allocates).
     pub fn new(config: TelemetryConfig) -> Self {
-        let cap = if config.enabled { config.ring_capacity } else { 0 };
-        let tracer = if config.enabled && config.tracing { Some(SpanTracer::new()) } else { None };
+        let tracer = if config.tracing { Some(SpanTracer::new()) } else { None };
         Telemetry {
-            config,
-            ring: EventRing::new(cap),
+            ring: EventRing::new(config.ring_capacity),
             metrics: MetricsRegistry::new(),
             tracer,
             calls: Vec::new(),
@@ -131,11 +120,6 @@ impl Telemetry {
             stale_calls: 0,
             event_counters: [0; EventKind::COUNT],
         }
-    }
-
-    /// Is the sink live?
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
     }
 
     /// Is the flight recorder live?
@@ -174,9 +158,6 @@ impl Telemetry {
     /// interpreter calls this on entry to every function). The name is
     /// copied into a popped frame's storage when there is one.
     pub fn push_call(&mut self, name: &str) {
-        if !self.config.enabled {
-            return;
-        }
         match self.calls.get_mut(self.depth as usize) {
             Some(frame) => {
                 frame.clear();
@@ -189,9 +170,6 @@ impl Telemetry {
 
     /// Pops the shadow call stack (interpreter function exit).
     pub fn pop_call(&mut self) {
-        if !self.config.enabled {
-            return;
-        }
         self.depth = self.depth.saturating_sub(1);
     }
 
@@ -220,9 +198,6 @@ impl Telemetry {
     /// Records one event at simulated time `clock`, and bumps the
     /// per-kind event counter (`event.<kind>`) in the registry.
     pub fn record(&mut self, clock: u64, addr: u64, kind: EventKind) {
-        if !self.config.enabled {
-            return;
-        }
         self.ring.push(Event { clock, addr, kind });
         let cached = &mut self.event_counters[kind.index()];
         let handle = match *cached {
@@ -240,17 +215,11 @@ impl Telemetry {
 
     /// Adds to a named counter (registering it on first use).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if !self.config.enabled {
-            return;
-        }
         self.metrics.add_named(name, delta);
     }
 
     /// Records one observation in a named log₂ histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.config.enabled {
-            return;
-        }
         self.metrics.observe_named(name, value);
     }
 
@@ -290,18 +259,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_sink_records_nothing() {
-        let mut t = Telemetry::new(TelemetryConfig::disabled());
-        t.record(1, 0x40, EventKind::Mmap { pages: 4 });
-        t.counter_add("x", 9);
-        t.observe("h", 3);
-        assert!(!t.enabled());
-        assert_eq!(t.ring().len(), 0);
-        assert_eq!(t.counter("x"), 0);
-        assert!(t.snapshot().counters.is_empty());
-    }
-
-    #[test]
     fn tracing_is_off_by_default_and_wires_through() {
         let mut t = Telemetry::default();
         assert!(!t.tracing());
@@ -324,10 +281,6 @@ mod tests {
         assert_eq!(t.call_stack(), ["main", "handler"]);
         t.pop_call();
         assert_eq!(t.call_stack(), ["main"]);
-
-        let mut off = Telemetry::new(TelemetryConfig::disabled());
-        off.push_call("main");
-        assert!(off.call_stack().is_empty());
     }
 
     #[test]
@@ -360,12 +313,6 @@ mod tests {
         assert_eq!(t.call_stack(), ["outer"]);
         t.drop_stale_calls();
         assert_eq!(t.call_stack(), ["outer"], "dropping twice is a no-op");
-
-        let mut off = Telemetry::new(TelemetryConfig::disabled());
-        off.push_call("main");
-        off.mark_stale_calls(1);
-        off.drop_stale_calls();
-        assert!(off.call_stack().is_empty());
     }
 
     #[test]

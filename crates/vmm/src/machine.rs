@@ -88,8 +88,7 @@ pub struct MachineConfig {
     /// Virtual address budget in pages. Default: 2^35 pages = the 2^47
     /// bytes of user VA the paper's §3.4 analysis assumes.
     pub virt_pages: u64,
-    /// Telemetry sink configuration (event ring + metrics registry). Use
-    /// [`dangle_telemetry::TelemetryConfig::disabled`] for a no-op sink.
+    /// Telemetry sink configuration (event ring size and span tracing).
     pub telemetry: TelemetryConfig,
     /// Which page-table implementation backs address translation. A
     /// pure host-performance knob — simulated costs, traps and stats are
@@ -240,7 +239,7 @@ impl Machine {
             active: 0,
             stats: MachineStats::default(),
             telemetry: Telemetry::new(config.telemetry),
-            trace: config.telemetry.enabled && config.telemetry.tracing,
+            trace: config.telemetry.tracing,
             config,
         }
     }
@@ -1181,11 +1180,13 @@ impl Machine {
         Ok(())
     }
 
-    /// Fills `len` bytes starting at `addr` with `byte` (bulk transfer).
+    /// `memset`: fills `len` bytes starting at `addr` with `byte` (bulk
+    /// transfer; see [`Machine::read_bytes`] for the cost convention).
     ///
     /// # Errors
-    /// See [`Machine::store`].
-    pub fn fill(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
+    /// See [`Machine::store`]; on error a prefix of the range may already
+    /// have been written.
+    pub fn memset(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
         let mut pos = 0usize;
         while pos < len {
             let a = addr.add(pos as u64);
@@ -1195,47 +1196,6 @@ impl Machine {
             self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
             self.stats.stores += words.saturating_sub(1);
             self.slab.frame_mut(frame)[off..off + chunk].fill(byte);
-            pos += chunk;
-        }
-        Ok(())
-    }
-
-    /// `memset`: fills `len` bytes at `addr` with `byte`. Alias of
-    /// [`Machine::fill`] under the libc name the higher layers use.
-    ///
-    /// # Errors
-    /// See [`Machine::store`].
-    pub fn memset(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
-        self.fill(addr, byte, len)
-    }
-
-    /// `memcpy`: copies `len` bytes from `src` to `dst`, translating once
-    /// per page-chunk on each side and charging one access per 8-byte
-    /// word per chunk (same convention as [`Machine::read_bytes`]). The
-    /// ranges must not overlap (the copy proceeds chunk-by-chunk through
-    /// a bounce buffer, so overlapping behaviour is unspecified, as for
-    /// C `memcpy`).
-    ///
-    /// # Errors
-    /// Returns the first MMU [`Trap`] hit on either side; on error a
-    /// prefix of the destination may already have been written.
-    pub fn copy(&mut self, dst: VirtAddr, src: VirtAddr, len: usize) -> Result<(), Trap> {
-        let mut buf = [0u8; PAGE_SIZE];
-        let mut pos = 0usize;
-        while pos < len {
-            let s = src.add(pos as u64);
-            let d = dst.add(pos as u64);
-            let chunk =
-                (PAGE_SIZE - s.offset()).min(PAGE_SIZE - d.offset()).min(len - pos);
-            let words = chunk.div_ceil(8) as u64;
-            let (sf, so) = self.translate(s, chunk, AccessKind::Read)?;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.loads += words.saturating_sub(1);
-            buf[..chunk].copy_from_slice(&self.slab.frame(sf)[so..so + chunk]);
-            let (df, doff) = self.translate(d, chunk, AccessKind::Write)?;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(df)[doff..doff + chunk].copy_from_slice(&buf[..chunk]);
             pos += chunk;
         }
         Ok(())
@@ -1793,19 +1753,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_sets_range() {
-        let mut m = m();
-        let a = m.mmap(2).unwrap();
-        m.fill(a.add(4090), 0xcc, 20).unwrap();
-        for i in 0..20 {
-            assert_eq!(m.load_u8(a.add(4090 + i)).unwrap(), 0xcc);
-        }
-        assert_eq!(m.load_u8(a.add(4089)).unwrap(), 0);
-        assert_eq!(m.load_u8(a.add(4110)).unwrap(), 0);
-    }
-
-    #[test]
-    fn memset_is_fill_and_respects_page_boundaries() {
+    fn memset_respects_page_boundaries() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
         m.memset(a.add(PAGE_SIZE as u64 - 3), 0xab, 6).unwrap();
@@ -1826,47 +1774,6 @@ mod tests {
         assert!(matches!(err, Trap::Protection { .. }));
         // The first page's chunk was written before the trap.
         assert_eq!(m.load_u8(start).unwrap(), 0xcc);
-    }
-
-    #[test]
-    fn copy_crosses_page_boundaries_on_both_sides() {
-        let mut m = m();
-        let src = m.mmap(2).unwrap();
-        let dst = m.mmap(2).unwrap();
-        let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
-        // Misalign the two sides differently so the chunking must split
-        // at both source and destination page boundaries.
-        m.write_bytes(src.add(PAGE_SIZE as u64 - 100), &data).unwrap();
-        m.copy(dst.add(PAGE_SIZE as u64 - 300), src.add(PAGE_SIZE as u64 - 100), data.len())
-            .unwrap();
-        let mut back = vec![0u8; data.len()];
-        m.read_bytes(dst.add(PAGE_SIZE as u64 - 300), &mut back).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn copy_charges_one_word_access_per_side() {
-        let mut m = Machine::new(); // calibrated costs
-        let src = m.mmap(1).unwrap();
-        let dst = m.mmap(1).unwrap();
-        let loads = m.stats().loads;
-        let stores = m.stats().stores;
-        m.copy(dst, src, 256).unwrap();
-        // 256 bytes within one page: 32 words read + 32 words written.
-        assert_eq!(m.stats().loads - loads, 32);
-        assert_eq!(m.stats().stores - stores, 32);
-    }
-
-    #[test]
-    fn copy_traps_on_unreadable_source_and_unwritable_destination() {
-        let mut m = m();
-        let src = m.mmap(1).unwrap();
-        let dst = m.mmap(1).unwrap();
-        m.mprotect(src, 1, Protection::None).unwrap();
-        assert!(matches!(m.copy(dst, src, 8), Err(Trap::Protection { .. })));
-        m.mprotect(src, 1, Protection::ReadWrite).unwrap();
-        m.mprotect(dst, 1, Protection::Read).unwrap();
-        assert!(matches!(m.copy(dst, src, 8), Err(Trap::Protection { .. })));
     }
 
     #[test]

@@ -310,13 +310,16 @@ fn radix_machine_is_bit_identical_to_reference() {
                     }
                 }
                 15 if regions.len() >= 2 => {
+                    // A copy through the host: read one region, write another.
                     let (src, sp) = regions[rng.below(regions.len() as u64) as usize];
                     let (dst, dp) = regions[rng.below(regions.len() as u64) as usize];
                     let len = 1 + rng.below(4096.min((sp.min(dp) * 4096) as u64 / 2)) as usize;
+                    let mut b1 = vec![0u8; len];
+                    let mut b2 = vec![0u8; len];
                     assert_eq!(
-                        reference.copy(dst, src, len),
-                        radix.copy(dst, src, len),
-                        "{tag}: copy"
+                        reference.read_bytes(src, &mut b1).and_then(|()| reference.write_bytes(dst, &b1)),
+                        radix.read_bytes(src, &mut b2).and_then(|()| radix.write_bytes(dst, &b2)),
+                        "{tag}: read_bytes + write_bytes"
                     );
                 }
                 // The vectored munmap: random range sets, which are
@@ -437,21 +440,4 @@ fn telemetry_counters_match_known_sequence() {
     // The ring saw the trap last-but-two (dummy + munmap follow).
     let tail = m.telemetry().tail(3);
     assert!(matches!(tail[0].kind, EventKind::Trap));
-}
-
-/// A disabled sink records nothing and costs nothing observable.
-#[test]
-fn disabled_telemetry_is_silent() {
-    use crate::machine::MachineConfig;
-    use dangle_telemetry::TelemetryConfig;
-    let mut m = Machine::with_config(MachineConfig {
-        telemetry: TelemetryConfig::disabled(),
-        ..MachineConfig::default()
-    });
-    let a = m.mmap(1).unwrap();
-    m.store_u64(a, 1).unwrap();
-    m.dummy_syscall();
-    assert_eq!(m.telemetry().ring().len(), 0);
-    assert_eq!(m.telemetry().counter("event.mmap"), 0);
-    assert_eq!(m.stats().mmap_calls, 1, "stats still work");
 }

@@ -340,9 +340,17 @@ fn one_in_64_costs_a_tenth_of_full_protection_on_servers() {
                 );
                 let cfg = SamplingConfig::one_in(8).with_seed(SWEEP_SEED);
                 assert_eq!(sampled_run(&prog, Engine::Bytecode, cfg), runs[1], "engines diverged");
-                let tight = SamplingConfig::one_in(1).with_seed(SWEEP_SEED).with_budgets(4, 2, 512);
-                let budgeted = sampled_run(&prog, Engine::Ast, tight);
-                assert!(budgeted.2[2] > 0, "a 4-token class budget must run out");
+                // Every allocation reaches the policy as `SiteId::UNKNOWN`, so
+                // a site cap would be one bucket for the whole run and run
+                // out first; leave it unset to test the class cap. All 110
+                // candidates share one size class and one refill window.
+                let class_cap = SamplingConfig {
+                    class_tokens: Some(4),
+                    refill_window: 512,
+                    ..SamplingConfig::one_in(1).with_seed(SWEEP_SEED)
+                };
+                let budgeted = sampled_run(&prog, Engine::Ast, class_cap);
+                assert_eq!(budgeted.2[..3], [4, 106, 106], "a 4-token class budget must run out");
             }
         }
     }
