@@ -151,10 +151,7 @@ impl DanglingReport {
             ObjectState::Freed { free_site } => Some(sites.name(free_site).to_string()),
             ObjectState::Live => None,
         };
-        let (alloc_stack, free_stack) = registry
-            .stacks(self.object.base)
-            .map(|(a, f)| (a.to_vec(), f.to_vec()))
-            .unwrap_or_default();
+        let (alloc_stack, free_stack) = registry.stacks(self.object.base).unwrap_or_default();
         let ring = machine.telemetry().ring();
         TrapReport {
             kind: self.kind.to_string(),
@@ -185,24 +182,42 @@ impl DanglingReport {
 /// A record no page entry reaches any more is unreachable, so its slot is
 /// reused by the next insert: the registry's size follows the tracked
 /// pages, not the allocations ever made.
+///
+/// The page map is a table indexed by page number. The machine hands page
+/// numbers out from a bump pointer, so the table is as long as the address
+/// space the detector has registered, at 4 bytes a page, and every insert,
+/// lookup, free and forget is one array index. Call stacks are two ids per
+/// record into a stack depot; their names are rendered only for a trap
+/// report.
 #[derive(Debug, Default)]
 pub struct ObjectRegistry {
-    records: Vec<ObjectRecord>,
-    by_page: HashMap<PageNum, usize>,
-    /// Full call stacks at allocation time, parallel to `records`. Kept in
-    /// side tables so [`ObjectRecord`] stays `Copy`; empty when the program
-    /// did not run under the interpreter's shadow call stack.
-    alloc_stacks: Vec<Vec<String>>,
-    /// Full call stacks at free time, parallel to `records` (empty while
-    /// the object is live).
-    free_stacks: Vec<Vec<String>>,
-    /// Page entries in `by_page` pointing at each record, parallel to
-    /// `records`; a slot whose count drops to zero joins `free_slots`.
-    page_refs: Vec<u32>,
+    slots: Vec<Slot>,
+    /// The slot index plus one of the object on each page, indexed by page
+    /// number; 0 for none. It grows only when a page is inserted, so a page
+    /// past its end is untracked.
+    by_page: Vec<u32>,
+    /// Non-zero entries of `by_page`.
+    tracked: usize,
+    /// Slots no page entry names, ready for reuse.
     free_slots: Vec<usize>,
     /// The slot of the most recent insert, which `note_alloc_stack` and
     /// `note_sampled` annotate.
     last: usize,
+    depot: StackDepot,
+}
+
+/// One record of an [`ObjectRegistry`], with its call stacks beside it so
+/// that [`ObjectRecord`] stays the `Copy` value reports carry.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    record: ObjectRecord,
+    /// The call stack at allocation time.
+    alloc_stack: StackId,
+    /// The call stack at free time (empty while the object is live).
+    free_stack: StackId,
+    /// Entries of `by_page` naming this slot; at zero it joins
+    /// `free_slots`.
+    page_refs: u32,
 }
 
 impl ObjectRegistry {
@@ -231,45 +246,70 @@ impl ObjectRegistry {
     /// A fresh live record with empty stacks and no page entries yet: a
     /// reused slot when one is free, a new one otherwise.
     fn new_slot(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId) -> usize {
-        let record =
-            ObjectRecord { base, size, alloc_site, state: ObjectState::Live, sampled: false };
+        let slot = Slot {
+            record: ObjectRecord {
+                base,
+                size,
+                alloc_site,
+                state: ObjectState::Live,
+                sampled: false,
+            },
+            alloc_stack: StackId::EMPTY,
+            free_stack: StackId::EMPTY,
+            page_refs: 0,
+        };
         let idx = match self.free_slots.pop() {
             Some(idx) => {
-                self.records[idx] = record;
+                self.slots[idx] = slot;
                 idx
             }
             None => {
-                self.records.push(record);
-                self.alloc_stacks.push(Vec::new());
-                self.free_stacks.push(Vec::new());
-                self.page_refs.push(0);
-                self.records.len() - 1
+                self.slots.push(slot);
+                self.slots.len() - 1
             }
         };
         self.last = idx;
         idx
     }
 
+    /// The slot of the object on `page`, if any. A page past the table's
+    /// end, or whose number does not fit a `usize`, has none.
+    fn slot_of(&self, page: PageNum) -> Option<usize> {
+        let entry = *usize::try_from(page.raw()).ok().and_then(|i| self.by_page.get(i))?;
+        (entry as usize).checked_sub(1)
+    }
+
     fn map_page(&mut self, page: PageNum, idx: usize) {
-        self.page_refs[idx] += 1;
-        if let Some(old) = self.by_page.insert(page, idx) {
-            self.unref(old);
+        let entry = u32::try_from(idx + 1).expect("fewer than 2^32 registry records");
+        let i = usize::try_from(page.raw()).expect("a mapped page number fits a usize");
+        if i >= self.by_page.len() {
+            self.by_page.resize(i + 1, 0);
+        }
+        self.slots[idx].page_refs += 1;
+        match std::mem::replace(&mut self.by_page[i], entry) {
+            0 => self.tracked += 1,
+            old => self.unref(old as usize - 1),
         }
     }
 
     fn unmap_page(&mut self, page: PageNum) {
-        if let Some(old) = self.by_page.remove(&page) {
-            self.unref(old);
+        let Some(entry) = usize::try_from(page.raw()).ok().and_then(|i| self.by_page.get_mut(i))
+        else {
+            return;
+        };
+        let old = std::mem::take(entry);
+        if old != 0 {
+            self.tracked -= 1;
+            self.unref(old as usize - 1);
         }
     }
 
-    /// Drops one page entry of record `idx`; once none is left the record
-    /// is unreachable, so its stacks go and its slot is free for reuse.
+    /// Drops one page entry of slot `idx`; once none is left the record is
+    /// unreachable and its slot is free for reuse.
     fn unref(&mut self, idx: usize) {
-        self.page_refs[idx] -= 1;
-        if self.page_refs[idx] == 0 {
-            self.alloc_stacks[idx].clear();
-            self.free_stacks[idx].clear();
+        let slot = &mut self.slots[idx];
+        slot.page_refs -= 1;
+        if slot.page_refs == 0 {
             self.free_slots.push(idx);
         }
     }
@@ -278,9 +318,8 @@ impl ObjectRegistry {
     /// recently inserted object. Detector alloc paths call this right
     /// after `insert_range` when a shadow call stack is live.
     pub fn note_alloc_stack(&mut self, stack: &[String]) {
-        if let Some(slot) = self.alloc_stacks.get_mut(self.last) {
-            slot.clear();
-            slot.extend_from_slice(stack);
+        if let Some(slot) = self.slots.get_mut(self.last) {
+            slot.alloc_stack = self.depot.intern(stack);
         }
     }
 
@@ -289,34 +328,32 @@ impl ObjectRegistry {
     /// this right after `insert_range` when the sampling policy's
     /// draw — not a deterministic rule — chose protection.
     pub fn note_sampled(&mut self, sampled: bool) {
-        if let Some(rec) = self.records.get_mut(self.last) {
-            rec.sampled = sampled;
+        if let Some(slot) = self.slots.get_mut(self.last) {
+            slot.record.sampled = sampled;
         }
     }
 
     /// Marks the object at `base` freed, recording the full call stack at
     /// free time (empty when no shadow call stack is live).
     pub fn mark_freed_traced(&mut self, base: VirtAddr, free_site: SiteId, stack: &[String]) {
-        if let Some(&idx) = self.by_page.get(&base.page()) {
-            self.records[idx].state = ObjectState::Freed { free_site };
-            let slot = &mut self.free_stacks[idx];
-            slot.clear();
-            slot.extend_from_slice(stack);
+        if let Some(idx) = self.slot_of(base.page()) {
+            let slot = &mut self.slots[idx];
+            slot.record.state = ObjectState::Freed { free_site };
+            slot.free_stack = self.depot.intern(stack);
         }
     }
 
     /// Looks up the object owning `addr`, if any.
     pub fn lookup(&self, addr: VirtAddr) -> Option<&ObjectRecord> {
-        self.by_page.get(&addr.page()).map(|&i| &self.records[i])
+        self.slot_of(addr.page()).map(|i| &self.slots[i].record)
     }
 
     /// The (alloc, free) call stacks of the object owning `addr`, if
-    /// tracked. Either side is empty when no shadow call stack was live at
-    /// the corresponding operation.
-    pub fn stacks(&self, addr: VirtAddr) -> Option<(&[String], &[String])> {
-        self.by_page
-            .get(&addr.page())
-            .map(|&i| (self.alloc_stacks[i].as_slice(), self.free_stacks[i].as_slice()))
+    /// tracked, as frame names outermost first. Either side is empty when
+    /// no shadow call stack was live at the corresponding operation.
+    pub fn stacks(&self, addr: VirtAddr) -> Option<(Vec<String>, Vec<String>)> {
+        let slot = &self.slots[self.slot_of(addr.page())?];
+        Some((self.depot.frames(slot.alloc_stack), self.depot.frames(slot.free_stack)))
     }
 
     /// Drops the records registered for `pages` (pool destroy).
@@ -336,7 +373,55 @@ impl ObjectRegistry {
 
     /// Number of page entries currently tracked.
     pub fn tracked_pages(&self) -> usize {
-        self.by_page.len()
+        self.tracked
+    }
+
+    /// Checks the registry's bookkeeping against its page table: every
+    /// page entry names an in-range record that is not on the free-slot
+    /// list, each record's page count equals the entries naming it, the
+    /// free slots are exactly the unreferenced records, each listed once,
+    /// and [`ObjectRegistry::tracked_pages`] equals the entry count.
+    ///
+    /// # Errors
+    /// A description of the first disagreement found.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut refs = vec![0u32; self.slots.len()];
+        let mut entries = 0;
+        for (page, &entry) in self.by_page.iter().enumerate() {
+            let Some(idx) = (entry as usize).checked_sub(1) else { continue };
+            let Some(n) = refs.get_mut(idx) else {
+                return Err(format!("page {page:#x} names record {idx} of {}", self.slots.len()));
+            };
+            *n += 1;
+            entries += 1;
+        }
+        let mut listed = vec![false; self.slots.len()];
+        for &idx in &self.free_slots {
+            match listed.get_mut(idx) {
+                None => return Err(format!("free slot {idx} of {}", self.slots.len())),
+                Some(true) => return Err(format!("free slot {idx} listed twice")),
+                Some(seen) => *seen = true,
+            }
+        }
+        for (idx, slot) in self.slots.iter().enumerate() {
+            if slot.page_refs != refs[idx] {
+                return Err(format!(
+                    "record {idx} counts {} page entries, the table has {}",
+                    slot.page_refs, refs[idx]
+                ));
+            }
+            if listed[idx] != (refs[idx] == 0) {
+                return Err(format!(
+                    "record {idx} has {} page entries but is{} on the free-slot list",
+                    refs[idx],
+                    if listed[idx] { "" } else { " not" }
+                ));
+            }
+        }
+        if self.tracked != entries {
+            return Err(format!("{} tracked pages, {entries} page entries", self.tracked));
+        }
+        Ok(())
     }
 
     /// Builds a [`DanglingReport`] for `trap` if it falls in a tracked
@@ -358,6 +443,77 @@ impl ObjectRegistry {
             }
         };
         Some(DanglingReport { kind, fault_addr: addr, object })
+    }
+}
+
+/// A call stack interned in a [`StackDepot`]: the empty stack, or the trie
+/// node of its innermost frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct StackId(u32);
+
+impl StackId {
+    /// The stack of an operation made outside the interpreter.
+    const EMPTY: StackId = StackId(0);
+}
+
+/// Interned call stacks, GWP-ASan's stack depot over the interpreter's
+/// frame names. Each distinct name is stored once, and each stack is a
+/// node of a trie of `(parent, frame)` pairs, so a stack seen before is
+/// found again without a host allocation. The depot grows with the
+/// distinct stacks objects are allocated and freed under, not with the
+/// objects.
+#[derive(Debug, Default)]
+struct StackDepot {
+    /// Frame names by frame id.
+    names: Vec<String>,
+    /// The frame id of each name.
+    frame_ids: HashMap<String, u32>,
+    /// The `(parent, frame id)` of stack `i + 1`.
+    nodes: Vec<(StackId, u32)>,
+    /// The stack of each `(parent, frame id)` node.
+    children: HashMap<(StackId, u32), StackId>,
+}
+
+impl StackDepot {
+    /// The id of `stack` (outermost frame first), interning what is new.
+    /// The empty stack touches nothing.
+    fn intern(&mut self, stack: &[String]) -> StackId {
+        let mut id = StackId::EMPTY;
+        for name in stack {
+            let frame = match self.frame_ids.get(name.as_str()) {
+                Some(&frame) => frame,
+                None => {
+                    let frame = u32::try_from(self.names.len()).expect("fewer than 2^32 frames");
+                    self.names.push(name.clone());
+                    self.frame_ids.insert(name.clone(), frame);
+                    frame
+                }
+            };
+            id = match self.children.get(&(id, frame)) {
+                Some(&child) => child,
+                None => {
+                    self.nodes.push((id, frame));
+                    let child =
+                        StackId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 stacks"));
+                    self.children.insert((id, frame), child);
+                    child
+                }
+            };
+        }
+        id
+    }
+
+    /// The frame names of `id`, outermost first.
+    fn frames(&self, id: StackId) -> Vec<String> {
+        let mut frames = Vec::new();
+        let mut at = id;
+        while let Some(node) = (at.0 as usize).checked_sub(1) {
+            let (parent, frame) = self.nodes[node];
+            frames.push(self.names[frame as usize].clone());
+            at = parent;
+        }
+        frames.reverse();
+        frames
     }
 }
 
@@ -451,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn stack_side_tables_follow_the_object() {
+    fn stacks_follow_the_object() {
         let mut r = ObjectRegistry::new();
         let base = PageNum(7).base().add(8);
         r.insert_range(base, 32, SiteId(1), PageNum(7), 1);
@@ -479,12 +635,12 @@ mod tests {
         // One page entry still reaches the old record: its slot stays taken.
         let keep = PageNum(50).base().add(8);
         r.insert_range(keep, 8, SiteId(5), PageNum(50), 1);
-        assert_eq!(r.records.len(), 2);
+        assert_eq!(r.slots.len(), 2);
         r.forget_pages(&[PageNum(31)]);
 
         let new = PageNum(40).base().add(8);
         r.insert_range(new, 24, SiteId(3), PageNum(40), 1);
-        assert_eq!(r.records.len(), 2, "the unreachable slot was reused");
+        assert_eq!(r.slots.len(), 2, "the unreachable slot was reused");
         let rec = *r.lookup(new).unwrap();
         assert_eq!(
             rec,
@@ -496,7 +652,7 @@ mod tests {
                 sampled: false
             }
         );
-        assert_eq!(r.stacks(new).unwrap(), (&[][..], &[][..]));
+        assert_eq!(r.stacks(new).unwrap(), (vec![], vec![]));
         // Annotations go to the newest record, not to the table's last slot.
         r.note_sampled(true);
         r.note_alloc_stack(&["main".to_string()]);
@@ -508,10 +664,90 @@ mod tests {
         // Re-registering a page frees the slot of the record it reached.
         r.insert_range(PageNum(50).base(), 16, SiteId(6), PageNum(50), 1);
         assert_eq!(r.lookup(keep).unwrap().alloc_site, SiteId(6));
-        assert_eq!(r.records.len(), 3);
+        assert_eq!(r.slots.len(), 3);
         r.insert_range(PageNum(60).base(), 8, SiteId(7), PageNum(60), 1);
-        assert_eq!(r.records.len(), 3, "keep's old slot was taken again");
+        assert_eq!(r.slots.len(), 3, "keep's old slot was taken again");
         assert_eq!(r.tracked_pages(), 3);
+        r.audit().unwrap();
+    }
+
+    #[test]
+    fn untracked_pages_miss_without_growing_the_table() {
+        let mut r = ObjectRegistry::new();
+        let base = PageNum(20).base().add(8);
+        r.insert_range(base, 16, SiteId(1), PageNum(20), 1);
+        r.mark_freed_traced(base, SiteId(2), &[]);
+        let len = r.by_page.len();
+        // The machine's guard region (pages 0 to 15), a wild address past
+        // every page handed out, and the top of the address space.
+        let misses =
+            [VirtAddr(8), PageNum(15).base(), VirtAddr(0x7777_0000), VirtAddr(u64::MAX - 7)];
+        for addr in misses {
+            assert!(r.lookup(addr).is_none(), "{addr}");
+            assert!(r.stacks(addr).is_none(), "{addr}");
+            for access in [AccessKind::Read, AccessKind::Write] {
+                let trap = Trap::Protection { addr, prot: Protection::None, access };
+                assert!(r.explain(&trap, false).is_none(), "{addr}");
+                assert!(r.explain(&trap, true).is_none(), "{addr}");
+                let trap = Trap::Unmapped { addr, access };
+                assert!(r.explain(&trap, false).is_none(), "{addr}");
+            }
+            r.mark_freed_traced(addr, SiteId(3), &["main".to_string()]);
+            r.forget_range(addr.page(), 1);
+        }
+        assert_eq!(r.by_page.len(), len, "misses leave the table as it was");
+        assert_eq!(r.tracked_pages(), 1);
+        assert!(r.depot.names.is_empty(), "a miss interns no stack");
+        assert!(r.lookup(base).is_some(), "the tracked page still hits");
+    }
+
+    #[test]
+    fn stack_depot_shares_prefixes_and_renders_names() {
+        let mut d = StackDepot::default();
+        let stack = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert_eq!(d.intern(&[]), StackId::EMPTY);
+        assert!(d.frames(StackId::EMPTY).is_empty());
+        let deep = d.intern(&stack(&["main", "handle", "make_node"]));
+        let other = d.intern(&stack(&["main", "handle", "drop_node"]));
+        let recursive = d.intern(&stack(&["main", "main"]));
+        assert_eq!(d.intern(&stack(&["main", "handle", "make_node"])), deep);
+        assert_ne!(deep, other);
+        assert_eq!(d.frames(deep), ["main", "handle", "make_node"]);
+        assert_eq!(d.frames(other), ["main", "handle", "drop_node"]);
+        assert_eq!(d.frames(recursive), ["main", "main"]);
+        assert_eq!(d.names.len(), 4, "each name once");
+        assert_eq!(d.nodes.len(), 5, "main, main/handle and three leaves");
+    }
+
+    #[test]
+    fn audit_names_each_broken_invariant() {
+        let fresh = || {
+            let mut r = ObjectRegistry::new();
+            r.insert_range(PageNum(16).base().add(8), 5000, SiteId(1), PageNum(16), 2);
+            r.insert_range(PageNum(20).base().add(8), 8, SiteId(2), PageNum(20), 1);
+            r.insert_range(PageNum(21).base().add(8), 8, SiteId(3), PageNum(21), 1);
+            r.forget_range(PageNum(20), 1);
+            r.audit().unwrap();
+            r
+        };
+        let mut r = fresh();
+        r.by_page[17] = 9;
+        assert!(r.audit().unwrap_err().contains("names record 8"));
+        let mut r = fresh();
+        r.by_page[21] = 1;
+        assert!(r.audit().unwrap_err().contains("counts"));
+        let mut r = fresh();
+        r.free_slots.push(0);
+        assert!(r.audit().unwrap_err().contains("is on the free-slot list"));
+        let mut r = fresh();
+        r.free_slots.clear();
+        assert!(r.audit().unwrap_err().contains("is not on the free-slot list"));
+        let mut r = fresh();
+        r.free_slots.push(1);
+        assert!(r.audit().unwrap_err().contains("listed twice"));
+        let mut r = fresh();
+        r.tracked += 1;
+        assert!(r.audit().unwrap_err().contains("tracked pages"));
     }
 
     #[test]

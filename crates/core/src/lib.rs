@@ -30,7 +30,8 @@
 //! * [`protect`] — the protection core both detectors share: site table,
 //!   object registry, sampling decision and the hidden-word protocol on
 //!   alloc and free.
-//! * [`diag`] — site-tagged object registry; turns MMU traps into
+//! * [`diag`] — site-tagged object registry, a table indexed by shadow
+//!   page with call stacks interned in a stack depot; turns MMU traps into
 //!   `"dangling write at 0x… allocated at `g:malloc`, freed at
 //!   `free_all_but_head`"` reports.
 //! * [`exhaustion`] — the §3.4 address-space lifetime analysis (the 9-hour

@@ -518,6 +518,38 @@ mod tests {
     }
 
     #[test]
+    fn one_detector_counts_pages_on_each_machine_it_runs_on() {
+        // Machines whose registries hold two, none and eight counters
+        // before the pool runtime's, so its counters sit at different
+        // registry indexes on each.
+        let extras = [2, 0, 8];
+        let mut machines: Vec<Machine> = extras
+            .iter()
+            .map(|&n| {
+                let mut m = Machine::free_running();
+                for i in 0..n {
+                    m.telemetry_mut().counter_add(&format!("test.extra{i}"), 1);
+                }
+                m
+            })
+            .collect();
+        let mut sp = ShadowPool::new();
+        for m in &mut machines {
+            // A fresh canonical page and a fresh shadow page.
+            let pool = sp.create(16);
+            sp.alloc(m, pool, 16).unwrap();
+        }
+        for (m, n) in machines.iter().zip(extras) {
+            let t = m.telemetry();
+            assert_eq!(t.counter("pool.pages_fresh"), 2, "machine with {n} extra counters");
+            assert_eq!(t.counter("pool.pages_recycled"), 0, "machine with {n} extra counters");
+            for i in 0..n {
+                assert_eq!(t.counter(&format!("test.extra{i}")), 1, "test.extra{i}");
+            }
+        }
+    }
+
+    #[test]
     fn reused_registry_slot_reports_only_the_new_object() {
         let (mut m, mut sp) = setup();
         let old_alloc = sp.sites_mut().intern("old:malloc");

@@ -6,17 +6,18 @@
 //! a host-side model after every operation. A live object loads what was
 //! stored in its first and last words. A freed object traps on both, and
 //! the detector explains each trap as a dangling read. Every double free
-//! traps on the hidden-word read with a `DoubleFree` report. The pool
-//! detector must also pass [`dangle_pool::PoolSet::audit_frames`] after
-//! every operation: page recycling, in place or re-mapped, never lets two
-//! live pools share a physical frame. At the end, the registry's record of
-//! every object still tracked and the machine's trap total must match the
-//! model.
+//! traps on the hidden-word read with a `DoubleFree` report. After every
+//! operation the detector's object registry must pass its audit, and the
+//! pool detector must also pass [`dangle_pool::PoolSet::audit_frames`]:
+//! page recycling, in place or re-mapped, never lets two live pools share
+//! a physical frame. At the end, the registry's record of every object
+//! still tracked and the machine's trap total must match the model.
 //!
 //! A third trace drives the §3.4 collector ([`crate::gc::collect`]) over
 //! two to four pools whose objects point at each other, and checks that
 //! every freed object a live object still points to keeps trapping after
-//! the collection and after the shared free list is drained.
+//! the collection and after the shared free list is drained, with both
+//! audits after every operation.
 
 use crate::diag::{DanglingKind, ObjectState};
 use crate::protect::{CanonicalMemory, Protector};
@@ -99,6 +100,22 @@ fn check_free<M: CanonicalMemory>(
     }
 }
 
+/// Checks the detector's object registry ([`crate::diag::ObjectRegistry::audit`]).
+fn audit_registry<M: CanonicalMemory>(case: u64, det: &Protector<M>) {
+    if let Err(e) = det.registry.audit() {
+        panic!("case {case}: registry: {e}");
+    }
+}
+
+/// Checks the pool detector's registry and its pools' frames
+/// ([`dangle_pool::PoolSet::audit_frames`]).
+fn audit_pool(case: u64, m: &Machine, sp: &ShadowPool) {
+    audit_registry(case, sp);
+    if let Err(e) = sp.pools().audit_frames(m) {
+        panic!("case {case}: {e}");
+    }
+}
+
 /// Probes every object of `objs` and checks its registry record.
 fn final_sweep<M: CanonicalMemory>(
     case: u64,
@@ -176,9 +193,7 @@ fn shadow_pool_traces_match_the_model() {
                     objs[pi].clear();
                 }
             }
-            if let Err(e) = sp.pools().audit_frames(&m) {
-                panic!("case {case}: {e}");
-            }
+            audit_pool(case, &m, &sp);
         }
 
         // Destroyed pools' lists are empty: their objects are forgotten.
@@ -227,6 +242,7 @@ fn shadow_heap_traces_match_the_model() {
                     probe(case, &mut m, &heap, &o, &mut traps);
                 }
             }
+            audit_registry(case, &heap);
         }
 
         final_sweep(case, &mut m, &heap, &objs, &mut traps);
@@ -313,9 +329,7 @@ fn gc_never_reclaims_a_span_a_live_object_points_to() {
                 }
                 _ => {}
             }
-            if let Err(e) = sp.pools().audit_frames(&m) {
-                panic!("case {case}: {e}");
-            }
+            audit_pool(case, &m, &sp);
         }
         check_pointers(case, &mut m, &nodes);
     }

@@ -1063,6 +1063,7 @@ impl Backend for CombinedBackend {
 mod tests {
     use super::*;
     use dangle_core::SamplingConfig;
+    use dangle_vmm::MachineConfig;
 
     fn exercise(backend: &mut dyn Backend, expect_detection: bool) {
         let mut m = Machine::free_running();
@@ -1253,14 +1254,11 @@ mod tests {
         DetectorConfig { sampling: SamplingConfig::one_in(1), ..DetectorConfig::default() }
     }
 
-    /// Malformed frees and bad pool handles end in a typed error on every
-    /// scheme, and leave the backend usable. A wild free names no object,
-    /// so every scheme calls it an invalid free of that address.
-    #[test]
-    fn malformed_frees_return_typed_errors() {
-        type Make = fn() -> Box<dyn Backend>;
-        // (backend, whether it has pools that handles can name)
-        let backends: [(Make, bool); 11] = [
+    type Make = fn() -> Box<dyn Backend>;
+
+    /// Every scheme, with whether it has pools that handles can name.
+    fn every_scheme() -> [(Make, bool); 11] {
+        [
             (|| Box::new(NativeBackend::new()), false),
             (|| Box::new(PoolBackend::new()), true),
             (|| Box::new(PoolBackend::with_dummy_syscalls()), true),
@@ -1272,7 +1270,14 @@ mod tests {
             (|| Box::new(MemcheckBackend::new()), false),
             (|| Box::new(CapabilityBackend::new()), false),
             (|| Box::new(CombinedBackend::new()), true),
-        ];
+        ]
+    }
+
+    /// Malformed frees and bad pool handles end in a typed error on every
+    /// scheme, and leave the backend usable. A wild free names no object,
+    /// so every scheme calls it an invalid free of that address.
+    #[test]
+    fn malformed_frees_return_typed_errors() {
         type Case = fn(&mut dyn Backend, &mut Machine) -> Result<(), BackendError>;
         const WILD: VirtAddr = VirtAddr(0x7777_0000);
         let frees: [(&str, Case); 11] = [
@@ -1341,7 +1346,7 @@ mod tests {
                 b.pool_destroy(m, h)
             }),
         ];
-        for (make, pools) in backends {
+        for (make, pools) in every_scheme() {
             let mut b = make();
             let mut m = Machine::free_running();
             let cases = frees.iter().chain(handles.iter().filter(|_| pools));
@@ -1361,6 +1366,53 @@ mod tests {
             b.store(&mut m, p, 8, 7).unwrap();
             assert_eq!(b.load(&mut m, p, 8).unwrap(), 7, "{}", b.name());
             b.free(&mut m, p, None).unwrap();
+        }
+    }
+
+    /// Running out of address space, or of physical frames, ends in a
+    /// typed trap on every scheme, never a panic, and leaves the backend
+    /// usable: earlier objects still load, the first one frees and its
+    /// pool destroys.
+    #[test]
+    fn exhaustion_returns_typed_traps() {
+        let small_va = MachineConfig { virt_pages: 64, ..MachineConfig::default() };
+        let few_frames = MachineConfig { phys_frames: 16, ..MachineConfig::default() };
+        for (make, pools) in every_scheme() {
+            for (limit, config) in [("64 virtual pages", small_va), ("16 frames", few_frames)] {
+                let mut b = make();
+                let name = b.name();
+                let mut m = Machine::with_config(config);
+                let pool = if pools { Some(b.pool_create(&mut m, 100).unwrap()) } else { None };
+                let mut objects = Vec::new();
+                let err = loop {
+                    match b.alloc(&mut m, 100, pool) {
+                        Ok(p) => {
+                            b.store(&mut m, p, 8, objects.len() as u64).unwrap();
+                            objects.push(p);
+                        }
+                        Err(e) => break e,
+                    }
+                    assert!(objects.len() < 100_000, "{name}, {limit}: never ran out");
+                };
+                assert!(
+                    matches!(
+                        err,
+                        BackendError::Trap {
+                            trap: Trap::OutOfVirtualMemory | Trap::OutOfPhysicalMemory,
+                            ..
+                        }
+                    ),
+                    "{name}, {limit}: {err}"
+                );
+                assert!(objects.len() > 1, "{name}, {limit}: {} objects", objects.len());
+                for i in [0, objects.len() - 1] {
+                    assert_eq!(b.load(&mut m, objects[i], 8).unwrap(), i as u64, "{name}, {limit}");
+                }
+                b.free(&mut m, objects[0], pool).unwrap();
+                if let Some(h) = pool {
+                    b.pool_destroy(&mut m, h).unwrap();
+                }
+            }
         }
     }
 }

@@ -42,7 +42,7 @@
 
 use dangle_heap::header::{self, HEADER_SIZE, SIZE_CLASSES};
 use dangle_heap::{AllocError, AllocStats};
-use dangle_telemetry::EventKind;
+use dangle_telemetry::{EventKind, HotCounter};
 use dangle_vmm::{Machine, PageNum, Trap, VirtAddr, PAGE_SIZE};
 use std::collections::HashMap;
 use std::error::Error;
@@ -222,10 +222,6 @@ pub struct PoolSet {
     /// The runs `destroy` unmaps, kept so a destroy allocates nothing.
     unmap: Vec<(VirtAddr, usize)>,
     config: PoolConfig,
-    /// Cached telemetry handles of [`PoolSet::note_run`] (resolved lazily
-    /// on first use instead of by name on every call).
-    recycled_counter: Option<dangle_telemetry::CounterHandle>,
-    fresh_counter: Option<dangle_telemetry::CounterHandle>,
 }
 
 impl PoolSet {
@@ -350,18 +346,15 @@ impl PoolSet {
     /// `pool.pages_fresh` when it was freshly mapped. The pool runtime
     /// tallies its canonical runs; a detector tallies the shadow runs it
     /// maps for objects in the pools.
-    pub fn note_run(&mut self, machine: &mut Machine, base: PageNum, pages: usize, recycled: bool) {
+    pub fn note_run(&self, machine: &mut Machine, base: PageNum, pages: usize, recycled: bool) {
         let n = pages as u32;
-        let (event, handle, name) = if recycled {
-            let hit = EventKind::FreeListHit { pages: n };
-            (hit, &mut self.recycled_counter, "pool.pages_recycled")
+        let (event, counter) = if recycled {
+            (EventKind::FreeListHit { pages: n }, HotCounter::PoolPagesRecycled)
         } else {
-            (EventKind::FreeListMiss { pages: n }, &mut self.fresh_counter, "pool.pages_fresh")
+            (EventKind::FreeListMiss { pages: n }, HotCounter::PoolPagesFresh)
         };
         machine.note_event(base.base(), event);
-        let metrics = machine.telemetry_mut().metrics_mut();
-        let h = *handle.get_or_insert_with(|| metrics.counter_handle(name));
-        metrics.add(h, pages as u64);
+        machine.telemetry_mut().hot_add(counter, pages as u64);
     }
 
     fn acquire_page(&mut self, machine: &mut Machine) -> Result<VirtAddr, PoolError> {

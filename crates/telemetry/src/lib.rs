@@ -98,6 +98,47 @@ pub struct Telemetry {
     /// always did. One byte each keeps the sink small: `Machine` embeds
     /// it, and the bytecode VM's loop is sensitive to that struct's size.
     event_counters: [u8; EventKind::COUNT],
+    /// The counter of each [`HotCounter`], cached the same way.
+    hot_counters: [u8; HotCounter::COUNT],
+}
+
+/// A counter that another layer bumps on a hot path, through
+/// [`Telemetry::hot_add`]. Its handle is cached in the sink, so each
+/// machine resolves it in its own registry once, and no name is looked up
+/// per call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HotCounter {
+    /// `pool.pages_recycled`: pages the pool runtime's shared free list
+    /// served.
+    PoolPagesRecycled,
+    /// `pool.pages_fresh`: pages a pool run had to map fresh.
+    PoolPagesFresh,
+}
+
+impl HotCounter {
+    const COUNT: usize = 2;
+
+    /// The registry name of this counter.
+    pub fn name(self) -> &'static str {
+        match self {
+            HotCounter::PoolPagesRecycled => "pool.pages_recycled",
+            HotCounter::PoolPagesFresh => "pool.pages_fresh",
+        }
+    }
+}
+
+/// The handle `cached` holds (a registry index plus one, 0 until first
+/// use), resolving `name` in `metrics` on first use. A registry index past
+/// 254 is not cached; that counter keeps going by name.
+fn cached_handle(metrics: &mut MetricsRegistry, cached: &mut u8, name: &str) -> CounterHandle {
+    match *cached {
+        0 => {
+            let h = metrics.counter_handle(name);
+            *cached = u8::try_from(h.0 + 1).unwrap_or(0);
+            h
+        }
+        i => CounterHandle(usize::from(i) - 1),
+    }
 }
 
 impl Default for Telemetry {
@@ -119,6 +160,7 @@ impl Telemetry {
             depth: 0,
             stale_calls: 0,
             event_counters: [0; EventKind::COUNT],
+            hot_counters: [0; HotCounter::COUNT],
         }
     }
 
@@ -200,17 +242,15 @@ impl Telemetry {
     pub fn record(&mut self, clock: u64, addr: u64, kind: EventKind) {
         self.ring.push(Event { clock, addr, kind });
         let cached = &mut self.event_counters[kind.index()];
-        let handle = match *cached {
-            0 => {
-                let h = self.metrics.counter_handle(kind.counter_name());
-                // A registry index past 254 is not cached; that kind keeps
-                // going by name.
-                *cached = u8::try_from(h.0 + 1).unwrap_or(0);
-                h
-            }
-            i => CounterHandle(usize::from(i) - 1),
-        };
+        let handle = cached_handle(&mut self.metrics, cached, kind.counter_name());
         self.metrics.add(handle, 1);
+    }
+
+    /// Adds to a [`HotCounter`] (registering it on first use).
+    pub fn hot_add(&mut self, counter: HotCounter, delta: u64) {
+        let cached = &mut self.hot_counters[counter as usize];
+        let handle = cached_handle(&mut self.metrics, cached, counter.name());
+        self.metrics.add(handle, delta);
     }
 
     /// Adds to a named counter (registering it on first use).

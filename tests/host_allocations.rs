@@ -5,8 +5,9 @@
 //! `poolinit`, a shadow alias per object, `PROT_NONE` per free and a
 //! `pooldestroy` that recycles every page. After a warm-up, none of that
 //! should allocate on the host: the pool set recycles destroyed pools'
-//! storage and keeps its destroy buffers, the syscalls validate in place
-//! and the event counters are cached. A connection run by the bytecode VM
+//! storage and keeps its destroy buffers, the syscalls validate in place,
+//! the event counters are cached and the object registry keeps call
+//! stacks as ids of an interned depot. A connection run by the bytecode VM
 //! adds its MiniC calls, whose shadow-call-stack frames reuse the popped
 //! frames' storage. This binary installs a counting global allocator and
 //! counts only on the thread of the test that switched counting on.
@@ -107,12 +108,23 @@ fn run_lifecycles(machine: &mut Machine, backend: &mut dyn Backend, lifecycles: 
 fn pool_lifecycles_make_no_host_allocations_after_warm_up() {
     const WARM_UP: usize = 500;
     const LIFECYCLES: usize = 10_000;
-    for (name, cores) in [("1 core", 1), ("4 cores", 4)] {
+    // The last case checks every object under a shadow call stack, as the
+    // MiniC engines leave one, so the registry records an alloc and a free
+    // stack per object.
+    let cases: [(&str, usize, &[&str]); 3] = [
+        ("1 core", 1, &[]),
+        ("4 cores", 4, &[]),
+        ("1 core, 3-frame stack", 1, &["main", "serve", "handle"]),
+    ];
+    for (name, cores, stack) in cases {
         let mut backend = ShadowPoolBackend::new();
         let mut machine = Machine::with_config(MachineConfig {
             cores,
             ..MachineConfig::default()
         });
+        for frame in stack {
+            machine.telemetry_mut().push_call(frame);
+        }
         run_lifecycles(&mut machine, &mut backend, WARM_UP);
         let allocations = allocations_in(|| run_lifecycles(&mut machine, &mut backend, LIFECYCLES));
         // One per hundred lifecycles leaves room for the amortised growth
