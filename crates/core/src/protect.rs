@@ -16,7 +16,7 @@
 use crate::diag::{DanglingReport, ObjectRecord, ObjectRegistry, SiteId, SiteTable};
 use crate::sampling::{self, SampleDecision, SamplingConfig, SamplingPolicy};
 use dangle_heap::{header, AllocError, AllocStats};
-use dangle_telemetry::{Category, TrapReport};
+use dangle_telemetry::{Category, HotCounter, TrapReport};
 use dangle_vmm::{Machine, PageNum, Protection, Trap, VirtAddr, PAGE_MASK};
 
 /// The hidden word prepended to every allocation (`sizeof(addr_t)`).
@@ -360,9 +360,7 @@ impl<M: CanonicalMemory> Protector<M> {
         let total = self.mem.size_of(machine, canon_hidden)?;
         let span = hidden.span_pages(total);
         machine.mprotect(hidden.page().base(), span, Protection::None)?;
-        machine
-            .telemetry_mut()
-            .counter_add("core.pages_protected", span as u64);
+        machine.telemetry_mut().hot_add(HotCounter::CorePagesProtected, span as u64);
         self.mem.free(machine, scope, canon_hidden)?;
         self.registry
             .mark_freed_traced(addr, site, machine.telemetry().call_stack());
@@ -384,7 +382,7 @@ impl<M: CanonicalMemory> Protector<M> {
         scope: M::Scope,
         size: usize,
     ) -> Result<VirtAddr, M::Error> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
+        machine.telemetry_mut().hot_add(HotCounter::ShadowElided, 1);
         self.mem.alloc(machine, scope, size)
     }
 
@@ -397,7 +395,7 @@ impl<M: CanonicalMemory> Protector<M> {
         scope: M::Scope,
         addr: VirtAddr,
     ) -> Result<(), M::Error> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
+        machine.telemetry_mut().hot_add(HotCounter::ShadowElided, 1);
         self.mem.free(machine, scope, addr)
     }
 }

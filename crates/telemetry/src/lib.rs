@@ -113,16 +113,23 @@ pub enum HotCounter {
     PoolPagesRecycled,
     /// `pool.pages_fresh`: pages a pool run had to map fresh.
     PoolPagesFresh,
+    /// `shadow.elided`: allocations and frees the detector left
+    /// unprotected because the lint proved their site safe.
+    ShadowElided,
+    /// `core.pages_protected`: shadow pages a checked free protected.
+    CorePagesProtected,
 }
 
 impl HotCounter {
-    const COUNT: usize = 2;
+    const COUNT: usize = 4;
 
     /// The registry name of this counter.
     pub fn name(self) -> &'static str {
         match self {
             HotCounter::PoolPagesRecycled => "pool.pages_recycled",
             HotCounter::PoolPagesFresh => "pool.pages_fresh",
+            HotCounter::ShadowElided => "shadow.elided",
+            HotCounter::CorePagesProtected => "core.pages_protected",
         }
     }
 }
@@ -366,6 +373,29 @@ mod tests {
         let names: Vec<_> = t.snapshot().counters.into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["first", "event.munmap", "second", "event.mmap"]);
         assert_eq!(t.counter("event.munmap"), 2);
+    }
+
+    #[test]
+    fn hot_counters_keep_names_and_registration_order() {
+        let mut t = Telemetry::default();
+        t.counter_add("first", 1);
+        t.hot_add(HotCounter::ShadowElided, 1);
+        t.hot_add(HotCounter::CorePagesProtected, 3);
+        t.hot_add(HotCounter::ShadowElided, 1);
+        t.counter_add("shadow.elided", 1);
+        let names: Vec<_> = t.snapshot().counters.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["first", "shadow.elided", "core.pages_protected"]);
+        assert_eq!(t.counter("shadow.elided"), 3, "by handle and by name, one counter");
+        assert_eq!(t.counter("core.pages_protected"), 3);
+    }
+
+    /// The cached handles live in the sink's tail padding: `Machine`
+    /// embeds the sink, and the bytecode VM's loop is sensitive to that
+    /// struct's size.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn handle_caches_keep_the_sink_size() {
+        assert_eq!(std::mem::size_of::<Telemetry>(), 232);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod cache;
 pub mod cost;
 mod lru;
 pub mod machine;
-pub mod pagetable;
+mod pagetable;
 #[cfg(test)]
 mod proptests;
 #[cfg(test)]
@@ -70,7 +70,6 @@ pub use addr::{PageNum, VirtAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 pub use cache::{CacheConfig, L1Cache};
 pub use cost::CostModel;
 pub use machine::{AccessKind, CoreReport, Machine, MachineConfig, Protection};
-pub use pagetable::PageTableImpl;
 pub use stats::MachineStats;
 pub use tlb::{Tlb, TlbConfig};
 pub use trap::Trap;

@@ -22,7 +22,7 @@ use std::fmt;
 use crate::addr::{PageNum, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use crate::cache::{CacheConfig, L1Cache};
 use crate::cost::CostModel;
-use crate::pagetable::{Entry, PageTable, PageTableImpl};
+use crate::pagetable::{Entry, PageTable};
 use crate::stats::MachineStats;
 use crate::tlb::{Tlb, TlbConfig};
 use crate::trap::Trap;
@@ -90,10 +90,6 @@ pub struct MachineConfig {
     pub virt_pages: u64,
     /// Telemetry sink configuration (event ring size and span tracing).
     pub telemetry: TelemetryConfig,
-    /// Which page-table implementation backs address translation. A
-    /// pure host-performance knob — simulated costs, traps and stats are
-    /// identical across variants (enforced by differential tests).
-    pub page_table: PageTableImpl,
     /// Number of simulated cores. Each core has its own clock, TLB and L1
     /// cache over the *shared* page table; mapping-mutating syscalls
     /// shoot down every remote core's TLB at a modelled IPI cost. Default
@@ -111,7 +107,6 @@ impl Default for MachineConfig {
             phys_frames: 1 << 20,
             virt_pages: 1 << 35,
             telemetry: TelemetryConfig::default(),
-            page_table: PageTableImpl::default(),
             cores: 1,
         }
     }
@@ -232,7 +227,7 @@ impl Machine {
         let first_vpn = 16; // pages 0..16 form a trapping guard region
         Machine {
             slab: FrameSlab::default(),
-            page_table: PageTable::new(config.page_table),
+            page_table: PageTable::default(),
             next_vpn: first_vpn,
             first_vpn,
             cores: (0..config.cores).map(|_| Core::new(&config)).collect(),
@@ -955,6 +950,61 @@ impl Machine {
         Some(u64::from_le_bytes(bytes))
     }
 
+    /// Checks the frame bookkeeping against the page table, in one pass
+    /// over each: every frame's refcount equals the number of mapped pages
+    /// that map it, `stats.virt_pages_mapped` equals the number of mapped
+    /// pages, `stats.phys_frames_in_use` equals the number of frames with
+    /// a nonzero refcount, and the frame free list holds exactly the
+    /// zero-refcount frames, each once. TLBs are left out: a trapping
+    /// probe legitimately caches an unmapped VPN (see `map_fixed`).
+    ///
+    /// # Errors
+    /// A description of the first broken invariant.
+    pub fn audit(&self) -> Result<(), String> {
+        let frames = self.slab.refcounts.len();
+        let mut maps = vec![0u32; frames];
+        let mut mapped = 0u64;
+        for (vpn, pte) in self.page_table.entries() {
+            let Some(n) = maps.get_mut(pte.frame as usize) else {
+                return Err(format!("page {vpn:#x} maps frame {} of {frames}", pte.frame));
+            };
+            *n += 1;
+            mapped += 1;
+        }
+        if self.stats.virt_pages_mapped != mapped {
+            return Err(format!(
+                "virt_pages_mapped is {}, the page table maps {mapped} pages",
+                self.stats.virt_pages_mapped
+            ));
+        }
+        let mut listed = vec![false; frames];
+        for &idx in &self.slab.free {
+            match listed.get_mut(idx as usize) {
+                None => return Err(format!("free frame {idx} of {frames}")),
+                Some(true) => return Err(format!("frame {idx} is on the free list twice")),
+                Some(seen) => *seen = true,
+            }
+        }
+        let mut in_use = 0u64;
+        for (idx, (&rc, &n)) in self.slab.refcounts.iter().zip(&maps).enumerate() {
+            if rc != n {
+                return Err(format!("frame {idx} has refcount {rc}, {n} pages map it"));
+            }
+            if listed[idx] != (rc == 0) {
+                let on = if listed[idx] { "" } else { " not" };
+                return Err(format!("frame {idx} has refcount {rc} but is{on} on the free list"));
+            }
+            in_use += u64::from(rc != 0);
+        }
+        if self.stats.phys_frames_in_use != in_use {
+            return Err(format!(
+                "phys_frames_in_use is {}, {in_use} frames have a nonzero refcount",
+                self.stats.phys_frames_in_use
+            ));
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Checked, charged accesses.
     // ------------------------------------------------------------------
@@ -967,7 +1017,7 @@ impl Machine {
     /// afterwards in the same order: the access, then the TLB miss, then
     /// the L1 miss. A trap's event clock includes the TLB-miss charge; the
     /// L1 is probed only once the access is allowed.
-    #[inline]
+    #[inline(always)]
     fn translate(
         &mut self,
         addr: VirtAddr,
@@ -1047,7 +1097,7 @@ impl Machine {
     ///
     /// # Panics
     /// Panics if `width` is not 1, 2, 4 or 8.
-    #[inline]
+    #[inline(always)]
     pub fn load(&mut self, addr: VirtAddr, width: usize) -> Result<u64, Trap> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad load width {width}");
         if addr.offset() + width <= PAGE_SIZE {
@@ -1080,7 +1130,7 @@ impl Machine {
     ///
     /// # Panics
     /// Panics if `width` is not 1, 2, 4 or 8.
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, addr: VirtAddr, width: usize, value: u64) -> Result<(), Trap> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad store width {width}");
         if addr.offset() + width <= PAGE_SIZE {
@@ -1816,30 +1866,62 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_radix_agree_on_a_directed_sequence() {
-        use crate::pagetable::PageTableImpl;
-        let mk = |which| {
-            Machine::with_config(MachineConfig {
-                page_table: which,
-                ..MachineConfig::default()
-            })
-        };
-        let mut r = mk(PageTableImpl::Reference);
-        let mut x = mk(PageTableImpl::Radix);
-        for m in [&mut r, &mut x] {
-            let a = m.mmap(2).unwrap();
-            m.store_u64(a, 1).unwrap();
-            m.store_u64(a, 2).unwrap();
-            let s = m.mremap_alias(a, 2).unwrap();
-            m.mprotect(s, 2, Protection::None).unwrap();
-            assert!(m.load_u64(s).is_err());
-            m.munmap(a, 2).unwrap();
-            assert!(m.load_u64(a).is_err());
+    fn accesses_far_above_the_last_page_handed_out_trap_unmapped() {
+        let mut m = m();
+        let a = m.mmap(1).unwrap();
+        let far = [
+            a.add(PAGE_SIZE as u64),
+            PageNum(1 << 30).base(),
+            PageNum(1 << 51).base().add(16),
+            VirtAddr(u64::MAX - 7),
+        ];
+        for addr in far {
+            assert_eq!(m.load_u64(addr), Err(Trap::Unmapped { addr, access: AccessKind::Read }));
+            let err = m.store_u64(addr, 1).unwrap_err();
+            assert_eq!(err, Trap::Unmapped { addr, access: AccessKind::Write });
+            assert!(!m.is_mapped(addr) && m.frame_of(addr).is_none(), "{addr}");
         }
-        assert_eq!(r.clock(), x.clock());
-        assert_eq!(r.stats(), x.stats());
-        assert_eq!(r.tlb().hits(), x.tlb().hits());
-        assert_eq!(r.tlb().misses(), x.tlb().misses());
+        assert_eq!(m.stats().traps, 2 * far.len() as u64);
+        m.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_names_each_broken_invariant() {
+        // Frame 0 backs `a` and its alias; frame 1 is free; frame 2 backs
+        // page 2 of `a`.
+        let fresh = || {
+            let mut m = m();
+            let a = m.mmap(3).unwrap();
+            m.mremap_alias(a, 1).unwrap();
+            m.munmap(a.add(PAGE_SIZE as u64), 1).unwrap();
+            assert_eq!(m.slab.free, [1]);
+            m.audit().unwrap();
+            m
+        };
+        let mut m = fresh();
+        m.slab.refcounts[0] += 1;
+        assert!(m.audit().unwrap_err().contains("frame 0 has refcount 3, 2 pages map it"));
+        let mut m = fresh();
+        m.page_table.insert(40, Entry { frame: 7, prot: Protection::ReadWrite });
+        assert!(m.audit().unwrap_err().contains("maps frame 7 of 3"));
+        let mut m = fresh();
+        m.stats.virt_pages_mapped += 1;
+        assert!(m.audit().unwrap_err().contains("virt_pages_mapped is 4"));
+        let mut m = fresh();
+        m.stats.phys_frames_in_use -= 1;
+        assert!(m.audit().unwrap_err().contains("phys_frames_in_use is 1"));
+        let mut m = fresh();
+        m.slab.free.clear();
+        assert!(m.audit().unwrap_err().contains("frame 1 has refcount 0 but is not on the free"));
+        let mut m = fresh();
+        m.slab.free.push(2);
+        assert!(m.audit().unwrap_err().contains("frame 2 has refcount 1 but is on the free"));
+        let mut m = fresh();
+        m.slab.free.push(1);
+        assert!(m.audit().unwrap_err().contains("frame 1 is on the free list twice"));
+        let mut m = fresh();
+        m.slab.free.push(9);
+        assert!(m.audit().unwrap_err().contains("free frame 9 of 3"));
     }
 
     #[test]
