@@ -19,9 +19,11 @@
 //! operation, call boundary and exhaustion point equals the AST engine's.
 //!
 //! The VM charges `cost` against the fuel only. Fuel is its one
-//! per-instruction counter; the machine clock learns of the burns at a
-//! *flush*, which ticks it with the fuel consumed since the last flush.
-//! Nothing reads the clock between flushes, and the VM flushes
+//! per-instruction counter, which each frame counts down in a local copy
+//! of its caller's and hands back when it returns or fails; the machine
+//! clock learns of the burns at a *flush*, which ticks it with the fuel
+//! consumed since the last flush. Nothing reads the clock between
+//! flushes, and the VM flushes
 //!
 //! * before every `Backend` call (`alloc`, `alloc_unchecked`, `free`,
 //!   `free_unchecked`, `load`, `store`, `pool_create`, `pool_destroy`);
@@ -34,10 +36,10 @@
 //! span the AST engine ticked them in: the machine, the event ring, the
 //! flight recorder and every backend see the AST engine's clock exactly.
 //! A VM that pauses mid-run (the planned resumable VM yielding at
-//! `request_exit`) must flush before it yields. The differential suite in
-//! `tests/engines.rs` holds both engines to identical clocks at every
-//! backend call, ring events, folded spans, steps, outputs, detections
-//! and trap reports.
+//! `request_exit`) must keep the fuel left and flush before it yields.
+//! The differential suite in `tests/engines.rs` holds both engines to
+//! identical clocks at every backend call, ring events, folded spans,
+//! steps, outputs, detections and trap reports.
 
 use dangle_apa::ast::BinOp;
 use std::fmt;
@@ -63,6 +65,8 @@ pub const POOL_NONE: u16 = u16::MAX;
 /// * the value, as a `Result` of the left operand `a` and the right
 ///   operand `b`: wrapping arithmetic, 0/1 comparisons, non-short-circuit
 ///   logicals, and `DivisionByZero` on a zero divisor, in every form.
+///   Division and remainder by a positive power of two take a shift and
+///   mask instead of a hardware divide ([`div`], [`rem`]).
 ///
 /// `binary_ops!(m)` expands the macro `m` on the rows, and
 /// `binary_ops!(m! { args })` on `args` followed by the rows. [`Insn`],
@@ -79,11 +83,11 @@ macro_rules! binary_ops {
             Mul MulImm BrzMul BrzMulImm = |a, b| Ok(a.wrapping_mul(b));
             Div DivImm BrzDiv BrzDivImm = |a, b| match b {
                 0 => Err($crate::RunError::DivisionByZero),
-                _ => Ok(a.wrapping_div(b)),
+                _ => Ok($crate::bytecode::div(a, b)),
             };
             Rem RemImm BrzRem BrzRemImm = |a, b| match b {
                 0 => Err($crate::RunError::DivisionByZero),
-                _ => Ok(a.wrapping_rem(b)),
+                _ => Ok($crate::bytecode::rem(a, b)),
             };
             Lt LtImm BrzLt BrzLtImm = |a, b| Ok(i64::from(a < b));
             Le LeImm BrzLe BrzLeImm = |a, b| Ok(i64::from(a <= b));
@@ -97,6 +101,34 @@ macro_rules! binary_ops {
     };
 }
 pub(crate) use binary_ops;
+
+/// `a.wrapping_div(b)` for a nonzero `b`, by an arithmetic shift when `b`
+/// is a positive power of two. The shift rounds toward minus infinity, so
+/// a negative dividend is first biased by `b - 1` to round toward zero,
+/// as the divide does; `a + bias` cannot overflow, since the bias is only
+/// added to a negative `a`. The one quotient that wraps, `i64::MIN / -1`,
+/// has a negative divisor and takes the divide.
+#[inline(always)]
+pub(crate) fn div(a: i64, b: i64) -> i64 {
+    if b > 0 && b & (b - 1) == 0 {
+        (a + ((a >> 63) & (b - 1))) >> b.trailing_zeros()
+    } else {
+        a.wrapping_div(b)
+    }
+}
+
+/// `a.wrapping_rem(b)` for a nonzero `b`, by a mask when `b` is a positive
+/// power of two: `a` minus its quotient times `b`, that product being the
+/// biased dividend of [`div`] with its low bits cleared. A nonzero
+/// result has the sign of `a`, as the divide's does.
+#[inline(always)]
+pub(crate) fn rem(a: i64, b: i64) -> i64 {
+    if b > 0 && b & (b - 1) == 0 {
+        a - ((a + ((a >> 63) & (b - 1))) & -b)
+    } else {
+        a.wrapping_rem(b)
+    }
+}
 
 /// Expands, in pattern position, to the or-pattern of one form of every
 /// operator in [`binary_ops!`], each alternative with the same fields:
@@ -292,7 +324,7 @@ macro_rules! define_insn {
 }
 binary_ops!(define_insn);
 
-// The dispatch loop copies one instruction per step.
+// The dispatch loop reads one instruction per step.
 const _: () = assert!(std::mem::size_of::<Insn>() <= 24);
 
 /// A call site's operand lists, referenced by [`Insn::Call`].
@@ -485,5 +517,38 @@ impl BcFunc {
             out.push('\n');
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{div, rem};
+
+    #[test]
+    fn shift_and_mask_equal_the_divide() {
+        // Every positive power of two (the shift and mask path) and its
+        // negation (the divide), against dividends at and next to every
+        // power of two, at the edges, and from a fixed pseudo-random walk.
+        let powers: Vec<i64> = (0..63).map(|k| 1i64 << k).collect();
+        let mut divisors = powers.clone();
+        divisors.extend(powers.iter().map(|&p| -p));
+        divisors.extend([i64::MIN, i64::MAX, 3, -3, 6, 65535, 65537]);
+        let mut dividends = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        for &p in &powers {
+            for d in [-1, 0, 1] {
+                dividends.extend([p + d, -p + d]);
+            }
+        }
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..256 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            dividends.push(x as i64);
+        }
+        for &b in &divisors {
+            for &a in &dividends {
+                assert_eq!(div(a, b), a.wrapping_div(b), "{a} / {b}");
+                assert_eq!(rem(a, b), a.wrapping_rem(b), "{a} % {b}");
+            }
+        }
     }
 }

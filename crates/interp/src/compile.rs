@@ -5,6 +5,25 @@
 //! coalesced burn cost of each instruction (see [`crate::bytecode`] for
 //! the cost-accounting contract that makes the two engines clock-exact).
 //!
+//! ## Control flow
+//!
+//! A condition whose last operation is a binary operator into a dead
+//! temporary fuses with its branch into one compare-and-branch
+//! instruction.
+//!
+//! * `if` is a branch to the `else` block when the condition is zero, the
+//!   `then` block, and a jump over the `else` block.
+//! * `while` is rotated: a guard branch to the exit when the condition is
+//!   zero, the body, then the condition again as a branch back to the body
+//!   when it is nonzero. That bottom branch is the fused form of the
+//!   negated comparison (`Lt`↔`Ge`, `Le`↔`Gt`, `Eq`↔`Ne`), or `brz.Eq v,
+//!   #0` on the condition's value `v` for any other condition. An
+//!   iteration thus ends in one branch, with no back-edge `jump`; the
+//!   keep-alive checksum loop is five instructions. The condition is
+//!   compiled twice, so a call in it gets two call sites; both copies
+//!   resolve names in the scope before the body, as the AST engine's one
+//!   runtime map reads them when no `var` in the body has run.
+//!
 //! ## Slot resolution
 //!
 //! * **Values** — one slot per `(function, name)`, parameters first, then
@@ -35,7 +54,9 @@
 //! run-time errors under the AST engine on every path that reaches them.
 
 use crate::bytecode::{binary_forms, BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
-use dangle_apa::ast::{visit_stmts, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
+use dangle_apa::ast::{
+    visit_stmts, BinOp, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type,
+};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -121,6 +142,20 @@ fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&str, &'p StructDef>) -> S
             None => Sty::PtrUndef,
         },
     }
+}
+
+/// The comparison whose value is zero exactly when `op`'s is nonzero, for
+/// the six comparisons; `None` for every other operator.
+fn negated(op: BinOp) -> Option<BinOp> {
+    Some(match op {
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        _ => return None,
+    })
 }
 
 struct FuncCompiler<'p, 'c> {
@@ -278,26 +313,25 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
         self.patches.push((at, label));
     }
 
-    fn jump_if_zero(&mut self, cond: u16, label: u32) {
-        let cost = self.take_pending();
-        let at = self.emit(Insn::JumpIfZero { cost, cond, target: 0 });
-        self.patches.push((at, label));
-    }
-
-    /// Compiles `cond` and branches to `label` when it is zero, fusing a
-    /// trailing binary op into the branch when its result lives in a dead
-    /// temporary (the common `while (i < n)` shape). Safe to pop the op:
+    /// Compiles `cond` and branches to `label` when its truth is `taken`:
+    /// when it is zero for `false`, nonzero for `true`. A trailing binary
+    /// op whose result lives in a dead temporary (the common `while (i <
+    /// n)` shape) fuses into the branch: as itself for `false`, and for
+    /// `true` as the comparison that is zero exactly when it is nonzero
+    /// ([`negated`]). Any other condition branches on its value, with
+    /// `jz` for `false` and `brz.Eq v, #0` for `true`. Safe to pop the op:
     /// it was emitted just now (no label binds after it, and `patches`
-    /// only references jump instructions), and the fused replacement takes
-    /// the same index, so a loop-head label bound at the condition's first
+    /// only references jump instructions), and the fused replacement
+    /// takes the same index, so a label bound at the condition's first
     /// instruction still lands correctly.
-    fn branch_if_zero(&mut self, cond: &'p Expr, label: u32) -> Result<(), CompileError> {
+    fn branch_if(&mut self, cond: &'p Expr, taken: bool, label: u32) -> Result<(), CompileError> {
         let mark = self.code.len();
         let temps_from = self.cur_temp;
         let (c, _) = self.expr_value(cond)?;
         if self.code.len() > mark && c >= temps_from {
             let last = *self.code.last().expect("non-empty past mark");
-            let fused = match (last.operator(), last) {
+            let op = last.operator().and_then(|op| if taken { negated(op) } else { Some(op) });
+            let fused = match (op, last) {
                 (Some(op), binary_forms!(bin { cost, dst, lhs, rhs })) if dst == c => {
                     Some(Insn::brz(op, cost + self.pending, lhs, rhs, 0))
                 }
@@ -314,7 +348,13 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 return Ok(());
             }
         }
-        self.jump_if_zero(c, label);
+        let cost = self.take_pending();
+        let branch = match taken {
+            false => Insn::JumpIfZero { cost, cond: c, target: 0 },
+            true => Insn::brz_imm(BinOp::Eq, cost, c, 0, 0),
+        };
+        let at = self.emit(branch);
+        self.patches.push((at, label));
         Ok(())
     }
 
@@ -610,7 +650,7 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
             Stmt::If { cond, then, els } => {
                 let else_l = self.new_label();
                 let end_l = self.new_label();
-                self.branch_if_zero(cond, else_l)?;
+                self.branch_if(cond, false, else_l)?;
                 self.block(then)?;
                 self.jump_to(end_l);
                 self.bind(else_l);
@@ -620,16 +660,27 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 Ok(())
             }
             Stmt::While { cond, body } => {
-                let head = self.new_label();
+                // Rotated: a guard test at entry, then the body, then the
+                // condition again as a branch back to the body, so no
+                // iteration pays a back-edge jump. The statement's own
+                // burn rides on the guard's first instruction, which no
+                // label precedes, so it is charged once; the body's
+                // trailing burns ride on the bottom test's first, which
+                // the AST engine charges just before it too. The bottom
+                // test resolves names in the scope the guard saw, before
+                // the body: a `var` in a branch of the body that never
+                // runs must not change what the condition reads.
+                let body_l = self.new_label();
                 let exit = self.new_label();
-                // The statement's own burn is charged once, before the
-                // first condition evaluation — flush it ahead of the loop
-                // head so iterations don't recharge it.
-                self.flush();
-                self.bind(head);
-                self.branch_if_zero(cond, exit)?;
+                let temps = self.cur_temp;
+                let head_vars = self.vars.clone();
+                self.branch_if(cond, false, exit)?;
+                self.bind(body_l);
                 self.block(body)?;
-                self.jump_to(head);
+                let body_vars = std::mem::replace(&mut self.vars, head_vars);
+                self.cur_temp = temps;
+                self.branch_if(cond, true, body_l)?;
+                self.vars = body_vars;
                 self.bind(exit);
                 Ok(())
             }

@@ -15,10 +15,18 @@
 //! engine's host-throughput win over the `HashMap`-per-access tree
 //! walker comes from. Every instruction is one arm of one `match`: each
 //! binary operator's four forms have arms of their own, expanded from the
-//! operator table, so no instruction dispatches twice. Fuel is the only
-//! per-instruction counter: the machine clock is ticked at flush points,
-//! not per instruction (see the [`bytecode`](crate::bytecode) module's
-//! *Cost accounting*).
+//! operator table, so no instruction dispatches twice. The `match` reads
+//! the instruction in place, so each arm loads only its own operands.
+//!
+//! Fuel is the only per-instruction counter: the machine clock is ticked
+//! at flush points, not per instruction (see the
+//! [`bytecode`](crate::bytecode) module's *Cost accounting*). The loop
+//! keeps its hot state in locals, which the host compiler holds in
+//! registers: the fuel counter, and the frame's slot window (a pointer to
+//! `stack[base]`). Each frame counts the fuel down in a local copy of its
+//! caller's, handed back when the frame returns or fails; a `Call` hands
+//! the callee a copy in turn. Only a `Call` can grow the value stack, so
+//! the window is re-derived after each one.
 
 use crate::backend::{Backend, BackendError, PoolHandle};
 use crate::bytecode::{binary_forms, binary_ops, BcProgram, Insn, POOL_NONE, SLOT_NONE};
@@ -36,8 +44,7 @@ struct Vm<'p, 'm, 'b> {
     /// Shared pool-register stack, windowed like `stack`.
     pool_stack: Vec<PoolHandle>,
     output: Vec<i64>,
-    fuel: u64,
-    /// `fuel` at the last [`Vm::flush`]: the steps burnt since then are
+    /// Fuel left at the last [`Vm::flush`]: the steps burnt since then are
     /// not yet on the machine clock.
     flushed: u64,
     /// Live MiniC frames, `main` included.
@@ -237,7 +244,6 @@ pub fn run_compiled(
         stack: Vec::with_capacity(256),
         pool_stack: Vec::new(),
         output: Vec::new(),
-        fuel,
         flushed: fuel,
         depth: 1,
     };
@@ -245,8 +251,9 @@ pub fn run_compiled(
     vm.stack.resize(f.nslots as usize, 0);
     vm.pool_stack.resize(f.npools as usize, 0);
     crate::enter_main(vm.machine);
-    let res = vm.exec(main, 0, 0);
-    vm.flush();
+    let mut left = fuel;
+    let res = vm.exec(&mut left, main, 0, 0);
+    vm.flush(left);
     if let Err(e) = res {
         crate::abort_frames(vm.machine, vm.depth);
         return Err(e);
@@ -255,45 +262,45 @@ pub fn run_compiled(
     vm.machine.telemetry_mut().pop_call();
     // Fuel is the only per-instruction counter, so the step count is just
     // the fuel consumed.
-    Ok(RunOutcome { output: vm.output, steps_used: fuel - vm.fuel })
+    Ok(RunOutcome { output: vm.output, steps_used: fuel - left })
 }
 
-/// Expands to one `match $insn` holding the `$arms` given and four arms
+/// Expands to one `match *$insn` holding the `$arms` given and four arms
 /// per row of the operator table, one per form, each computing its own
 /// operator inline: a binary instruction costs one dispatch, like every
 /// other.
 macro_rules! dispatch {
-    ($vm:ident, $insn:ident, $base:ident, $pc:ident, { $($arms:tt)* }
+    ($insn:ident, $fuel:ident, $slots:ident, $pc:ident, { $($arms:tt)* }
      $($bin:ident $bin_imm:ident $brz:ident $brz_imm:ident = |$a:ident, $b:ident| $value:expr;)*) => {
-        match $insn {
+        match *$insn {
             $($arms)*
             $(
                 Insn::$bin { cost, dst, lhs, rhs } => {
-                    $vm.charge(cost)?;
-                    let $a = $vm.get($base + lhs as usize);
-                    let $b = $vm.get($base + rhs as usize);
+                    charge($fuel, cost)?;
+                    let $a = $slots.get(lhs);
+                    let $b = $slots.get(rhs);
                     let v: Result<i64, RunError> = $value;
-                    $vm.set($base + dst as usize, v?);
+                    $slots.set(dst, v?);
                 }
                 Insn::$bin_imm { cost, dst, lhs, imm } => {
-                    $vm.charge(cost)?;
-                    let $a = $vm.get($base + lhs as usize);
+                    charge($fuel, cost)?;
+                    let $a = $slots.get(lhs);
                     let $b = imm;
                     let v: Result<i64, RunError> = $value;
-                    $vm.set($base + dst as usize, v?);
+                    $slots.set(dst, v?);
                 }
                 Insn::$brz { cost, lhs, rhs, target } => {
-                    $vm.charge(cost)?;
-                    let $a = $vm.get($base + lhs as usize);
-                    let $b = $vm.get($base + rhs as usize);
+                    charge($fuel, cost)?;
+                    let $a = $slots.get(lhs);
+                    let $b = $slots.get(rhs);
                     let v: Result<i64, RunError> = $value;
                     if v? == 0 {
                         $pc = target as usize;
                     }
                 }
                 Insn::$brz_imm { cost, lhs, imm, target } => {
-                    $vm.charge(cost)?;
-                    let $a = $vm.get($base + lhs as usize);
+                    charge($fuel, cost)?;
+                    let $a = $slots.get(lhs);
                     let $b = imm;
                     let v: Result<i64, RunError> = $value;
                     if v? == 0 {
@@ -305,145 +312,196 @@ macro_rules! dispatch {
     };
 }
 
-impl Vm<'_, '_, '_> {
-    /// Charges `cost` coalesced burns against the fuel only; exhaustion
-    /// mid-charge still burns the remaining fuel before failing, matching
-    /// the AST engine's one-burn-at-a-time exhaustion point. The burns
-    /// reach the machine clock at the next [`Vm::flush`].
+/// Charges `cost` coalesced burns against `fuel`, the fuel left;
+/// exhaustion mid-charge still burns the remaining fuel before failing,
+/// matching the AST engine's one-burn-at-a-time exhaustion point. The
+/// burns reach the machine clock at the next [`Vm::flush`].
+#[inline(always)]
+fn charge(fuel: &mut u64, cost: u32) -> Result<(), RunError> {
+    let cost = u64::from(cost);
+    if *fuel < cost {
+        *fuel = 0;
+        return Err(RunError::OutOfFuel);
+    }
+    *fuel -= cost;
+    Ok(())
+}
+
+/// A frame's value slots, `stack[base..base + nslots]`, as the pointer
+/// [`Vm::exec`] keeps in a register: a slot access adds the slot to it,
+/// without reloading the stack's buffer first.
+#[derive(Clone, Copy)]
+struct Slots {
+    ptr: *mut i64,
+    /// The frame's `nslots`, for the debug-build bounds check.
+    len: u16,
+}
+
+impl Slots {
+    /// Reads slot `s`.
+    ///
+    /// Contract (callers): `s` is a slot operand of the frame's own code,
+    /// and `self` was derived after the frame's last `Call` returned.
     #[inline(always)]
-    fn charge(&mut self, cost: u32) -> Result<(), RunError> {
-        let cost = u64::from(cost);
-        if self.fuel < cost {
-            self.fuel = 0;
-            return Err(RunError::OutOfFuel);
-        }
-        self.fuel -= cost;
-        Ok(())
+    fn get(self, s: u16) -> i64 {
+        debug_assert!(s < self.len);
+        // SAFETY: [`verify`] checked every slot operand of the function
+        // against its `nslots`, so `s` is inside the window. The window
+        // was derived from the value stack at frame entry or after the
+        // frame's last `Call`; a `Call` is the only instruction that
+        // resizes the stack, and it truncates it back to at least
+        // `base + nslots`, so the buffer has not moved since.
+        unsafe { *self.ptr.add(usize::from(s)) }
     }
 
-    /// Ticks the machine with the fuel burnt since the last flush. Nothing
-    /// reads the clock between two flushes, so the VM flushes only where
-    /// the AST engine's per-burn clock is observable: before every
-    /// `Backend` call, before a call's `push_call`/`span_enter` and again
-    /// before its `span_exit`/`pop_call`, and on every exit from
-    /// [`run_compiled`]. Each flush lands the burns in the span the AST
-    /// engine ticked them in, so clocks, event stamps and span attribution
-    /// are identical between engines. A VM that yields mid-run must flush
-    /// first.
+    /// Writes slot `s`; same contract as [`Slots::get`].
     #[inline(always)]
-    fn flush(&mut self) {
-        let burnt = self.flushed - self.fuel;
+    fn set(self, s: u16, v: i64) {
+        debug_assert!(s < self.len);
+        // SAFETY: as in [`Slots::get`]: `s < nslots` by [`verify`], and
+        // the window was re-derived after the frame's last `Call`.
+        unsafe { *self.ptr.add(usize::from(s)) = v }
+    }
+}
+
+impl Vm<'_, '_, '_> {
+    /// Ticks the machine with the fuel burnt since the last flush, `fuel`
+    /// being the fuel left now. Nothing reads the clock between two
+    /// flushes, so the VM flushes only where the AST engine's per-burn
+    /// clock is observable: before every `Backend` call, before a call's
+    /// `push_call`/`span_enter` and again before its `span_exit`/`pop_call`,
+    /// and on every exit from [`run_compiled`]. Each flush lands the burns
+    /// in the span the AST engine ticked them in, so clocks, event stamps
+    /// and span attribution are identical between engines. A VM that
+    /// yields mid-run must keep the fuel left and flush first.
+    #[inline(always)]
+    fn flush(&mut self, fuel: u64) {
+        let burnt = self.flushed - fuel;
         if burnt > 0 {
             self.machine.tick(burnt);
-            self.flushed = self.fuel;
+            self.flushed = fuel;
         }
     }
 
-    /// Reads value-stack index `i`.
-    ///
-    /// SAFETY contract (callers): `i = base + slot` where `slot` passed
-    /// [`verify`] against the current frame's `nslots`, and the stack is
-    /// `base + nslots` long between instructions of that frame.
+    /// The slot window of a frame of `nslots` slots at `base`.
     #[inline(always)]
-    fn get(&self, i: usize) -> i64 {
-        debug_assert!(i < self.stack.len());
-        unsafe { *self.stack.get_unchecked(i) }
+    fn slots(&mut self, base: usize, nslots: u16) -> Slots {
+        let window = &mut self.stack[base..base + usize::from(nslots)];
+        Slots { ptr: window.as_mut_ptr(), len: nslots }
     }
 
-    /// Writes value-stack index `i`; same contract as [`Self::get`].
-    #[inline(always)]
-    fn set(&mut self, i: usize, v: i64) {
-        debug_assert!(i < self.stack.len());
-        unsafe {
-            *self.stack.get_unchecked_mut(i) = v;
-        }
+    /// Runs function `fidx` in the frame at `base` (value stack) and
+    /// `pbase` (pool stack), counting `fuel`, the fuel left, down however
+    /// the frame ends.
+    fn exec(
+        &mut self,
+        fuel: &mut u64,
+        fidx: u16,
+        base: usize,
+        pbase: usize,
+    ) -> Result<i64, RunError> {
+        let mut left = *fuel;
+        let res = self.run_frame(&mut left, fidx, base, pbase);
+        *fuel = left;
+        res
     }
 
-    fn exec(&mut self, fidx: u16, base: usize, pbase: usize) -> Result<i64, RunError> {
+    /// The dispatch loop of [`Vm::exec`], inlined into it so that `fuel`
+    /// points at a local whose address never escapes: the host compiler
+    /// then holds it in a register. Counted through `exec`'s own `&mut`,
+    /// every charge would load and store it.
+    #[inline(always)]
+    fn run_frame(
+        &mut self,
+        fuel: &mut u64,
+        fidx: u16,
+        base: usize,
+        pbase: usize,
+    ) -> Result<i64, RunError> {
         let prog = self.prog;
         let func = &prog.funcs[fidx as usize];
         let code = func.code.as_slice();
+        let mut slots = self.slots(base, func.nslots);
         let mut pc = 0usize;
         loop {
             // SAFETY: pc starts at 0 on non-empty code; [`verify`] checked
             // every jump target is in-bounds and the last instruction is
             // an unconditional `ret`, so fall-through never passes the end.
             debug_assert!(pc < code.len());
-            let insn = unsafe { *code.get_unchecked(pc) };
+            let insn = unsafe { code.get_unchecked(pc) };
             pc += 1;
             // One flat `match`: the arms below, plus the operator table's
             // four forms per operator.
-            binary_ops!(dispatch! { self, insn, base, pc, {
+            binary_ops!(dispatch! { insn, fuel, slots, pc, {
                 Insn::Const { cost, dst, val } => {
-                    self.charge(cost)?;
-                    self.set(base + dst as usize, val);
+                    charge(fuel, cost)?;
+                    slots.set(dst, val);
                 }
                 Insn::Copy { cost, dst, src } => {
-                    self.charge(cost)?;
-                    let v = self.get(base + src as usize);
-                    self.set(base + dst as usize, v);
+                    charge(fuel, cost)?;
+                    slots.set(dst, slots.get(src));
                 }
                 Insn::GlobalGet { cost, dst, idx } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                     // SAFETY: `idx` verified against `global_names`, and
                     // `globals` is sized from it in `run_compiled`.
                     let v = unsafe { *self.globals.get_unchecked(idx as usize) };
-                    self.set(base + dst as usize, v);
+                    slots.set(dst, v);
                 }
                 Insn::GlobalSet { cost, idx, src } => {
-                    self.charge(cost)?;
-                    let v = self.get(base + src as usize);
+                    charge(fuel, cost)?;
+                    let v = slots.get(src);
                     // SAFETY: as in `GlobalGet`.
                     unsafe {
                         *self.globals.get_unchecked_mut(idx as usize) = v;
                     }
                 }
                 Insn::Jump { cost, target } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                     pc = target as usize;
                 }
                 Insn::JumpIfZero { cost, cond, target } => {
-                    self.charge(cost)?;
-                    if self.get(base + cond as usize) == 0 {
+                    charge(fuel, cost)?;
+                    if slots.get(cond) == 0 {
                         pc = target as usize;
                     }
                 }
                 Insn::Tick { cost } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                 }
                 Insn::Index { cost, dst, base: b, index, elem_size } => {
-                    self.charge(cost)?;
-                    let bv = self.get(base + b as usize);
-                    let iv = self.get(base + index as usize);
+                    charge(fuel, cost)?;
+                    let bv = slots.get(b);
+                    let iv = slots.get(index);
                     if bv == 0 {
                         return Err(RunError::NullDereference);
                     }
                     let addr =
                         (bv as u64).wrapping_add((iv as u64).wrapping_mul(u64::from(elem_size)));
-                    self.set(base + dst as usize, addr as i64);
+                    slots.set(dst, addr as i64);
                 }
                 Insn::LoadField { cost, dst, base: b, offset } => {
-                    self.charge(cost)?;
-                    let bv = self.get(base + b as usize);
+                    charge(fuel, cost)?;
+                    let bv = slots.get(b);
                     if bv == 0 {
                         return Err(RunError::NullDereference);
                     }
-                    self.flush();
+                    self.flush(*fuel);
                     let raw = self.backend.load(
                         self.machine,
                         VirtAddr(bv as u64).add(u64::from(offset)),
                         8,
                     )?;
-                    self.set(base + dst as usize, raw as i64);
+                    slots.set(dst, raw as i64);
                 }
                 Insn::StoreField { cost, base: b, offset, src } => {
-                    self.charge(cost)?;
-                    let v = self.get(base + src as usize);
-                    let bv = self.get(base + b as usize);
+                    charge(fuel, cost)?;
+                    let v = slots.get(src);
+                    let bv = slots.get(b);
                     if bv == 0 {
                         return Err(RunError::NullDereference);
                     }
-                    self.flush();
+                    self.flush(*fuel);
                     self.backend.store(
                         self.machine,
                         VirtAddr(bv as u64).add(u64::from(offset)),
@@ -452,9 +510,9 @@ impl Vm<'_, '_, '_> {
                     )?;
                 }
                 Insn::Malloc { cost, dst, size, nfields, pool, unchecked } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                     let handle = self.pool_handle(pbase, pool);
-                    self.flush();
+                    self.flush(*fuel);
                     let addr = if unchecked {
                         self.backend.alloc_unchecked(self.machine, size as usize, handle)?
                     } else {
@@ -466,11 +524,11 @@ impl Vm<'_, '_, '_> {
                     for i in 0..u64::from(nfields) {
                         self.backend.store(self.machine, addr.add(i * 8), 8, 0)?;
                     }
-                    self.set(base + dst as usize, addr.raw() as i64);
+                    slots.set(dst, addr.raw() as i64);
                 }
                 Insn::MallocArray { cost, dst, count, elem_size, nfields, pool, unchecked } => {
-                    self.charge(cost)?;
-                    let n = self.get(base + count as usize);
+                    charge(fuel, cost)?;
+                    let n = slots.get(count);
                     if !(0..=1 << 20).contains(&n) {
                         return Err(RunError::Backend(BackendError::Other(format!(
                             "malloc_array count {n} out of range"
@@ -478,7 +536,7 @@ impl Vm<'_, '_, '_> {
                     }
                     let total = elem_size as usize * (n.max(1) as usize);
                     let handle = self.pool_handle(pbase, pool);
-                    self.flush();
+                    self.flush(*fuel);
                     let addr = if unchecked {
                         self.backend.alloc_unchecked(self.machine, total, handle)?
                     } else {
@@ -487,14 +545,14 @@ impl Vm<'_, '_, '_> {
                     for i in 0..u64::from(nfields) * n.max(1) as u64 {
                         self.backend.store(self.machine, addr.add(i * 8), 8, 0)?;
                     }
-                    self.set(base + dst as usize, addr.raw() as i64);
+                    slots.set(dst, addr.raw() as i64);
                 }
                 Insn::Free { cost, src, pool, unchecked } => {
-                    self.charge(cost)?;
-                    let v = self.get(base + src as usize);
+                    charge(fuel, cost)?;
+                    let v = slots.get(src);
                     if v != 0 {
                         let handle = self.pool_handle(pbase, pool);
-                        self.flush();
+                        self.flush(*fuel);
                         if unchecked {
                             self.backend.free_unchecked(
                                 self.machine,
@@ -507,19 +565,19 @@ impl Vm<'_, '_, '_> {
                     }
                 }
                 Insn::PoolCreate { cost, dst, elem_size } => {
-                    self.charge(cost)?;
-                    self.flush();
+                    charge(fuel, cost)?;
+                    self.flush(*fuel);
                     let h = self.backend.pool_create(self.machine, elem_size as usize)?;
                     self.pool_stack[pbase + dst as usize] = h;
                 }
                 Insn::PoolDestroy { cost, pool } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                     let h = self.pool_stack[pbase + pool as usize];
-                    self.flush();
+                    self.flush(*fuel);
                     self.backend.pool_destroy(self.machine, h)?;
                 }
                 Insn::Call { cost, dst, site } => {
-                    self.charge(cost)?;
+                    charge(fuel, cost)?;
                     // The AST engine's check point: arguments evaluated,
                     // callee frame not yet pushed.
                     if self.depth >= MAX_CALL_DEPTH {
@@ -540,34 +598,36 @@ impl Vm<'_, '_, '_> {
                     // An error path keeps the callee on the shadow stack,
                     // exactly like the AST engine.
                     self.depth += 1;
-                    self.flush();
+                    self.flush(*fuel);
                     self.machine.telemetry_mut().push_call(&callee.name);
                     self.machine.span_enter(&callee.name, Category::App);
-                    let v = self.exec(cs.func, nbase, npbase)?;
-                    self.flush();
+                    // The callee counts down a copy, on error too, so
+                    // that `fuel`'s local stays in a register.
+                    let mut left = *fuel;
+                    let v = self.exec(&mut left, cs.func, nbase, npbase);
+                    *fuel = left;
+                    let v = v?;
+                    self.flush(*fuel);
                     self.machine.span_exit();
                     self.machine.telemetry_mut().pop_call();
                     self.depth -= 1;
                     self.stack.truncate(nbase);
                     self.pool_stack.truncate(npbase);
-                    self.set(base + dst as usize, v);
+                    // The callee's frame may have moved the stack's buffer.
+                    slots = self.slots(base, func.nslots);
+                    slots.set(dst, v);
                 }
                 Insn::Ret { cost, src } => {
-                    self.charge(cost)?;
-                    return Ok(if src == SLOT_NONE {
-                        0
-                    } else {
-                        self.get(base + src as usize)
-                    });
+                    charge(fuel, cost)?;
+                    return Ok(if src == SLOT_NONE { 0 } else { slots.get(src) });
                 }
                 Insn::Print { cost, src } => {
-                    self.charge(cost)?;
-                    let v = self.get(base + src as usize);
-                    self.output.push(v);
+                    charge(fuel, cost)?;
+                    self.output.push(slots.get(src));
                 }
                 Insn::FailNotPtr { cost, base: b } => {
-                    self.charge(cost)?;
-                    return Err(if self.get(base + b as usize) == 0 {
+                    charge(fuel, cost)?;
+                    return Err(if slots.get(b) == 0 {
                         RunError::NullDereference
                     } else {
                         RunError::NotAPointer

@@ -305,13 +305,39 @@ fn random_programs_agree_pool_transformed_on_shadow_pool() {
 fn fuel_sweep_pins_exhaustion_point() {
     // Every prefix of the burn sequence must exhaust at the same point
     // with the same final clock: the coalesced per-instruction costs may
-    // never move a burn across a backend call or a loop boundary.
+    // never move a burn across a backend call or a loop boundary. Loops
+    // are rotated (a guard test, the body, a bottom test), so `shapes`
+    // runs one loop per kind of bottom test, each for zero, one and three
+    // trips: the fused negations of `<=`, `>`, `==`, `>=` and of the field
+    // load's `>`, and `brz.Eq v, #0` on a bare variable and on `&&`. The
+    // `<` and `!=` loops cover the other two fused negations.
     let src = "
         struct node { next: ptr<node>, val: int }
         fn sum(p: ptr<node>) -> int {
             var s: int = 0;
             while (p != null) { s = s + p->val; p = p->next; }
             return s;
+        }
+        fn shapes(n: int) -> int {
+            var t: int = 0;
+            var i: int = 1;
+            while (i <= n) { t = t + i; i = i + 1; }
+            i = n;
+            while (i > 0) { t = t * 2; i = i - 1; }
+            var more: int = 0 < n;
+            i = 0;
+            while (more == 1) { t = t + 3; i = i + 1; more = i < n; }
+            i = n;
+            while (i) { t = t + 5; i = i - 1; }
+            i = 0;
+            while (i < n && t > 0) { t = t - 1; i = i + 1; }
+            i = n;
+            while (i >= 1) { t = t + 7; i = i - 1; }
+            var c: ptr<node> = malloc(node);
+            c->val = n;
+            while (c->val > 0) { t = t + c->val; c->val = c->val - 1; }
+            free(c);
+            return t;
         }
         fn main() {
             var head: ptr<node> = null;
@@ -324,15 +350,30 @@ fn fuel_sweep_pins_exhaustion_point() {
                 i = i + 1;
             }
             print(sum(head));
+            print(shapes(0));
+            print(shapes(1));
+            print(shapes(3));
         }";
     let prog = parse(src).unwrap();
-    for fuel in 0..400 {
-        assert_agree(
-            &prog,
-            || Box::new(NativeBackend::new()),
-            fuel,
-            &format!("fuel {fuel}"),
-        );
+    let listing = compile(&prog).unwrap().disassemble();
+    for bottom in [
+        "brz.Gt",
+        "brz.Le",
+        "brz.Ne",
+        "brz.Eq %i, #0",
+        "brz.Eq %t0, #0",
+        "brz.Lt %i, #1",
+        "brz.Ge",
+    ] {
+        assert!(listing.contains(bottom), "no `{bottom}` in\n{listing}");
+    }
+    assert!(!listing.contains("jump"), "a loop kept its back-edge jump:\n{listing}");
+    let native = || Box::new(NativeBackend::new()) as Box<dyn Backend>;
+    let full = assert_agree(&prog, native, FUEL, "full run");
+    let out = full.result.expect("the program runs clean");
+    assert_eq!(out.output, [18, 0, 17, 96]);
+    for fuel in 0..=out.steps_used {
+        assert_agree(&prog, native, fuel, &format!("fuel {fuel}"));
     }
 }
 
@@ -398,6 +439,49 @@ fn fuel_sweep_crosses_every_kind_of_backend_call() {
         reached = o.calls.len();
     }
     assert_eq!(reached, full.calls.len(), "the sweep ends at the full run");
+}
+
+#[test]
+fn loop_conditions_resolve_names_as_at_the_loop_head() {
+    // A `var` in a loop body that never runs must not change what the
+    // loop's condition reads: the AST engine keeps one runtime map, so
+    // the condition reads the names as they stand at the loop, and the
+    // rotated loop's bottom test must too, like its guard.
+    for (name, src, want) in [
+        (
+            "shadowed global",
+            "global g: int;
+             fn main() {
+                 var i: int = 0;
+                 while (g < 3) { g = g + 1; if (i > 100) { var g: int = 0; } i = i + 1; }
+                 print(i);
+             }",
+            3,
+        ),
+        (
+            "retyped pointer",
+            "struct a { v: int }
+             struct b { w: int }
+             fn main() {
+                 var p: ptr<a> = malloc(a);
+                 p->v = 2;
+                 var n: int = 0;
+                 while (p->v > 0) {
+                     p->v = p->v - 1;
+                     n = n + 1;
+                     if (n > 100) { var p: ptr<b> = null; }
+                 }
+                 print(n);
+                 free(p);
+             }",
+            2,
+        ),
+    ] {
+        let prog = parse(src).unwrap();
+        let seen = assert_agree(&prog, || Box::new(NativeBackend::new()), 10_000, name);
+        let out = seen.result.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(out.output, [want], "{name}");
+    }
 }
 
 #[test]
@@ -578,21 +662,27 @@ const OPERATORS: [(&str, &str); 13] = [
     ("||", "Or"),
 ];
 
-/// Declares the register operands `i64::MIN`, -1, 0, 1 and `i64::MAX`.
-/// MiniC has no negative literals (`-x` parses as `0 - x`), so the
-/// negative ones are computed at run time.
+/// Declares the register operands `i64::MIN`, -1, 0, 1, `i64::MAX`, 2^16
+/// and -2^16. MiniC has no negative literals (`-x` parses as `0 - x`), so
+/// the negative ones are computed at run time.
 const EDGE_DECLS: &str = "var min: int = 0 - 9223372036854775807 - 1; var neg: int = 0 - 1; \
-    var zero: int = 0; var one: int = 1; var max: int = 9223372036854775807;";
-const EDGE_REGISTERS: [&str; 5] = ["min", "neg", "zero", "one", "max"];
-/// Literal right operands, which cannot be negative.
-const EDGE_LITERALS: [&str; 4] = ["0", "1", "2", "9223372036854775807"];
+    var zero: int = 0; var one: int = 1; var max: int = 9223372036854775807; \
+    var pow: int = 65536; var negpow: int = 0 - 65536;";
+const EDGE_REGISTERS: [&str; 7] = ["min", "neg", "zero", "one", "max", "pow", "negpow"];
+/// Literal right operands, which cannot be negative: 1, 2, 2^16 and 2^62
+/// are the powers of two that division and remainder shift and mask by.
+const EDGE_LITERALS: [&str; 6] =
+    ["0", "1", "2", "65536", "4611686018427387904", "9223372036854775807"];
 
 #[test]
 fn every_operator_agrees_at_edge_values_in_every_form() {
     // Each operator in its four forms: a register and a literal right
     // operand, each as a value and as a branch condition (the fused
     // compare-and-branch forms), over operands the random programs, which
-    // draw only small literals, never reach. A zero divisor ends its run,
+    // draw only small literals, never reach. Division and remainder meet
+    // positive powers of two, which they shift and mask by, with negative,
+    // non-multiple and `i64::MIN` dividends, and meet -2^16, which must
+    // take the divide, with every dividend. A zero divisor ends its run,
     // so each one gets a run of its own.
     for (op, name) in OPERATORS {
         for (sigil, rhss) in [('%', &EDGE_REGISTERS[..]), ('#', &EDGE_LITERALS[..])] {
@@ -702,6 +792,12 @@ fn aborted_runs_leave_no_frames_behind_in_either_engine() {
          fn main() { print(div(1, 0)); }"
             .to_string(),
         "fn spin() { while (1) { } } fn main() { spin(); }".to_string(),
+        // The body frees what the condition reads: the guard passes, and
+        // the trap fires in the rotated loop's bottom test.
+        "struct s { v: int }
+         fn drain(p: ptr<s>) { while (p->v > 0) { free(p); } }
+         fn main() { var p: ptr<s> = malloc(s); p->v = 2; drain(p); }"
+            .to_string(),
     ];
     let faulting: Vec<Program> = faulting.iter().map(|s| parse(s).unwrap()).collect();
     let clean = parse(
@@ -817,9 +913,11 @@ fn figure_one_pooled_disassembly_is_pinned() {
 fn keepalive_checksum_disassembly_is_pinned() {
     // The hot inner loop of perfbench's keepalive-vm workload, where most
     // of its executed instructions are: the whole `acc = (acc*31 + i) %
-    // 65536` body stays register-resident (no loads, no calls), the loop
-    // carries two jumps, and each binary op is one instruction of its
-    // operator's own. A diff here moves that workload's host speed.
+    // 65536` body stays register-resident (no loads, no calls), the
+    // rotated loop ends each iteration in one fused `brz.Ge` back to the
+    // body, with no back-edge `jump`, and each binary op is one
+    // instruction of its operator's own. A diff here moves that
+    // workload's host speed.
     let src = corpus::ghttpd_keepalive(2, 2);
     let bc = compile(&parse(&src).unwrap()).unwrap();
     let f = bc.funcs.iter().find(|f| f.name == "checksum").unwrap();

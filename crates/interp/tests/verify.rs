@@ -19,7 +19,9 @@ use std::mem::discriminant;
 const FUEL: u64 = 1_000_000;
 
 /// The program every test mutates, pool-transformed so that it has pool
-/// registers, a pool argument, a global, a loop and a call with arguments:
+/// registers, a pool argument, a global, a rotated loop, an `if`/`else`
+/// (whose `jump` over the `else` block is the only `jump`) and a call
+/// with arguments:
 ///
 /// ```text
 /// fn push (params 2, slots 3, pools 1/1)
@@ -33,19 +35,21 @@ const FUEL: u64 = 1_000_000;
 ///     0: [+1] poolcreate $p0 <- elem 16
 ///     1: [+2] const %head <- 0
 ///     2: [+2] const %i <- 0
-///     3: [+1] tick
-///     4: [+3] brz.Lt %i, #3 -> 11
-///     5: [+4] call %head <- f0(%head, %i) pools [$p0]
-///     6: [+3] gget %t1 <- g0
-///     7: [+1] bin.Add %t0 <- %t1, %i
-///     8: [+0] gset g0 <- %t0
-///     9: [+4] bin.Add %i <- %i, #1
-///    10: [+0] jump 4
+///     3: [+4] brz.Lt %i, #3 -> 10
+///     4: [+4] call %head <- f0(%head, %i) pools [$p0]
+///     5: [+3] gget %t1 <- g0
+///     6: [+1] bin.Add %t0 <- %t1, %i
+///     7: [+0] gset g0 <- %t0
+///     8: [+4] bin.Add %i <- %i, #1
+///     9: [+3] brz.Ge %i, #3 -> 4
+///    10: [+4] brz.Eq %i, #3 -> 13
 ///    11: [+2] free %head (pool $p0)
-///    12: [+2] gget %t0 <- g0
-///    13: [+0] print %t0
-///    14: [+1] pooldestroy $p0
-///    15: [+0] ret _
+///    12: [+0] jump 14
+///    13: [+2] print %i
+///    14: [+2] gget %t0 <- g0
+///    15: [+0] print %t0
+///    16: [+1] pooldestroy $p0
+///    17: [+0] ret _
 /// ```
 fn base() -> BcProgram {
     let src = "
@@ -65,7 +69,11 @@ fn base() -> BcProgram {
                 total = total + i;
                 i = i + 1;
             }
-            free(head);
+            if (i == 3) {
+                free(head);
+            } else {
+                print(i);
+            }
             print(total);
         }";
     let (pooled, _) = pool_allocate(&parse(src).unwrap());
@@ -282,7 +290,7 @@ fn jump_target_out_of_range() {
 fn every_binary_form_is_verified() {
     // Each operator's four forms in turn take the place of `main`'s
     // `bin.Add %t0 <- %t1, %i` (the register and literal forms) or of its
-    // loop condition `brz.Lt %i, #3 -> 11` (the branch forms). Each placed
+    // loop guard `brz.Lt %i, #3 -> 10` (the branch forms). Each placed
     // form verifies; then each of its slot operands, and each branch
     // form's target, goes out of range.
     let prog = base();

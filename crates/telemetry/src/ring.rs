@@ -193,7 +193,8 @@ impl EventRing {
     }
 
     /// Appends an event, evicting the oldest if full. Never allocates
-    /// beyond the capacity reserved at construction.
+    /// beyond the capacity reserved at construction. The head wraps by a
+    /// compare, not a divide: this runs on every recorded event.
     pub fn push(&mut self, ev: Event) {
         if self.capacity == 0 {
             return;
@@ -203,7 +204,10 @@ impl EventRing {
         } else {
             self.buf[self.head] = ev;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
         self.recorded += 1;
     }
 
@@ -293,6 +297,21 @@ mod tests {
         assert_eq!(r.iter().map(|e| e.clock).collect::<Vec<_>>(), vec![0, 1, 2]);
         r.push(ev(3));
         assert_eq!(r.iter().map(|e| e.clock).collect::<Vec<_>>(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn every_capacity_keeps_the_newest_events_in_order() {
+        // The head wraps by a compare: at capacity 1 it wraps on every
+        // push, and at every capacity the ring holds the newest events.
+        for cap in 1..=5 {
+            let mut r = EventRing::new(cap);
+            for n in 0..13u64 {
+                let first = n.saturating_sub(cap as u64);
+                let want: Vec<u64> = (first..n).collect();
+                assert_eq!(r.iter().map(|e| e.clock).collect::<Vec<_>>(), want, "cap {cap}");
+                r.push(ev(n));
+            }
+        }
     }
 
     #[test]
