@@ -13,33 +13,22 @@
 //! Workloads in this workspace pass plain 64-bit addresses, so the checker
 //! encodes the capability in the *upper 16 bits* of the returned address —
 //! a tagged-pointer realization of the same idea. Arithmetic on tagged
-//! pointers preserves the tag; [`CheckedMemory`] strips it, verifies it
-//! against the owning block's live capability, and accesses the real
-//! address. Capabilities are 16-bit here (the originals use 32-bit), so
-//! like SafeC the guarantee is "with high probability": a stale pointer is
-//! missed only if the storage is re-allocated under a colliding capability
-//! (1 in 65,536).
+//! pointers preserves the tag; [`CapabilityChecker::check`] strips it,
+//! verifies it against the owning block's live capability, and returns
+//! the real address to access. Capabilities are 16-bit here (the
+//! originals use 32-bit), so like SafeC the guarantee is "with high
+//! probability": a stale pointer is missed only if the storage is
+//! re-allocated under a colliding capability (1 in 65,536).
 
-use crate::{CheckError, CheckedMemory};
 use dangle_heap::{AllocError, AllocStats, Allocator, SysHeap};
 use dangle_vmm::{Machine, VirtAddr};
 use std::collections::{BTreeMap, HashSet};
 
-/// Configuration of the [`CapabilityChecker`] baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct CapabilityConfig {
-    /// Cycles per software access check (compiled-in check, much cheaper
-    /// than Valgrind's DBI).
-    pub per_access_cost: u64,
-    /// Extra cycles per malloc/free (capability create/destroy).
-    pub per_alloc_cost: u64,
-}
-
-impl Default for CapabilityConfig {
-    fn default() -> CapabilityConfig {
-        CapabilityConfig { per_access_cost: 3, per_alloc_cost: 120 }
-    }
-}
+/// Cycles per software access check (compiled-in check, much cheaper
+/// than Valgrind's DBI).
+const PER_ACCESS_COST: u64 = 3;
+/// Extra cycles per malloc/free (capability create/destroy).
+const PER_ALLOC_COST: u64 = 120;
 
 const TAG_SHIFT: u32 = 48;
 const ADDR_MASK: u64 = (1 << TAG_SHIFT) - 1;
@@ -63,7 +52,6 @@ struct Block {
 #[derive(Debug, Default)]
 pub struct CapabilityChecker {
     heap: SysHeap,
-    config: CapabilityConfig,
     /// start -> block, keyed by real (untagged) payload address.
     blocks: BTreeMap<u64, Block>,
     /// The Global Capability Store.
@@ -74,14 +62,9 @@ pub struct CapabilityChecker {
 }
 
 impl CapabilityChecker {
-    /// Creates the baseline with default (calibrated) check costs.
+    /// Creates the baseline.
     pub fn new() -> CapabilityChecker {
         CapabilityChecker::default()
-    }
-
-    /// Creates the baseline with an explicit configuration.
-    pub fn with_config(config: CapabilityConfig) -> CapabilityChecker {
-        CapabilityChecker { config, ..CapabilityChecker::default() }
     }
 
     /// Modeled metadata memory footprint in bytes (the source of the
@@ -100,8 +83,15 @@ impl CapabilityChecker {
         }
     }
 
-    fn check(&mut self, machine: &mut Machine, tagged: VirtAddr) -> Result<VirtAddr, CheckError> {
-        machine.tick(self.config.per_access_cost);
+    /// The check run before every program access of `tagged`: charges the
+    /// software check and returns the real (untagged) address to access,
+    /// or `Err(tagged)` when the pointer's capability is not live on the
+    /// block it points into — a detected dangling use.
+    ///
+    /// # Errors
+    /// The dangling (tagged) address, when the check fires.
+    pub fn check(&mut self, machine: &mut Machine, tagged: VirtAddr) -> Result<VirtAddr, VirtAddr> {
+        machine.tick(PER_ACCESS_COST);
         machine.telemetry_mut().counter_add("baseline.checks_performed", 1);
         let (cap, real) = untag(tagged);
         if cap == 0 {
@@ -116,7 +106,7 @@ impl CapabilityChecker {
             }
             _ => {
                 machine.telemetry_mut().counter_add("baseline.dangling_detected", 1);
-                Err(CheckError::Dangling { addr: tagged })
+                Err(tagged)
             }
         }
     }
@@ -124,7 +114,7 @@ impl CapabilityChecker {
 
 impl Allocator for CapabilityChecker {
     fn alloc(&mut self, machine: &mut Machine, size: usize) -> Result<VirtAddr, AllocError> {
-        machine.tick(self.config.per_alloc_cost);
+        machine.tick(PER_ALLOC_COST);
         let p = self.heap.alloc(machine, size)?;
         let requested = size.max(1);
         let cap = self.fresh_cap();
@@ -147,7 +137,7 @@ impl Allocator for CapabilityChecker {
     }
 
     fn free(&mut self, machine: &mut Machine, addr: VirtAddr) -> Result<(), AllocError> {
-        machine.tick(self.config.per_alloc_cost);
+        machine.tick(PER_ALLOC_COST);
         let (cap, real) = untag(addr);
         match self.blocks.get(&real.raw()) {
             Some(b) if b.cap == cap && self.store.contains(&cap) => {
@@ -181,29 +171,6 @@ impl Allocator for CapabilityChecker {
     }
 }
 
-impl CheckedMemory for CapabilityChecker {
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, CheckError> {
-        let real = self.check(machine, addr)?;
-        Ok(machine.load(real, width)?)
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), CheckError> {
-        let real = self.check(machine, addr)?;
-        Ok(machine.store(real, width, value)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,8 +186,7 @@ mod tests {
         let (cap, real) = untag(p);
         assert_ne!(cap, 0);
         assert_eq!(real.raw(), p.raw() & ADDR_MASK);
-        c.store(&mut m, p, 8, 77).unwrap();
-        assert_eq!(c.load(&mut m, p, 8).unwrap(), 77);
+        assert_eq!(c.check(&mut m, p), Ok(real));
     }
 
     #[test]
@@ -232,12 +198,9 @@ mod tests {
         let fresh = c.alloc(&mut m, 64).unwrap();
         assert_eq!(untag(fresh).1, untag(stale).1, "heap reused the block");
         // The stale capability fails the check — SOUND, unlike memcheck.
-        assert!(matches!(
-            c.load(&mut m, stale, 8),
-            Err(CheckError::Dangling { .. })
-        ));
+        assert_eq!(c.check(&mut m, stale), Err(stale));
         // The fresh pointer works.
-        c.store(&mut m, fresh, 8, 1).unwrap();
+        assert_eq!(c.check(&mut m, fresh), Ok(untag(fresh).1));
     }
 
     #[test]
@@ -253,18 +216,16 @@ mod tests {
     fn pointer_arithmetic_preserves_capability() {
         let (mut m, mut c) = setup();
         let p = c.alloc(&mut m, 64).unwrap();
-        c.store(&mut m, p.add(48), 8, 9).unwrap();
-        assert_eq!(c.load(&mut m, p.add(48), 8).unwrap(), 9);
+        assert_eq!(c.check(&mut m, p.add(48)), Ok(untag(p).1.add(48)));
         c.free(&mut m, p).unwrap();
-        assert!(c.load(&mut m, p.add(48), 8).is_err());
+        assert_eq!(c.check(&mut m, p.add(48)), Err(p.add(48)));
     }
 
     #[test]
     fn untagged_addresses_pass_through() {
         let (mut m, mut c) = setup();
         let raw = m.mmap(1).unwrap();
-        c.store(&mut m, raw, 8, 4).unwrap();
-        assert_eq!(c.load(&mut m, raw, 8).unwrap(), 4);
+        assert_eq!(c.check(&mut m, raw), Ok(raw));
     }
 
     #[test]
@@ -304,7 +265,7 @@ mod tests {
         let (mut m, mut c) = setup();
         let p = c.alloc(&mut m, 8).unwrap();
         let c0 = m.clock();
-        c.load(&mut m, p, 8).unwrap();
-        assert!(m.clock() - c0 >= CapabilityConfig::default().per_access_cost);
+        c.check(&mut m, p).unwrap();
+        assert_eq!(m.clock() - c0, PER_ACCESS_COST);
     }
 }

@@ -10,26 +10,12 @@
 //!   of padding per object), and
 //! * virtual pages are consumed even faster than in the paper's scheme.
 //!
-//! An optional guard page after the object (Electric Fence's overflow
-//! detection) is included for completeness.
+//! Each object is also followed by an always-protected guard page,
+//! Electric Fence's buffer-overflow fence.
 
 use dangle_heap::{AllocError, AllocStats, Allocator};
 use dangle_vmm::{Machine, Protection, VirtAddr, PAGE_SIZE};
 use std::collections::HashMap;
-
-/// Configuration of the [`EFence`] baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct EFenceConfig {
-    /// Map an extra, always-protected guard page after each object
-    /// (Electric Fence's buffer-overflow fence).
-    pub guard_page: bool,
-}
-
-impl Default for EFenceConfig {
-    fn default() -> EFenceConfig {
-        EFenceConfig { guard_page: true }
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 struct Object {
@@ -41,20 +27,14 @@ struct Object {
 /// The Electric Fence–style allocator. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct EFence {
-    config: EFenceConfig,
     objects: HashMap<VirtAddr, Object>,
     stats: AllocStats,
 }
 
 impl EFence {
-    /// Creates the baseline with guard pages enabled.
+    /// Creates the baseline.
     pub fn new() -> EFence {
         EFence::default()
-    }
-
-    /// Creates the baseline with an explicit configuration.
-    pub fn with_config(config: EFenceConfig) -> EFence {
-        EFence { config, ..EFence::default() }
     }
 }
 
@@ -65,15 +45,9 @@ impl Allocator for EFence {
         }
         let requested = size.max(1);
         let pages = requested.div_ceil(PAGE_SIZE);
-        let total = pages + usize::from(self.config.guard_page);
-        let base = machine.mmap(total)?;
-        if self.config.guard_page {
-            machine.mprotect(
-                base.add((pages * PAGE_SIZE) as u64),
-                1,
-                Protection::None,
-            )?;
-        }
+        // The object's pages, then its guard page.
+        let base = machine.mmap(pages + 1)?;
+        machine.mprotect(base.add((pages * PAGE_SIZE) as u64), 1, Protection::None)?;
         self.objects.insert(base, Object { size: requested, pages, live: true });
         self.stats.note_alloc(requested);
         Ok(base)
@@ -147,6 +121,7 @@ mod tests {
     fn guard_page_catches_overflow() {
         let (mut m, mut e) = setup();
         let p = e.alloc(&mut m, 16).unwrap();
+        assert_eq!(m.stats().virt_pages_mapped, 2, "the object's page and its guard");
         assert!(m.store_u64(p.add(PAGE_SIZE as u64), 1).is_err());
     }
 
@@ -173,14 +148,6 @@ mod tests {
             e.free(&mut m, p).unwrap();
         }
         assert_eq!(m.stats().phys_frames_in_use, peak, "no frame is ever released");
-    }
-
-    #[test]
-    fn no_guard_config_uses_fewer_pages() {
-        let mut m = Machine::free_running();
-        let mut e = EFence::with_config(EFenceConfig { guard_page: false });
-        e.alloc(&mut m, 16).unwrap();
-        assert_eq!(m.stats().virt_pages_mapped, 1);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   checked in software on every access. Sound, cheaper than Valgrind, but
 //!   pays per-access software cost and 1.6–4× metadata memory overhead.
 //!
-//! The per-access detectors expose [`CheckedMemory`] (checked
-//! `load`/`store`), which the workload driver routes all program accesses
-//! through; MMU-based schemes get checking "for free" from the hardware.
+//! All three are [`dangle_heap::Allocator`]s. The two software checkers
+//! also expose `check` ([`Memcheck::check`], [`CapabilityChecker::check`]):
+//! their backends in `dangle-interp` call it before every program access,
+//! and it returns the address to access or, as `Err`, the dangling
+//! address it flagged. `EFence` needs no such entry: the MMU checks its
+//! accesses.
 //!
 //! Detection bookkeeping goes through the machine's telemetry registry:
 //! every software check bumps `baseline.checks_performed`, every flagged
@@ -33,74 +36,3 @@ pub mod memcheck;
 pub use capability::CapabilityChecker;
 pub use efence::EFence;
 pub use memcheck::Memcheck;
-
-use dangle_vmm::{Machine, Trap, VirtAddr};
-use std::error::Error;
-use std::fmt;
-
-/// Outcome of a software access check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckError {
-    /// The underlying machine trapped (e.g. wild pointer).
-    Trap(Trap),
-    /// The checker detected a temporal error in software.
-    Dangling {
-        /// The faulting address.
-        addr: VirtAddr,
-    },
-}
-
-impl fmt::Display for CheckError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckError::Trap(t) => write!(f, "{t}"),
-            CheckError::Dangling { addr } => write!(f, "software check: dangling access to {addr}"),
-        }
-    }
-}
-
-impl Error for CheckError {}
-
-impl From<Trap> for CheckError {
-    fn from(t: Trap) -> CheckError {
-        CheckError::Trap(t)
-    }
-}
-
-/// Checked memory access: detectors that must interpose on loads and stores
-/// (software checkers) implement this; the workload driver calls it for
-/// every program access.
-pub trait CheckedMemory {
-    /// A checked load of `width` bytes.
-    ///
-    /// # Errors
-    /// [`CheckError::Dangling`] when the software check fires;
-    /// [`CheckError::Trap`] if the machine faults anyway.
-    fn load(&mut self, machine: &mut Machine, addr: VirtAddr, width: usize)
-        -> Result<u64, CheckError>;
-
-    /// A checked store of `width` bytes.
-    ///
-    /// # Errors
-    /// As for [`CheckedMemory::load`].
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), CheckError>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn check_error_display() {
-        let e = CheckError::Dangling { addr: VirtAddr(0x70) };
-        assert!(e.to_string().contains("0x70"));
-        let e: CheckError = Trap::OutOfPhysicalMemory.into();
-        assert!(e.to_string().contains("physical"));
-    }
-}

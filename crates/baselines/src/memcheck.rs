@@ -12,33 +12,17 @@
 //! The model: [`SysHeap`] underneath, a byte-budgeted quarantine, a range
 //! map of block states, and a fixed instrumentation charge per access.
 
-use crate::{CheckError, CheckedMemory};
 use dangle_heap::{AllocError, AllocStats, Allocator, SysHeap};
 use dangle_vmm::{Machine, VirtAddr};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Configuration of the [`Memcheck`] baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct MemcheckConfig {
-    /// Instrumentation cycles charged per program load/store (JIT-translated
-    /// check + shadow-memory lookup).
-    pub per_access_cost: u64,
-    /// Extra cycles per malloc/free interposition.
-    pub per_alloc_cost: u64,
-    /// Quarantine budget in bytes; freed blocks are recycled FIFO once the
-    /// budget is exceeded (Valgrind's `--freelist-vol`).
-    pub quarantine_bytes: usize,
-}
-
-impl Default for MemcheckConfig {
-    fn default() -> MemcheckConfig {
-        MemcheckConfig {
-            per_access_cost: 18,
-            per_alloc_cost: 600,
-            quarantine_bytes: 256 * 1024,
-        }
-    }
-}
+/// Instrumentation cycles charged per program load/store (JIT-translated
+/// check + shadow-memory lookup).
+const PER_ACCESS_COST: u64 = 18;
+/// Extra cycles per malloc/free interposition.
+const PER_ALLOC_COST: u64 = 600;
+/// Valgrind's default quarantine budget (`--freelist-vol`), in bytes.
+const DEFAULT_QUARANTINE_BYTES: usize = 256 * 1024;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BlockState {
@@ -53,30 +37,46 @@ struct Block {
 }
 
 /// The memcheck-style detector. See the [module docs](self).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Memcheck {
     heap: SysHeap,
-    config: MemcheckConfig,
+    /// Quarantine budget in bytes; freed blocks are recycled FIFO once the
+    /// budget is exceeded.
+    quarantine_bytes: usize,
     /// start -> block; ranges never overlap.
     blocks: BTreeMap<u64, Block>,
     /// FIFO of quarantined blocks (payload, size).
     quarantine: VecDeque<(VirtAddr, usize)>,
     quarantined_bytes: usize,
-    /// Dangling uses that hit memory already recycled out of quarantine —
-    /// the misses the heuristic cannot see. Counted when the recycled range
-    /// is re-allocated and a block entry is overwritten.
+    /// Freed blocks recycled out of quarantine, whose dangling uses the
+    /// heuristic can no longer see. Counted as each block leaves the
+    /// quarantine.
     recycled_blocks: u64,
 }
 
+impl Default for Memcheck {
+    fn default() -> Memcheck {
+        Memcheck::with_quarantine(DEFAULT_QUARANTINE_BYTES)
+    }
+}
+
 impl Memcheck {
-    /// Creates the baseline with default (calibrated) instrumentation costs.
+    /// Creates the baseline with Valgrind's default 256 KiB quarantine.
     pub fn new() -> Memcheck {
         Memcheck::default()
     }
 
-    /// Creates the baseline with an explicit configuration.
-    pub fn with_config(config: MemcheckConfig) -> Memcheck {
-        Memcheck { config, ..Memcheck::default() }
+    /// Creates the baseline with a quarantine of `bytes` (e.g. one scaled
+    /// down to miniature programs for the soundness study).
+    pub fn with_quarantine(bytes: usize) -> Memcheck {
+        Memcheck {
+            heap: SysHeap::new(),
+            quarantine_bytes: bytes,
+            blocks: BTreeMap::new(),
+            quarantine: VecDeque::new(),
+            quarantined_bytes: 0,
+            recycled_blocks: 0,
+        }
     }
 
     /// Number of freed blocks whose quarantine entries were recycled —
@@ -90,20 +90,26 @@ impl Memcheck {
         (addr.raw() < b.end).then_some((start, b))
     }
 
-    fn check(&mut self, machine: &mut Machine, addr: VirtAddr) -> Result<(), CheckError> {
-        machine.tick(self.config.per_access_cost);
+    /// The check run before every program access of `addr`: charges the
+    /// instrumentation and returns `addr` to access, or `Err(addr)` when it
+    /// lies in a quarantined block — a detected dangling use.
+    ///
+    /// # Errors
+    /// The dangling address, when the check fires.
+    pub fn check(&mut self, machine: &mut Machine, addr: VirtAddr) -> Result<VirtAddr, VirtAddr> {
+        machine.tick(PER_ACCESS_COST);
         machine.telemetry_mut().counter_add("baseline.checks_performed", 1);
         if let Some((_, b)) = self.lookup(addr) {
             if b.state == BlockState::Quarantined {
                 machine.telemetry_mut().counter_add("baseline.dangling_detected", 1);
-                return Err(CheckError::Dangling { addr });
+                return Err(addr);
             }
         }
-        Ok(())
+        Ok(addr)
     }
 
     fn drain_quarantine(&mut self, machine: &mut Machine) -> Result<(), AllocError> {
-        while self.quarantined_bytes > self.config.quarantine_bytes {
+        while self.quarantined_bytes > self.quarantine_bytes {
             let Some((addr, size)) = self.quarantine.pop_front() else { break };
             self.quarantined_bytes -= size;
             self.blocks.remove(&addr.raw());
@@ -116,7 +122,7 @@ impl Memcheck {
 
 impl Allocator for Memcheck {
     fn alloc(&mut self, machine: &mut Machine, size: usize) -> Result<VirtAddr, AllocError> {
-        machine.tick(self.config.per_alloc_cost);
+        machine.tick(PER_ALLOC_COST);
         let p = self.heap.alloc(machine, size)?;
         let requested = size.max(1);
         // Remove any stale entries the reused range overlaps.
@@ -136,7 +142,7 @@ impl Allocator for Memcheck {
     }
 
     fn free(&mut self, machine: &mut Machine, addr: VirtAddr) -> Result<(), AllocError> {
-        machine.tick(self.config.per_alloc_cost);
+        machine.tick(PER_ALLOC_COST);
         match self.blocks.get_mut(&addr.raw()) {
             Some(b) if b.state == BlockState::Live => {
                 b.state = BlockState::Quarantined;
@@ -171,29 +177,6 @@ impl Allocator for Memcheck {
     }
 }
 
-impl CheckedMemory for Memcheck {
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, CheckError> {
-        self.check(machine, addr)?;
-        Ok(machine.load(addr, width)?)
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), CheckError> {
-        self.check(machine, addr)?;
-        Ok(machine.store(addr, width, value)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +189,11 @@ mod tests {
     fn detects_use_after_free_while_quarantined() {
         let (mut m, mut mc) = setup();
         let p = mc.alloc(&mut m, 64).unwrap();
-        mc.store(&mut m, p, 8, 5).unwrap();
+        assert_eq!(mc.check(&mut m, p), Ok(p));
         mc.free(&mut m, p).unwrap();
-        let err = mc.load(&mut m, p, 8).unwrap_err();
-        assert_eq!(err, CheckError::Dangling { addr: p });
+        assert_eq!(mc.check(&mut m, p), Err(p));
         assert_eq!(m.telemetry().counter("baseline.dangling_detected"), 1);
-        assert!(m.telemetry().counter("baseline.checks_performed") >= 2);
+        assert_eq!(m.telemetry().counter("baseline.checks_performed"), 2);
     }
 
     #[test]
@@ -225,10 +207,7 @@ mod tests {
     #[test]
     fn misses_use_after_quarantine_recycling() {
         let mut m = Machine::free_running();
-        let mut mc = Memcheck::with_config(MemcheckConfig {
-            quarantine_bytes: 128, // tiny quarantine
-            ..MemcheckConfig::default()
-        });
+        let mut mc = Memcheck::with_quarantine(128);
         let stale = mc.alloc(&mut m, 64).unwrap();
         mc.free(&mut m, stale).unwrap();
         // Push enough freed bytes through to evict `stale` from quarantine.
@@ -241,7 +220,7 @@ mod tests {
         let reused = mc.alloc(&mut m, 64).unwrap();
         assert_eq!(reused, stale, "heap reuses the recycled block");
         // ...so the dangling access is silently MISSED — the heuristic gap.
-        assert!(mc.load(&mut m, stale, 8).is_ok());
+        assert_eq!(mc.check(&mut m, stale), Ok(stale));
     }
 
     #[test]
@@ -250,8 +229,8 @@ mod tests {
         let mut mc = Memcheck::new();
         let p = mc.alloc(&mut m, 8).unwrap();
         let c0 = m.clock();
-        mc.load(&mut m, p, 8).unwrap();
-        assert!(m.clock() - c0 >= MemcheckConfig::default().per_access_cost);
+        mc.check(&mut m, p).unwrap();
+        assert_eq!(m.clock() - c0, PER_ACCESS_COST);
     }
 
     #[test]
@@ -259,8 +238,7 @@ mod tests {
         let (mut m, mut mc) = setup();
         // Memory the program got straight from mmap is not heap-tracked.
         let raw = m.mmap(1).unwrap();
-        mc.store(&mut m, raw, 8, 3).unwrap();
-        assert_eq!(mc.load(&mut m, raw, 8).unwrap(), 3);
+        assert_eq!(mc.check(&mut m, raw), Ok(raw));
     }
 
     #[test]
@@ -274,7 +252,6 @@ mod tests {
         let (mut m, mut mc) = setup();
         let p = mc.alloc(&mut m, 256).unwrap();
         mc.free(&mut m, p).unwrap();
-        let err = mc.load(&mut m, p.add(128), 8).unwrap_err();
-        assert!(matches!(err, CheckError::Dangling { .. }));
+        assert_eq!(mc.check(&mut m, p.add(128)), Err(p.add(128)));
     }
 }

@@ -17,7 +17,6 @@
 use dangle_apa::{parse, pool_allocate, Program};
 use dangle_bench::{render_table, Artifact};
 use dangle_telemetry::Json;
-use dangle_baselines::memcheck::MemcheckConfig;
 use dangle_interp::backend::{
     Backend, CapabilityBackend, EFenceBackend, MemcheckBackend, NativeBackend, PoolBackend,
     ShadowBackend, ShadowPoolBackend,
@@ -130,23 +129,17 @@ fn main() {
         .unwrap_or(150);
     let mut rng = Prng::new(0x5047_2026);
 
-    // The memcheck quarantine is scaled to these miniature programs the
-    // same way its real 256 KiB default relates to real heaps: big enough
-    // to hold a dozen recent frees, small enough that a burst of churn
-    // flushes it.
-    let tiny_quarantine =
-        || MemcheckConfig { quarantine_bytes: 256, ..MemcheckConfig::default() };
     let schemes: Vec<Scheme> = vec![
         ("native", Box::new(|| Box::new(NativeBackend::new())), false),
         ("PA only", Box::new(|| Box::new(PoolBackend::new())), true),
         ("Ours (shadow+pools)", Box::new(|| Box::new(ShadowPoolBackend::new())), true),
         ("shadow (no pools)", Box::new(|| Box::new(ShadowBackend::new())), false),
         ("Electric Fence", Box::new(|| Box::new(EFenceBackend::new())), false),
-        (
-            "Valgrind-style",
-            Box::new(move || Box::new(MemcheckBackend::with_config(tiny_quarantine()))),
-            false,
-        ),
+        // The memcheck quarantine is scaled to these miniature programs the
+        // same way its real 256 KiB default relates to real heaps: big
+        // enough to hold a dozen recent frees, small enough that a burst of
+        // churn flushes it.
+        ("Valgrind-style", Box::new(|| Box::new(MemcheckBackend::with_quarantine(256))), false),
         ("capability store", Box::new(|| Box::new(CapabilityBackend::new())), false),
     ];
 

@@ -6,19 +6,35 @@
 //! create/destroy for pool-transformed programs. A [`Backend`] maps those
 //! events onto one of the schemes under study:
 //!
-//! | backend | scheme | Table 1/3 column |
-//! |---|---|---|
-//! | [`NativeBackend`] | plain `malloc` | native / LLVM base |
-//! | [`PoolBackend`] | Automatic Pool Allocation only | PA |
-//! | [`PoolBackend::with_dummy_syscalls`] | PA + no-op kernel crossings | PA + dummy syscalls |
-//! | [`ShadowPoolBackend`] | **the paper's approach** | Our approach |
-//! | [`ArenaBackend`] | per-core `malloc` arenas, no detector | — (multi-core native) |
-//! | [`ShadowBackend`] | Insight 1 only (no pools, no VA reuse) | — (debug mode) |
-//! | [`EFenceBackend`] | Electric Fence | §5.3 comparison |
-//! | [`MemcheckBackend`] | Valgrind-style | Table 2 |
-//! | [`CapabilityBackend`] | SafeC/Xu-style | §5.2 comparison |
+//! | backend | scheme | Table 1/3 column | program accesses |
+//! |---|---|---|---|
+//! | [`NativeBackend`] | plain `malloc` | native / LLVM base | MMU |
+//! | [`PoolBackend`] | Automatic Pool Allocation only | PA | MMU |
+//! | [`PoolBackend::with_dummy_syscalls`] | PA + no-op kernel crossings | PA + dummy syscalls | MMU |
+//! | [`ShadowPoolBackend`] | **the paper's approach** | Our approach | MMU |
+//! | [`ArenaBackend`] | per-core `malloc` arenas, no detector | — (multi-core native) | MMU |
+//! | [`ShadowBackend`] | Insight 1 only (no pools, no VA reuse) | — (debug mode) | MMU |
+//! | [`EFenceBackend`] | Electric Fence | §5.3 comparison | MMU |
+//! | [`MemcheckBackend`] | Valgrind-style | Table 2 | [`Memcheck::check`], then MMU |
+//! | [`CapabilityBackend`] | SafeC/Xu-style | §5.2 comparison | [`CapabilityChecker::check`], then MMU |
+//! | [`CombinedBackend`] | ours + bounds checks (§6) | — (ablation 5) | bounds check, then MMU |
+//!
+//! Program accesses take [`Backend`]'s default path, the MMU's: each goes
+//! straight to the machine, whose page protection traps a dangling use,
+//! bulk transfers move a page chunk at a time, and a trap carries the
+//! scheme's [`Backend::explain`] attribution. Only the three schemes that
+//! check every access in software override it, because the MMU cannot see
+//! what they check (a quarantined block, a stale capability, an overrun
+//! within the page): they check each `load` and `store` before it reaches
+//! the machine, and walk bulk transfers word by word through those two, so
+//! every word is checked and charged.
+//!
+//! An allocator-shaped scheme, one whose detection (if any) is the MMU
+//! trapping pages its `free` protected, is one instantiation of
+//! [`HeapBackend`] over its [`Allocator`]: [`NativeBackend`],
+//! [`ArenaBackend`] and [`EFenceBackend`] are.
 
-use dangle_baselines::{CapabilityChecker, CheckError, CheckedMemory, EFence, Memcheck};
+use dangle_baselines::{CapabilityChecker, EFence, Memcheck};
 use dangle_core::{DetectorConfig, ShadowConfig, ShadowHeap, ShadowPool};
 use dangle_heap::{AllocError, Allocator, ArenaHeap, SysHeap};
 use dangle_pool::{PoolError, PoolId, PoolSet};
@@ -114,16 +130,10 @@ fn free_error(addr: VirtAddr, err: BackendError, report: Option<String>) -> Back
     }
 }
 
-fn from_check(e: CheckError) -> BackendError {
-    match e {
-        CheckError::Trap(t) => BackendError::Trap { trap: t, report: None },
-        CheckError::Dangling { addr } => BackendError::SoftwareDetection { addr },
-    }
-}
-
 /// The unified allocator/memory interface. See the [module docs](self).
 pub trait Backend {
-    /// Scheme name for reports ("native", "pa", "shadow-pool", ...).
+    /// Scheme name for diagnostics ("sys", "pa", "shadow-pool", ...). A
+    /// [`HeapBackend`] reports its allocator's name.
     fn name(&self) -> &'static str;
 
     /// Allocates `size` bytes, from `pool` when given and supported.
@@ -207,7 +217,10 @@ pub trait Backend {
         Ok(())
     }
 
-    /// A program-level load (checked by software schemes).
+    /// A program-level load. The default is the MMU's: the machine's page
+    /// protection traps a dangling use, and the trap carries
+    /// [`Backend::explain`]'s attribution. Software checkers override it
+    /// to check the access first.
     ///
     /// # Errors
     /// A dangling access surfaces as [`BackendError::Trap`] (MMU schemes)
@@ -217,9 +230,12 @@ pub trait Backend {
         machine: &mut Machine,
         addr: VirtAddr,
         width: usize,
-    ) -> Result<u64, BackendError>;
+    ) -> Result<u64, BackendError> {
+        machine.load(addr, width).map_err(|t| mmu_trap(self, t))
+    }
 
-    /// A program-level store (checked by software schemes).
+    /// A program-level store. See [`Backend::load`] for the
+    /// default/override split.
     ///
     /// # Errors
     /// As for [`Backend::load`].
@@ -229,12 +245,15 @@ pub trait Backend {
         addr: VirtAddr,
         width: usize,
         value: u64,
-    ) -> Result<(), BackendError>;
+    ) -> Result<(), BackendError> {
+        machine.store(addr, width, value).map_err(|t| mmu_trap(self, t))
+    }
 
     /// A program-level bulk read (`memcpy` out of simulated memory). The
-    /// default walks word-at-a-time through [`Backend::load`] so software
-    /// checkers still see every access; MMU-backed schemes override it
-    /// with [`Machine::read_bytes`], which translates once per page.
+    /// default is [`Machine::read_bytes`], which translates once per page
+    /// chunk. A scheme that overrides [`Backend::load`] overrides this too,
+    /// walking the range word by word through its own `load`, so every
+    /// word passes its check.
     ///
     /// # Errors
     /// As for [`Backend::load`]; the buffer contents are unspecified on
@@ -245,17 +264,7 @@ pub trait Backend {
         addr: VirtAddr,
         buf: &mut [u8],
     ) -> Result<(), BackendError> {
-        let mut pos = 0usize;
-        while pos + 8 <= buf.len() {
-            let v = self.load(machine, addr.add(pos as u64), 8)?;
-            buf[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
-            pos += 8;
-        }
-        while pos < buf.len() {
-            buf[pos] = self.load(machine, addr.add(pos as u64), 1)? as u8;
-            pos += 1;
-        }
-        Ok(())
+        machine.read_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
     }
 
     /// A program-level bulk write (`memcpy` into simulated memory). See
@@ -269,24 +278,14 @@ pub trait Backend {
         addr: VirtAddr,
         buf: &[u8],
     ) -> Result<(), BackendError> {
-        let mut pos = 0usize;
-        while pos + 8 <= buf.len() {
-            let v = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
-            self.store(machine, addr.add(pos as u64), 8, v)?;
-            pos += 8;
-        }
-        while pos < buf.len() {
-            self.store(machine, addr.add(pos as u64), 1, buf[pos] as u64)?;
-            pos += 1;
-        }
-        Ok(())
+        machine.write_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
     }
 
     /// A program-level `memset`. See [`Backend::load_bytes`] for the
     /// default/override split.
     ///
     /// # Errors
-    /// As for [`Backend::store`].
+    /// As for [`Backend::store`]; a prefix may already be written on error.
     fn memset(
         &mut self,
         machine: &mut Machine,
@@ -294,17 +293,7 @@ pub trait Backend {
         byte: u8,
         len: usize,
     ) -> Result<(), BackendError> {
-        let word = u64::from_le_bytes([byte; 8]);
-        let mut pos = 0usize;
-        while pos + 8 <= len {
-            self.store(machine, addr.add(pos as u64), 8, word)?;
-            pos += 8;
-        }
-        while pos < len {
-            self.store(machine, addr.add(pos as u64), 1, byte as u64)?;
-            pos += 1;
-        }
-        Ok(())
+        machine.memset(addr, byte, len).map_err(|t| mmu_trap(self, t))
     }
 
     /// Attributes a trap to a freed object, when the scheme can.
@@ -326,38 +315,29 @@ fn mmu_trap<B: Backend + ?Sized>(backend: &B, trap: Trap) -> BackendError {
     BackendError::Trap { report: backend.explain(&trap), trap }
 }
 
-/// The memory operations of an MMU-backed scheme: accesses go straight to
-/// the machine, whose page protection traps dangling uses, and bulk
-/// transfers are page-chunked instead of the default per-word walk (chunks
-/// never cross a page). Traps carry [`Backend::explain`]'s attribution.
-macro_rules! mmu_ops {
+/// The bulk operations of a scheme that checks every access in software:
+/// each walks the range word by word through the scheme's own
+/// [`Backend::load`]/[`Backend::store`], so every word passes the check and
+/// pays for it, instead of the default's page-chunked transfer.
+macro_rules! per_word_ops {
     () => {
-        fn load(
-            &mut self,
-            machine: &mut Machine,
-            addr: VirtAddr,
-            width: usize,
-        ) -> Result<u64, BackendError> {
-            machine.load(addr, width).map_err(|t| mmu_trap(self, t))
-        }
-
-        fn store(
-            &mut self,
-            machine: &mut Machine,
-            addr: VirtAddr,
-            width: usize,
-            value: u64,
-        ) -> Result<(), BackendError> {
-            machine.store(addr, width, value).map_err(|t| mmu_trap(self, t))
-        }
-
         fn load_bytes(
             &mut self,
             machine: &mut Machine,
             addr: VirtAddr,
             buf: &mut [u8],
         ) -> Result<(), BackendError> {
-            machine.read_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
+            let mut pos = 0usize;
+            while pos + 8 <= buf.len() {
+                let v = self.load(machine, addr.add(pos as u64), 8)?;
+                buf[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
+                pos += 8;
+            }
+            while pos < buf.len() {
+                buf[pos] = self.load(machine, addr.add(pos as u64), 1)? as u8;
+                pos += 1;
+            }
+            Ok(())
         }
 
         fn store_bytes(
@@ -366,7 +346,17 @@ macro_rules! mmu_ops {
             addr: VirtAddr,
             buf: &[u8],
         ) -> Result<(), BackendError> {
-            machine.write_bytes(addr, buf).map_err(|t| mmu_trap(self, t))
+            let mut pos = 0usize;
+            while pos + 8 <= buf.len() {
+                let v = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
+                self.store(machine, addr.add(pos as u64), 8, v)?;
+                pos += 8;
+            }
+            while pos < buf.len() {
+                self.store(machine, addr.add(pos as u64), 1, buf[pos] as u64)?;
+                pos += 1;
+            }
+            Ok(())
         }
 
         fn memset(
@@ -376,38 +366,79 @@ macro_rules! mmu_ops {
             byte: u8,
             len: usize,
         ) -> Result<(), BackendError> {
-            machine.memset(addr, byte, len).map_err(|t| mmu_trap(self, t))
+            let word = u64::from_le_bytes([byte; 8]);
+            let mut pos = 0usize;
+            while pos + 8 <= len {
+                self.store(machine, addr.add(pos as u64), 8, word)?;
+                pos += 8;
+            }
+            while pos < len {
+                self.store(machine, addr.add(pos as u64), 1, byte as u64)?;
+                pos += 1;
+            }
+            Ok(())
         }
     };
 }
 
 // ---------------------------------------------------------------------
-// Plain malloc.
+// Allocator-shaped schemes: plain malloc, per-core arenas, Electric Fence.
 // ---------------------------------------------------------------------
+
+/// Any [`Allocator`] as a scheme: `alloc` and `free` go to the allocator,
+/// and accesses take the MMU path, so a dangling use traps exactly when
+/// the allocator's `free` protected its pages. Pools are not modelled:
+/// pool handles are ignored.
+#[derive(Debug, Default)]
+pub struct HeapBackend<A> {
+    heap: A,
+}
 
 /// Plain `malloc`/`free` — the `native` and `LLVM base` configurations.
 /// Dangling uses are *not* detected: reads/writes of freed memory silently
 /// succeed (and may corrupt other objects), exactly like production C.
-#[derive(Debug, Default)]
-pub struct NativeBackend {
-    heap: SysHeap,
-}
+pub type NativeBackend = HeapBackend<SysHeap>;
+
+/// Plain `malloc` over per-core arenas ([`ArenaHeap`]): the undetected
+/// multi-core baseline the detector's overhead on a multi-core machine is
+/// measured against. With one arena this is cycle-identical to
+/// [`NativeBackend`].
+pub type ArenaBackend = HeapBackend<ArenaHeap>;
+
+/// Electric Fence (object per page, MMU-checked; §5.3 baseline).
+pub type EFenceBackend = HeapBackend<EFence>;
 
 impl NativeBackend {
     /// Creates the backend.
     pub fn new() -> NativeBackend {
-        NativeBackend::default()
+        HeapBackend { heap: SysHeap::new() }
     }
+}
 
-    /// The underlying heap (for stats).
-    pub fn heap(&self) -> &SysHeap {
+impl ArenaBackend {
+    /// Creates the backend with `arenas` per-core arenas.
+    pub fn new(arenas: usize) -> ArenaBackend {
+        HeapBackend { heap: ArenaHeap::new(arenas) }
+    }
+}
+
+impl EFenceBackend {
+    /// Creates the backend.
+    pub fn new() -> EFenceBackend {
+        HeapBackend { heap: EFence::new() }
+    }
+}
+
+impl<A> HeapBackend<A> {
+    /// The underlying allocator (for stats).
+    pub fn heap(&self) -> &A {
         &self.heap
     }
 }
 
-impl Backend for NativeBackend {
+impl<A: Allocator> Backend for HeapBackend<A> {
     fn name(&self) -> &'static str {
-        "native"
+        self.heap.name()
     }
 
     fn alloc(
@@ -427,8 +458,6 @@ impl Backend for NativeBackend {
     ) -> Result<(), BackendError> {
         self.heap.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
-
-    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -462,19 +491,10 @@ impl PoolBackend {
         &self.pools
     }
 
-    fn handle_to_pool(h: PoolHandle) -> PoolId {
-        PoolId(h)
-    }
-
     fn pool_or_global(&mut self, pool: Option<PoolHandle>) -> PoolId {
         match pool {
-            Some(h) => Self::handle_to_pool(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.pools.create(0));
-                }
-                self.global_pool.expect("just created")
-            }
+            Some(h) => PoolId(h),
+            None => *self.global_pool.get_or_insert_with(|| self.pools.create(0)),
         }
     }
 }
@@ -528,10 +548,8 @@ impl Backend for PoolBackend {
         machine: &mut Machine,
         pool: PoolHandle,
     ) -> Result<(), BackendError> {
-        self.pools.destroy(machine, Self::handle_to_pool(pool)).map_err(from_pool)
+        self.pools.destroy(machine, PoolId(pool)).map_err(from_pool)
     }
-
-    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -606,8 +624,6 @@ impl Backend for ShadowBackend {
     ) -> Result<(), BackendError> {
         self.heap.free_unchecked(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
     }
-
-    mmu_ops!();
 
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.heap.explain(trap).map(|r| r.render(self.heap.sites()))
@@ -733,62 +749,9 @@ impl Backend for ShadowPoolBackend {
         self.detector.destroy(machine, PoolId(pool)).map_err(from_pool)
     }
 
-    mmu_ops!();
-
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.detector.explain(trap).map(|r| r.render(self.detector.sites()))
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-core native arenas (multi-core baseline).
-// ---------------------------------------------------------------------
-
-/// Plain `malloc` over per-core arenas ([`ArenaHeap`]): the undetected
-/// multi-core baseline the detector's overhead on a multi-core machine is
-/// measured against. With one arena this is cycle-identical to
-/// [`NativeBackend`].
-#[derive(Debug)]
-pub struct ArenaBackend {
-    heap: ArenaHeap,
-}
-
-impl ArenaBackend {
-    /// Creates the backend with `arenas` per-core arenas.
-    pub fn new(arenas: usize) -> ArenaBackend {
-        ArenaBackend { heap: ArenaHeap::new(arenas) }
-    }
-
-    /// The underlying heap (for stats).
-    pub fn heap(&self) -> &ArenaHeap {
-        &self.heap
-    }
-}
-
-impl Backend for ArenaBackend {
-    fn name(&self) -> &'static str {
-        "arena"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.heap.alloc(machine, size).map_err(from_alloc)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
-    }
-
-    mmu_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -813,7 +776,7 @@ macro_rules! checked_backend {
             }
 
             /// The wrapped checker (for detection stats).
-            pub fn checker(&self) -> &$inner {
+            pub fn heap(&self) -> &$inner {
                 &self.inner
             }
         }
@@ -847,7 +810,10 @@ macro_rules! checked_backend {
                 addr: VirtAddr,
                 width: usize,
             ) -> Result<u64, BackendError> {
-                CheckedMemory::load(&mut self.inner, machine, addr, width).map_err(from_check)
+                match self.inner.check(machine, addr) {
+                    Ok(addr) => machine.load(addr, width).map_err(|t| mmu_trap(self, t)),
+                    Err(addr) => Err(BackendError::SoftwareDetection { addr }),
+                }
             }
 
             fn store(
@@ -857,9 +823,13 @@ macro_rules! checked_backend {
                 width: usize,
                 value: u64,
             ) -> Result<(), BackendError> {
-                CheckedMemory::store(&mut self.inner, machine, addr, width, value)
-                    .map_err(from_check)
+                match self.inner.check(machine, addr) {
+                    Ok(addr) => machine.store(addr, width, value).map_err(|t| mmu_trap(self, t)),
+                    Err(addr) => Err(BackendError::SoftwareDetection { addr }),
+                }
             }
+
+            per_word_ops!();
 
             fn compute(&mut self, machine: &mut Machine, cycles: u64) {
                 machine.tick(cycles * $compute_scale);
@@ -880,10 +850,10 @@ checked_backend!(
 );
 
 impl MemcheckBackend {
-    /// Creates the backend with an explicit memcheck configuration (e.g. a
-    /// scaled-down quarantine for the soundness study).
-    pub fn with_config(config: dangle_baselines::memcheck::MemcheckConfig) -> MemcheckBackend {
-        MemcheckBackend { inner: Memcheck::with_config(config) }
+    /// Creates the backend with a quarantine of `bytes` (e.g. one scaled
+    /// down to miniature programs for the soundness study).
+    pub fn with_quarantine(bytes: usize) -> MemcheckBackend {
+        MemcheckBackend { inner: Memcheck::with_quarantine(bytes) }
     }
 }
 
@@ -895,50 +865,6 @@ checked_backend!(
     CapabilityChecker,
     "capability"
 );
-
-/// Electric Fence (object per page, MMU-checked; §5.3 baseline).
-#[derive(Debug, Default)]
-pub struct EFenceBackend {
-    inner: EFence,
-}
-
-impl EFenceBackend {
-    /// Creates the backend.
-    pub fn new() -> EFenceBackend {
-        EFenceBackend::default()
-    }
-
-    /// The wrapped allocator (for stats).
-    pub fn checker(&self) -> &EFence {
-        &self.inner
-    }
-}
-
-impl Backend for EFenceBackend {
-    fn name(&self) -> &'static str {
-        "efence"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.inner.alloc(machine, size).map_err(from_alloc)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.inner.free(machine, addr).map_err(|e| free_error(addr, from_alloc(e), None))
-    }
-
-    mmu_ops!();
-}
 
 // ---------------------------------------------------------------------
 // Combined spatial + temporal checking (the paper's §6 goal).
@@ -958,16 +884,17 @@ impl Backend for EFenceBackend {
 #[derive(Debug, Default)]
 pub struct CombinedBackend {
     inner: ShadowPoolBackend,
-    /// Cycles per software bounds check (the ICSE'06 paper reports very
-    /// low overhead; one compare-and-branch pair).
-    check_cost: u64,
     spatial_detections: u64,
 }
+
+/// Cycles per software bounds check (the ICSE'06 paper reports very low
+/// overhead; one compare-and-branch pair).
+const BOUNDS_CHECK_COST: u64 = 2;
 
 impl CombinedBackend {
     /// Creates the combined checker.
     pub fn new() -> CombinedBackend {
-        CombinedBackend { inner: ShadowPoolBackend::new(), check_cost: 2, spatial_detections: 0 }
+        CombinedBackend::default()
     }
 
     /// Number of out-of-bounds accesses flagged.
@@ -981,7 +908,7 @@ impl CombinedBackend {
         addr: VirtAddr,
         width: usize,
     ) -> Result<(), BackendError> {
-        machine.tick(self.check_cost);
+        machine.tick(BOUNDS_CHECK_COST);
         if let Some(obj) = self.inner.detector().object_at(addr) {
             let start = obj.base.raw();
             let end = start + obj.size as u64;
@@ -1054,6 +981,8 @@ impl Backend for CombinedBackend {
         self.inner.store(machine, addr, width, value)
     }
 
+    per_word_ops!();
+
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.inner.explain(trap)
     }
@@ -1083,8 +1012,11 @@ mod tests {
     }
 
     /// Bulk ops must round-trip data and preserve each scheme's detection
-    /// behaviour — whether the backend uses the default per-word walk or
-    /// the page-chunked MMU override.
+    /// behaviour — whether the backend takes the default page-chunked MMU
+    /// path or walks words through its own checks. A detecting scheme must
+    /// catch a freed object through every bulk op, so a software checker
+    /// that loses an override (and falls back to the unchecked MMU path)
+    /// fails here.
     fn exercise_bulk(backend: &mut dyn Backend, expect_detection: bool) {
         let mut m = Machine::free_running();
         let pool = backend.pool_create(&mut m, 16).unwrap();
@@ -1104,6 +1036,13 @@ mod tests {
         if expect_detection {
             let err = got.unwrap_err();
             assert!(err.is_detection(), "{}: {err}", backend.name());
+            for (op, got) in [
+                ("store_bytes", backend.store_bytes(&mut m, p, &data)),
+                ("memset", backend.memset(&mut m, p, 0x22, LEN)),
+            ] {
+                let err = got.expect_err(op);
+                assert!(err.is_detection(), "{} {op}: {err}", backend.name());
+            }
         } else {
             assert!(got.is_ok(), "{} must NOT detect bulk dangling reads", backend.name());
         }
@@ -1120,6 +1059,19 @@ mod tests {
         exercise_bulk(&mut MemcheckBackend::new(), true);
         exercise_bulk(&mut CapabilityBackend::new(), true);
         exercise_bulk(&mut CombinedBackend::new(), true);
+    }
+
+    /// A bulk write that runs past the end of a live object stays on the
+    /// object's mapped page, so only the per-word bounds check sees it.
+    #[test]
+    fn combined_bounds_checks_bulk_writes() {
+        let mut m = Machine::free_running();
+        let mut b = CombinedBackend::new();
+        let p = b.alloc(&mut m, 24, None).unwrap();
+        let err = b.store_bytes(&mut m, p, &[7; 32]).unwrap_err();
+        assert_eq!(err, BackendError::SoftwareDetection { addr: p.add(24) });
+        assert_eq!(b.memset(&mut m, p.add(8), 0, 24), Err(err));
+        assert_eq!(b.spatial_detections(), 2);
     }
 
     #[test]

@@ -52,11 +52,13 @@
 //! would start executing before failing: use of a variable before any
 //! declaration in program order, and call-arity mismatches — both are
 //! run-time errors under the AST engine on every path that reaches them.
+//! A third class the AST engine runs: a `var` named like a global. There
+//! the name reads the global until the `var` runs and the local after
+//! (on a later loop trip, say), which no one slot per name can mirror.
 
 use crate::bytecode::{binary_forms, BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
-use dangle_apa::ast::{
-    visit_stmts, BinOp, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type,
-};
+use crate::{to_sty, Sty};
+use dangle_apa::ast::{visit_stmts, BinOp, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -86,26 +88,12 @@ impl fmt::Display for CompileError {
 
 impl Error for CompileError {}
 
-/// Static type of an expression — the compile-time mirror of the AST
-/// engine's `Option<Type>` evaluation results.
-#[derive(Clone, Copy)]
-enum Sty<'p> {
-    Int,
-    /// Pointer to a known struct.
-    Ptr(&'p StructDef),
-    /// Pointer to an undeclared struct — dereferencing is `NotAPointer`
-    /// at run time, exactly like the AST engine's failed struct lookup.
-    PtrUndef,
-    /// No static type (`null`, void calls).
-    None,
-}
-
 /// Compiles every function of `prog` to bytecode.
 ///
 /// # Errors
 /// [`CompileError`] on undefined variable/function/struct/field/pool
-/// names, use of a variable before its declaration in program order, or
-/// call-arity mismatches.
+/// names, use of a variable before its declaration in program order, a
+/// `var` named like a global, or call-arity mismatches.
 pub fn compile(prog: &Program) -> Result<BcProgram, CompileError> {
     let structs: HashMap<&str, &StructDef> =
         prog.structs.iter().map(|s| (s.name.as_str(), s)).collect();
@@ -131,17 +119,6 @@ pub fn compile(prog: &Program) -> Result<BcProgram, CompileError> {
         main: func_idx.get("main").copied(),
         global_names: prog.globals.iter().map(|(n, _)| n.clone()).collect(),
     })
-}
-
-fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&str, &'p StructDef>) -> Sty<'p> {
-    match ty {
-        None => Sty::None,
-        Some(Type::Int) => Sty::Int,
-        Some(Type::Ptr(name)) => match structs.get(name.as_str()) {
-            Some(def) => Sty::Ptr(def),
-            None => Sty::PtrUndef,
-        },
-    }
 }
 
 /// The comparison whose value is zero exactly when `op`'s is nonzero, for
@@ -581,6 +558,14 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
         self.pending += 1; // the AST's per-statement burn
         match s {
             Stmt::VarDecl { name, ty, init } => {
+                // The AST engine looks names up at run time, so a local
+                // named like a global takes over that name only once its
+                // `var` has run (on a later loop trip, say). A compiled
+                // name means one slot for the whole function: reject the
+                // shadowing rather than guess.
+                if self.globals.contains_key(name.as_str()) {
+                    return Err(self.err(Span::NONE, format!("local `{name}` shadows a global")));
+                }
                 let slot = match self.vars.get(name.as_str()) {
                     Some(&(slot, _)) => slot,
                     None => self.reserved[name.as_str()],

@@ -177,15 +177,16 @@ pub fn run_with(
     }
 }
 
-/// Static (pointee) type of an evaluated expression — a `Copy` mirror of
-/// the old `Option<Type>` results, interned against the program so no
-/// `String` is cloned per access.
+/// Static (pointee) type of an expression, interned against the program
+/// so no `String` is cloned per access. This engine tracks it as it
+/// evaluates; the compiler propagates it just far enough to resolve field
+/// offsets at compile time.
 #[derive(Clone, Copy)]
-enum Sty<'p> {
+pub(crate) enum Sty<'p> {
     Int,
     /// Pointer to a known struct.
     Ptr(&'p StructDef),
-    /// Pointer to an undeclared struct (dereference = `NotAPointer`).
+    /// Pointer to an undeclared struct: dereferencing it is `NotAPointer`.
     PtrUndef,
     /// No static type (`null`, void calls).
     None,
@@ -221,7 +222,7 @@ struct Interp<'p, 'm, 'b> {
     depth: u32,
 }
 
-fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&'p str, &'p StructDef>) -> Sty<'p> {
+pub(crate) fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&str, &'p StructDef>) -> Sty<'p> {
     match ty {
         None => Sty::None,
         Some(Type::Int) => Sty::Int,

@@ -2,7 +2,8 @@
 //!
 //! The AST tree-walker is the reference semantics; the register-bytecode
 //! compiler + VM must be observationally identical on every program the
-//! AST engine executes without a name error: same output, same step
+//! AST engine executes without a name error and that declares no local
+//! named like a global (a `CompileError`): same output, same step
 //! count, same runtime errors, same detections and byte-identical
 //! trap-report JSON — and the same simulated clock at every machine
 //! boundary, not only at the end. Every run here is on a calibrated,
@@ -447,9 +448,32 @@ fn loop_conditions_resolve_names_as_at_the_loop_head() {
     // loop's condition reads: the AST engine keeps one runtime map, so
     // the condition reads the names as they stand at the loop, and the
     // rotated loop's bottom test must too, like its guard.
-    for (name, src, want) in [
+    let src = "struct a { v: int }
+         struct b { w: int }
+         fn main() {
+             var p: ptr<a> = malloc(a);
+             p->v = 2;
+             var n: int = 0;
+             while (p->v > 0) {
+                 p->v = p->v - 1;
+                 n = n + 1;
+                 if (n > 100) { var p: ptr<b> = null; }
+             }
+             print(n);
+             free(p);
+         }";
+    let prog = parse(src).unwrap();
+    let seen = assert_agree(&prog, || Box::new(NativeBackend::new()), 10_000, "retyped pointer");
+    assert_eq!(seen.result.unwrap().output, [2]);
+
+    // A local named like a global is a compile error. The AST engine reads
+    // the global until the `var` runs and the local after it, so once the
+    // `var` runs inside the loop, its condition reads the local on every
+    // later trip: the second program prints 1, where one slot per name
+    // would keep reading the global and print 3.
+    for (name, src, ast_output) in [
         (
-            "shadowed global",
+            "global shadowed in a branch that never runs",
             "global g: int;
              fn main() {
                  var i: int = 0;
@@ -459,28 +483,21 @@ fn loop_conditions_resolve_names_as_at_the_loop_head() {
             3,
         ),
         (
-            "retyped pointer",
-            "struct a { v: int }
-             struct b { w: int }
+            "global shadowed on every trip",
+            "global g: int;
              fn main() {
-                 var p: ptr<a> = malloc(a);
-                 p->v = 2;
                  var n: int = 0;
-                 while (p->v > 0) {
-                     p->v = p->v - 1;
-                     n = n + 1;
-                     if (n > 100) { var p: ptr<b> = null; }
-                 }
+                 while (g < 3) { g = g + 1; n = n + 1; var g: int = 7; }
                  print(n);
-                 free(p);
              }",
-            2,
+            1,
         ),
     ] {
         let prog = parse(src).unwrap();
-        let seen = assert_agree(&prog, || Box::new(NativeBackend::new()), 10_000, name);
-        let out = seen.result.unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(out.output, [want], "{name}");
+        let err = compile(&prog).err().unwrap_or_else(|| panic!("{name}: compiled"));
+        assert_eq!(err.message, "local `g` shadows a global", "{name}");
+        let ast = run_engine(false, &prog, &mut NativeBackend::new(), 10_000);
+        assert_eq!(ast.result.unwrap().output, [ast_output], "{name}");
     }
 }
 

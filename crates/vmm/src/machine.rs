@@ -1194,19 +1194,9 @@ impl Machine {
     /// See [`Machine::load`]; partial reads are not performed — the
     /// destination buffer contents are unspecified on error.
     pub fn read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Trap> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr.add(pos as u64);
-            let chunk = (PAGE_SIZE - a.offset()).min(buf.len() - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Read)?;
-            // Charge the remaining words of the chunk beyond the first.
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.loads += words.saturating_sub(1);
-            buf[pos..pos + chunk].copy_from_slice(&self.slab.frame(frame)[off..off + chunk]);
-            pos += chunk;
-        }
-        Ok(())
+        self.bulk(addr, buf.len(), AccessKind::Read, |mem, pos| {
+            buf[pos..pos + mem.len()].copy_from_slice(mem);
+        })
     }
 
     /// Writes `buf` starting at `addr` (bulk transfer; see
@@ -1216,18 +1206,9 @@ impl Machine {
     /// See [`Machine::store`]; on error a prefix of the buffer may already
     /// have been written.
     pub fn write_bytes(&mut self, addr: VirtAddr, buf: &[u8]) -> Result<(), Trap> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr.add(pos as u64);
-            let chunk = (PAGE_SIZE - a.offset()).min(buf.len() - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Write)?;
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(frame)[off..off + chunk].copy_from_slice(&buf[pos..pos + chunk]);
-            pos += chunk;
-        }
-        Ok(())
+        self.bulk(addr, buf.len(), AccessKind::Write, |mem, pos| {
+            mem.copy_from_slice(&buf[pos..pos + mem.len()]);
+        })
     }
 
     /// `memset`: fills `len` bytes starting at `addr` with `byte` (bulk
@@ -1237,15 +1218,34 @@ impl Machine {
     /// See [`Machine::store`]; on error a prefix of the range may already
     /// have been written.
     pub fn memset(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
+        self.bulk(addr, len, AccessKind::Write, |mem, _| mem.fill(byte))
+    }
+
+    /// The page-chunk loop of the bulk transfers: splits `len` bytes at
+    /// `addr` into chunks that never cross a page, translates each chunk
+    /// once, charges its further words one `mem_access` and one load or
+    /// store each, and hands `copy` the chunk's bytes in its frame with the
+    /// chunk's offset into the transfer.
+    fn bulk(
+        &mut self,
+        addr: VirtAddr,
+        len: usize,
+        access: AccessKind,
+        mut copy: impl FnMut(&mut [u8], usize),
+    ) -> Result<(), Trap> {
         let mut pos = 0usize;
         while pos < len {
             let a = addr.add(pos as u64);
             let chunk = (PAGE_SIZE - a.offset()).min(len - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Write)?;
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(frame)[off..off + chunk].fill(byte);
+            let (frame, off) = self.translate(a, chunk, access)?;
+            // Charge the remaining words of the chunk beyond the first.
+            let words = chunk.div_ceil(8) as u64 - 1;
+            self.advance(self.config.cost.mem_access * words, Charge::Plain);
+            match access {
+                AccessKind::Read => self.stats.loads += words,
+                AccessKind::Write => self.stats.stores += words,
+            }
+            copy(&mut self.slab.frame_mut(frame)[off..off + chunk], pos);
             pos += chunk;
         }
         Ok(())
